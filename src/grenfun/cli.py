@@ -20,7 +20,7 @@ from .errors import InputError, NumericError
 from .functionals import ScalarFunctional, by_name, mu_plugin, tau_plugin
 from .grenander import fit
 from .harness import StudyConfig, run_study, run_uniform_study
-from .inference import ci_mu, normal_quantile, sigma_eff_tau
+from .inference import ci_mu, normal_interval, sigma_eff_tau
 from .limitlaw import TrueModel, draw_y_samples, emit_y_csv
 from .samples import ScenarioSpec, default_stream, read_observations
 
@@ -71,20 +71,13 @@ def _cmd_estimate(args) -> int:
     if isinstance(fn, ScalarFunctional):
         result["estimate"] = mu_plugin(fn, density)
         if args.ci is not None:
-            result["ci"] = ci_mu(fn, sample, args.ci).to_json()
+            result["ci"] = ci_mu(fn, sample, args.ci, density).to_json()
     else:
         result["estimate"] = tau_plugin(fn, density)
         if args.ci is not None:
             sigma = math.sqrt(sigma_eff_tau(fn, sample, density))
-            z = normal_quantile(0.5 + args.ci / 2.0)
-            half = z * sigma / math.sqrt(sample.n)
-            result["ci"] = {
-                "estimate": result["estimate"],
-                "lower": result["estimate"] - half,
-                "upper": result["estimate"] + half,
-                "level": args.ci, "sigma_hat": sigma, "n": sample.n,
-                "degenerate": sigma == 0.0, "validity": "pointwise",
-            }
+            result["ci"] = normal_interval(result["estimate"], sigma, sample.n,
+                                           args.ci).to_json()
     print(json.dumps(result, sort_keys=True))
     if args.out != Path("."):
         args.out.mkdir(parents=True, exist_ok=True)
@@ -168,3 +161,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

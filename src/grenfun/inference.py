@@ -128,19 +128,28 @@ def sigma_eff_tau(G: SmoothFunctional, s: Sample, d: StepDensity) -> float:
     return max(float(np.mean(vals * vals)) - m * m, 0.0)
 
 
-def ci_mu(h: ScalarFunctional, s: Sample, level: float) -> ConfidenceInterval:
-    """Asymptotically valid interval for the integral of h(f)."""
+def normal_interval(estimate: float, sigma_hat: float, n: int,
+                    level: float) -> ConfidenceInterval:
+    """Normal-theory interval estimate +- z sigma_hat / sqrt(n) at ``level``."""
     if not 0.0 < level < 1.0:
         raise InputError("confidence level must lie in (0, 1)")
-    d = fit(s)
-    estimate = mu_plugin(h, d)
-    sigma_hat = math.sqrt(sigma_eff_mu(h, d))
     z = normal_quantile(0.5 + level / 2.0)
-    half = z * sigma_hat / math.sqrt(s.n)
+    half = z * sigma_hat / math.sqrt(n)
     return ConfidenceInterval(
         estimate=estimate, lower=estimate - half, upper=estimate + half,
-        level=level, sigma_hat=sigma_hat, n=s.n, degenerate=(sigma_hat == 0.0),
+        level=level, sigma_hat=sigma_hat, n=n, degenerate=(sigma_hat == 0.0),
     )
+
+
+def ci_mu(h: ScalarFunctional, s: Sample, level: float,
+          d: StepDensity | None = None) -> ConfidenceInterval:
+    """Asymptotically valid interval for the integral of h(f).
+
+    ``d`` is the Grenander fit of ``s``; it is computed when not given.
+    """
+    if d is None:
+        d = fit(s)
+    return normal_interval(mu_plugin(h, d), math.sqrt(sigma_eff_mu(h, d)), s.n, level)
 
 
 def uniform_clt_statistic(h: ScalarFunctional, s: Sample) -> float:

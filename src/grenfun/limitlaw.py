@@ -76,11 +76,14 @@ def bridge_path(grid, stream) -> GridPath:
 def _bridge_values(u: np.ndarray, draws: int, stream) -> np.ndarray:
     """Rows of bridge values on the grid u (u[0] = 0); pinned to 0 at
     u = 1 exactly when the grid ends at 1."""
-    incr = stream.standard_normal((draws, u.size - 1)) * np.sqrt(np.diff(u))
-    w = np.cumsum(incr, axis=1)
+    # in place: three arrays of the result's size live at once, not five,
+    # so the heap is not left holding a freed one after the call
+    w = stream.standard_normal((draws, u.size - 1))
+    w *= np.sqrt(np.diff(u))
+    np.cumsum(w, axis=1, out=w)
     out = np.empty((draws, u.size))
     out[:, 0] = 0.0
-    out[:, 1:] = w - np.outer(w[:, -1], u[1:])
+    np.subtract(w, np.outer(w[:, -1], u[1:]), out=out[:, 1:])
     return out
 
 
@@ -194,12 +197,10 @@ def y_from_path(G: SmoothFunctional, model: TrueModel, g_path: GridPath) -> floa
 def _hull_rows_inplace(values: np.ndarray, grid: np.ndarray, ia: int, ib: int):
     """Replace values[:, ia:ib+1] with the per-row upper concave hull."""
     seg_grid = grid[ia:ib + 1]
-    xs = seg_grid.tolist()
     for row in values:
-        ys = row[ia:ib + 1].tolist()
-        idx = _hull_indices(xs, ys)
-        if len(idx) < len(xs):
-            seg = row[ia:ib + 1]
+        seg = row[ia:ib + 1]
+        idx = _hull_indices(seg_grid, seg)
+        if idx.size < seg_grid.size:
             row[ia:ib + 1] = np.maximum(seg, np.interp(seg_grid, seg_grid[idx], seg[idx]))
 
 

@@ -5,6 +5,18 @@ fit, and the per-interval action of the LCM derivative on simulated
 paths, both reduce to it.  Slope comparisons are done with differences of
 cross products on (dx, dy) pairs, never divided differences, so that
 near-collinear points do not cancel catastrophically.
+
+One kernel, :func:`_hull_indices`, serves both callers.  It prunes, then
+scans.  Each numpy prune pass drops every interior point whose turn with
+its current neighbours is not strictly concave: such a point lies on or
+under the chord of two input points, so it is never a vertex (an exact
+local filter in the spirit of Akl & Toussaint, 1978).  The survivors go
+through Andrew's monotone-chain stack scan (1979), which uses the same
+cross-product test.  The prune stops when a pass drops nothing, when at
+most ``PRUNE_FLOOR`` points remain, or when a pass drops fewer than
+``1/PRUNE_MIN_DROP`` of its points.  The last rule bounds the cost: on a
+concave chain whose last point is raised, each pass drops a single
+point, and pruning to the end would take quadratic time.
 """
 
 from __future__ import annotations
@@ -16,39 +28,62 @@ import numpy as np
 from .errors import InputError
 
 
-def _hull_indices(xs, ys):
+#: the prune hands over to the scan once this few points survive
+PRUNE_FLOOR = 64
+#: ... or once a pass drops fewer than 1/PRUNE_MIN_DROP of its points
+PRUNE_MIN_DROP = 8
+
+
+def _hull_indices(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Indices of the canonical upper-hull vertices of (xs, ys).
 
-    xs must be strictly increasing.  Collinear interior points are
-    dropped, so consecutive hull slopes are strictly decreasing.
+    xs must be a strictly increasing float array and ys a float array of
+    the same length.  Collinear interior points are dropped, so
+    consecutive hull slopes are strictly decreasing.
     """
+    idx = np.arange(xs.size)
+    x, y = xs, ys
+    while idx.size > PRUNE_FLOOR:
+        dx = x[1:] - x[:-1]
+        dy = y[1:] - y[:-1]
+        keep = np.empty(idx.size, dtype=bool)
+        keep[0] = keep[-1] = True
+        np.greater(dy[:-1] * dx[1:], dy[1:] * dx[:-1], out=keep[1:-1])
+        sel = np.flatnonzero(keep)
+        dropped = idx.size - sel.size
+        if dropped == 0:
+            return idx
+        idx, x, y = idx[sel], x[sel], y[sel]
+        if dropped * PRUNE_MIN_DROP < idx.size + dropped:
+            break
+    xl = x.tolist()
+    yl = y.tolist()
     stack = []
-    for i in range(len(xs)):
-        x3 = xs[i]
-        y3 = ys[i]
+    for i in range(len(xl)):
+        x3 = xl[i]
+        y3 = yl[i]
         while len(stack) >= 2:
             j2 = stack[-1]
             j1 = stack[-2]
-            x2 = xs[j2]
-            y2 = ys[j2]
+            x2 = xl[j2]
+            y2 = yl[j2]
             # pop the middle point unless the turn is strictly concave:
             # slope(p1,p2) > slope(p2,p3), cross-multiplied
-            if (y2 - ys[j1]) * (x3 - x2) <= (y3 - y2) * (x2 - xs[j1]):
+            if (y2 - yl[j1]) * (x3 - x2) <= (y3 - y2) * (x2 - xl[j1]):
                 stack.pop()
             else:
                 break
         stack.append(i)
-    return stack
+    return idx[stack]
 
 
 def _pool_ties(xs, ys):
-    """Keep only the maximal y at duplicated x values."""
-    ux, inverse = np.unique(xs, return_inverse=True)
-    if ux.size == xs.size:
+    """Keep only the maximal y at each run of equal x; xs must be sorted."""
+    new_x = xs[1:] != xs[:-1]
+    if new_x.all():
         return xs, ys
-    uy = np.full(ux.size, -np.inf)
-    np.maximum.at(uy, inverse, ys)
-    return ux, uy
+    starts = np.flatnonzero(np.concatenate(([True], new_x)))
+    return xs[starts], np.maximum.reduceat(ys, starts)
 
 
 @dataclass(frozen=True)
@@ -118,7 +153,7 @@ def lcm(xs, ys, interval=None) -> PiecewiseLinearConcave:
     xs, ys = _pool_ties(xs, ys)
     if xs.size == 1:
         return PiecewiseLinearConcave(xs.copy(), ys.copy())
-    idx = _hull_indices(xs.tolist(), ys.tolist())
+    idx = _hull_indices(xs, ys)
     return PiecewiseLinearConcave(xs[idx], ys[idx])
 
 

@@ -98,9 +98,11 @@ def ecdf(s: Sample):
     height), prefixed by the origin ``(0, 0)``.  Observations at exactly 0
     replace the origin with ``(0, j/n)``.
     """
-    vals, counts = np.unique(s.values, return_counts=True)
-    heights = np.cumsum(counts) / float(s.n)
-    heights[-1] = 1.0
+    # values are sorted: a run of equal values ends where the next differs
+    v = s.values
+    ends = np.flatnonzero(np.append(v[1:] != v[:-1], True))
+    vals = v[ends]
+    heights = (ends + 1) / float(s.n)
     if vals[0] == 0.0:
         return vals, heights
     return np.concatenate(([0.0], vals)), np.concatenate(([0.0], heights))

@@ -34,6 +34,24 @@ def brute_force_hull_indices(xs, ys):
     return keep
 
 
+def stack_scan_hull_indices(xs, ys):
+    """Canonical upper-hull vertex indices by a plain monotone-chain scan
+    over every point (no pruning), with the package's cross-product test.
+    xs must be strictly increasing.  O(n) amortized, pure Python."""
+    xs = [float(v) for v in xs]
+    ys = [float(v) for v in ys]
+    stack = []
+    for i in range(len(xs)):
+        while len(stack) >= 2:
+            j1, j2 = stack[-2], stack[-1]
+            if (ys[j2] - ys[j1]) * (xs[i] - xs[j2]) <= (ys[i] - ys[j2]) * (xs[j2] - xs[j1]):
+                stack.pop()
+            else:
+                break
+        stack.append(i)
+    return stack
+
+
 def brute_force_hull_values(xs, ys):
     """Upper concave envelope evaluated at every input point."""
     idx = brute_force_hull_indices(xs, ys)

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import grenfun
+import grenfun.inference
 from grenfun.cli import main
 
 
@@ -58,6 +64,20 @@ class TestEstimate:
     def test_missing_file_is_config_error(self, tmp_path):
         assert main(["estimate", "--data", str(tmp_path / "nope.txt"),
                      "--functional", "power:2"]) == 2
+
+    @pytest.mark.parametrize("functional", ["power:2", "xz2"])
+    def test_ci_fits_once(self, data_file, monkeypatch, capsys, functional):
+        fits = []
+
+        def counting_fit(s, _fit=grenfun.cli.fit):
+            fits.append(s.n)
+            return _fit(s)
+
+        monkeypatch.setattr(grenfun.cli, "fit", counting_fit)
+        monkeypatch.setattr(grenfun.inference, "fit", counting_fit)
+        assert main(["estimate", "--data", str(data_file),
+                     "--functional", functional, "--ci", "0.95"]) == 0
+        assert fits == [400]
 
     def test_out_dir_written(self, data_file, tmp_path, capsys):
         out = tmp_path / "results"
@@ -157,3 +177,17 @@ class TestParsing:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+    def test_module_run_reports_errors(self, tmp_path):
+        # ``python -m grenfun.cli`` runs the same entry point as ``grenfun``
+        src = str(Path(grenfun.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "grenfun.cli", "estimate",
+             "--data", str(tmp_path / "nope.txt"), "--functional", "xz2"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "error:" in proc.stderr

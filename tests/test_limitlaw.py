@@ -47,6 +47,22 @@ class TestBridgePath:
         cov = float(np.mean(vals[:, 1] * vals[:, 2]))
         assert cov == pytest.approx(0.0625, abs=0.005)
 
+    def test_in_place_values_match_direct_formula(self):
+        # the formula before the in-place rewrite, kept as the reference
+        def direct(u, draws, stream):
+            incr = stream.standard_normal((draws, u.size - 1)) * np.sqrt(np.diff(u))
+            w = np.cumsum(incr, axis=1)
+            out = np.empty((draws, u.size))
+            out[:, 0] = 0.0
+            out[:, 1:] = w - np.outer(w[:, -1], u[1:])
+            return out
+
+        for u, draws, seed in ((np.linspace(0.0, 1.0, 1001), 300, 20),
+                               (np.linspace(0.0, 0.9, 77), 1000, 21),
+                               (np.array([0.0, 1.0]), 5, 22)):
+            got = _bridge_values(u, draws, default_stream(seed))
+            assert np.array_equal(got, direct(u, draws, default_stream(seed)))
+
     def test_bad_grid_rejected(self):
         with pytest.raises(InputError):
             bridge_path(np.array([0.0, 0.5, 0.9]), default_stream(0))

@@ -3,10 +3,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from grenfun import InputError, PiecewiseLinearConcave, lcm, restricted_lcm
-from grenfun.majorant import GridPath
+from grenfun import (
+    InputError,
+    PiecewiseLinearConcave,
+    ScenarioSpec,
+    default_stream,
+    draw,
+    ecdf,
+    lcm,
+    restricted_lcm,
+)
+from grenfun.limitlaw import _bridge_values
+from grenfun.majorant import PRUNE_FLOOR, GridPath, _hull_indices
 
-from oracles import brute_force_hull_indices
+from oracles import brute_force_hull_indices, stack_scan_hull_indices
 
 
 def random_point_set(rng, max_n=200, dyadic=False):
@@ -72,6 +82,70 @@ class TestOracleAgreement:
             idx = brute_force_hull_indices(xs_u, ys_u)
             assert np.array_equal(hull.knots, xs_u[idx])
             assert np.array_equal(hull.values, ys_u[idx])
+
+
+class TestPrunedKernel:
+    """The prune runs only above PRUNE_FLOOR points, so these inputs are
+    larger than that; the kernel must return exactly the vertices of an
+    unpruned scan and of the chord oracle."""
+
+    @pytest.mark.parametrize("kind", ["continuous", "dyadic", "bridge"])
+    def test_matches_brute_force_above_floor(self, kind):
+        rng = np.random.default_rng({"continuous": 200, "dyadic": 201, "bridge": 202}[kind])
+        for _ in range(40):
+            n = int(rng.integers(PRUNE_FLOOR + 1, 401))
+            if kind == "continuous":
+                xs = np.unique(rng.random(n)) * 10.0
+                ys = rng.random(xs.size)
+            elif kind == "dyadic":
+                # coarse dyadic values: exact arithmetic, long collinear runs
+                xs = np.arange(n) / 64.0
+                ys = rng.integers(0, 9, n) / 8.0
+            else:
+                xs = np.linspace(0.0, 1.0, n)
+                ys = _bridge_values(xs, 1, rng)[0]
+            idx = _hull_indices(xs, ys)
+            assert np.array_equal(idx, brute_force_hull_indices(xs, ys))
+
+    @pytest.mark.parametrize("spec", [ScenarioSpec.exponential(1.0), ScenarioSpec.paper_pwa(),
+                                      ScenarioSpec.uniform(1.0)], ids=lambda s: s.kind)
+    @pytest.mark.parametrize("n", [10_000, 100_000])
+    def test_ecdf_hulls_match_full_scan(self, spec, n):
+        xs, ys = ecdf(draw(spec, n, default_stream(n)))
+        assert np.array_equal(_hull_indices(xs, ys), stack_scan_hull_indices(xs, ys))
+
+    def _chain(self, n):
+        # integer coordinates: every cross product is exact
+        xs = np.arange(n, dtype=float)
+        return xs, -((xs - n // 2) ** 2)
+
+    def test_concave_chain_with_raised_end(self):
+        # each prune pass drops one point here; the stop rule hands the
+        # rest to the scan
+        xs, ys = self._chain(5000)
+        ys[-1] = 1e9
+        idx = _hull_indices(xs, ys)
+        assert np.array_equal(idx, stack_scan_hull_indices(xs, ys))
+        assert idx[0] == 0 and idx[-1] == xs.size - 1
+
+    def test_strictly_concave_chain_keeps_every_point(self):
+        xs, ys = self._chain(1000)
+        assert np.array_equal(_hull_indices(xs, ys), np.arange(xs.size))
+
+    def test_strictly_convex_chain_keeps_endpoints(self):
+        xs, ys = self._chain(1000)
+        assert np.array_equal(_hull_indices(xs, -ys), [0, xs.size - 1])
+
+    def test_collinear_keeps_endpoints(self):
+        xs = np.arange(1000, dtype=float)
+        assert np.array_equal(_hull_indices(xs, 3.0 * xs - 7.0), [0, xs.size - 1])
+
+    def test_constant_keeps_endpoints(self):
+        xs = np.arange(1000, dtype=float)
+        assert np.array_equal(_hull_indices(xs, np.full(xs.size, 2.5)), [0, xs.size - 1])
+
+    def test_two_points(self):
+        assert np.array_equal(_hull_indices(np.array([0.0, 1.0]), np.array([5.0, -1.0])), [0, 1])
 
 
 class TestHullInvariants:

@@ -17,6 +17,7 @@ from grenfun import (
     read_observations,
     read_scenario,
 )
+from grenfun.majorant import _pool_ties
 from grenfun.samples import PWA_KINK, SQRT2
 
 
@@ -74,6 +75,34 @@ class TestEcdf:
         assert np.all(np.diff(xs) > 0)
         assert np.all(np.diff(ys) > 0)
         assert ys[-1] == 1.0
+
+    @pytest.mark.parametrize("decimals", [0, 1, 2])
+    def test_heavy_ties_match_unique_reference(self, decimals):
+        # the runs of equal values found on the sorted sample must give
+        # what a re-sort with np.unique gives, bit for bit
+        raw = np.round(default_stream(decimals).exponential(1.0, 20_000), decimals)
+        s = ingest(raw)
+        vals, counts = np.unique(s.values, return_counts=True)
+        heights = np.cumsum(counts) / float(s.n)
+        if vals[0] != 0.0:
+            vals = np.concatenate(([0.0], vals))
+            heights = np.concatenate(([0.0], heights))
+        xs, ys = ecdf(s)
+        assert np.array_equal(xs, vals)
+        assert np.array_equal(ys, heights)
+        assert ys[-1] == 1.0
+
+    @pytest.mark.parametrize("decimals", [0, 2])
+    def test_pool_ties_matches_unique_reference(self, decimals):
+        stream = default_stream(10 + decimals)
+        xs = np.sort(np.round(stream.random(5_000) * 10.0, decimals))
+        ys = stream.standard_normal(xs.size)
+        ux, inverse = np.unique(xs, return_inverse=True)
+        uy = np.full(ux.size, -np.inf)
+        np.maximum.at(uy, inverse, ys)
+        px, py = _pool_ties(xs, ys)
+        assert np.array_equal(px, ux)
+        assert np.array_equal(py, uy)
 
 
 class TestScenarioSpec:
