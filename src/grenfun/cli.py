@@ -25,6 +25,16 @@ from .limitlaw import TrueModel, draw_y_samples, emit_y_csv
 from .samples import ScenarioSpec, default_stream, read_observations
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="grenfun",
@@ -35,13 +45,15 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="override the seed of any config or scenario")
     parser.add_argument("--out", type=Path, default=Path("."),
                         help="directory for output files")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker processes for replication studies")
+    parser.add_argument("--threads", type=_positive_int, default=1,
+                        help="worker processes for replication studies "
+                             "(at most the CPU count)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     est = sub.add_parser("estimate", help="estimate a functional from a data file")
     est.add_argument("--data", required=True, type=Path,
-                     help="file with one observation per line ('#' comments)")
+                     help="file with one decimal observation per line "
+                          "('#' starts a comment)")
     est.add_argument("--functional", required=True,
                      help="built-in functional name, e.g. power:2, xz2, identity")
     est.add_argument("--ci", type=float, default=None, metavar="LEVEL",

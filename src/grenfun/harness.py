@@ -273,11 +273,23 @@ def _uniform_statistic(args) -> float:
     return uniform_clt_statistic(h, s)
 
 
+def _worker_count(threads: int, jobs: int) -> int:
+    """Worker processes for ``jobs`` replications: ``threads``, capped at
+    the CPU count and the job count (a fork-context pool starts all its
+    workers at once)."""
+    import os
+
+    if threads < 1:
+        raise InputError(f"threads must be >= 1, got {threads}")
+    return min(threads, os.cpu_count() or 1, jobs)
+
+
 def _map_replications(worker, arg_list, threads: int) -> np.ndarray:
-    if threads <= 1:
+    workers = _worker_count(threads, len(arg_list))
+    if workers <= 1:
         return np.array([worker(a) for a in arg_list])
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        chunk = max(1, len(arg_list) // (threads * 8))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        chunk = max(1, len(arg_list) // (workers * 8))
         return np.array(list(pool.map(worker, arg_list, chunksize=chunk)))
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import InputError
 from .functionals import ScalarFunctional, SmoothFunctional
 from .majorant import GridPath, _hull_indices, restricted_lcm
-from .samples import ScenarioSpec
+from .samples import ScenarioSpec, _load_column
 
 DEFAULT_TRUNCATION_MASS = 1e-6
 
@@ -293,9 +293,9 @@ def emit_y_csv(path, ys: np.ndarray, info: dict) -> None:
 
 def load_y_csv(path):
     """Read back samples and metadata written by :func:`emit_y_csv`."""
-    text = Path(path).read_text().strip().splitlines()
-    if not text or not text[0].startswith("#"):
+    with open(path) as fh:
+        header = fh.readline()
+    if not header.startswith("#"):
         raise InputError(f"{path}: missing JSON metadata header line")
-    info = json.loads(text[0][1:].strip())
-    ys = np.array([float(v) for v in text[1:]])
-    return ys, info
+    info = json.loads(header[1:].strip())
+    return _load_column(path), info

@@ -287,23 +287,78 @@ def draw(spec: ScenarioSpec, n: int, stream=None) -> Sample:
     return Sample(np.sort(spec.quantile(u)))
 
 
+def _load_column(path) -> np.ndarray:
+    """One float64 per line of a text file, read by numpy's C loader.
+
+    ``#`` starts a comment and blank lines are skipped; a line that is not
+    one ASCII decimal raises ValueError.  The path is made absolute so
+    that numpy's opener never takes it for a URL; as with ``np.loadtxt``,
+    names ending in .gz, .bz2, .xz or .lzma are decompressed.
+    """
+    import warnings
+
+    with warnings.catch_warnings():
+        # an empty file is the caller's to report
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        table = np.loadtxt(str(Path(path).absolute()), dtype=float, comments="#", ndmin=2)
+    if table.shape[1] != 1:
+        raise ValueError(f"{table.shape[1]} numbers on a line")
+    return table[:, 0]
+
+
+def _bad_line_error(path, cause) -> InputError:
+    """The error naming the first line of a data file that is not one
+    finite, nonnegative ASCII decimal.
+
+    Runs only after the loader or :func:`ingest` has rejected the file,
+    and reads the file through the opener the loader used.  Falls back to
+    ``cause`` if no line is at fault.
+    """
+    opener = np.lib.npyio.DataSource(".")
+    try:
+        with opener.open(str(Path(path).absolute()), "rt") as lines:
+            for lineno, line in enumerate(lines, start=1):
+                text = line.split("#", 1)[0].strip()
+                if not text:
+                    continue
+                # the loader's grammar: float() without its Python-only
+                # spellings (underscores, non-ASCII digits)
+                try:
+                    value = float(text) if text.isascii() and "_" not in text else None
+                except ValueError:
+                    value = None
+                if value is None:
+                    return InputError(f"{path}:{lineno}: not a decimal number: {text!r}")
+                if not math.isfinite(value):
+                    return InputError(f"{path}:{lineno}: non-finite observation: {text!r}")
+                if value < 0.0:
+                    return InputError(f"{path}:{lineno}: negative observation: {text!r}")
+    except UnicodeDecodeError as exc:
+        return InputError(f"{path}: not a text file: {exc}")
+    return InputError(f"{path}: {cause}")
+
+
 def read_observations(path) -> Sample:
     """Read a data file with one ASCII-decimal observation per line.
 
-    Lines starting with '#' and blank lines are ignored.
+    Blank lines are ignored and ``#`` starts a comment, on a line of its
+    own or after a number (``1.5  # note``).  Leading and trailing blanks
+    and CRLF line ends are accepted.  A line holding anything else, such
+    as two numbers or Python-only spellings like ``1_000``, and a value
+    that is negative or not finite (``inf``, ``nan``, an overflow like
+    ``1e400``) are reported as ``{path}:{lineno}: ...``; so is a file
+    with no observation at all, as ``{path}: no observations found``.
     """
-    values = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        text = line.strip()
-        if not text or text.startswith("#"):
-            continue
-        try:
-            values.append(float(text))
-        except ValueError:
-            raise InputError(f"{path}:{lineno}: not a decimal number: {text!r}") from None
-    if not values:
+    try:
+        values = _load_column(path)
+    except ValueError as exc:
+        raise _bad_line_error(path, exc) from None
+    if values.size == 0:
         raise InputError(f"{path}: no observations found")
-    return ingest(values)
+    try:
+        return ingest(values)
+    except InputError as exc:
+        raise _bad_line_error(path, exc) from None
 
 
 def read_scenario(path) -> ScenarioSpec:

@@ -3,8 +3,11 @@ algorithms so they can arbitrate correctness.
 
 The hull oracle decides vertex membership by checking every chord, which
 is the definition of the upper concave envelope; the isotonic oracle is a
-plain pool-adjacent-violators pass over weighted block means.
+plain pool-adjacent-violators pass over weighted block means; the data
+file oracle parses one line at a time with Python's ``float``.
 """
+
+from pathlib import Path
 
 import numpy as np
 
@@ -85,3 +88,20 @@ def grenander_levels_by_pava(sample_values):
     spacings = np.diff(x, prepend=0.0)
     raw = (1.0 / n) / spacings
     return pava_antitonic(raw, spacings)
+
+
+def read_observations_by_line(path):
+    """Sorted observations of a data file, parsed one line at a time:
+    strip each line, skip blank lines and lines starting with '#', and
+    ``float`` the rest.  Raises ValueError naming the first line that
+    ``float`` rejects."""
+    values = []
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        try:
+            values.append(float(text))
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: not a decimal number: {text!r}") from None
+    return np.sort(np.array(values, dtype=float))

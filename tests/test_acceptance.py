@@ -203,6 +203,7 @@ def test_criterion_6_exponential_qq(exponential_study):
            f"bias {m:+.3f} recorded, study time {exponential_study.wall_time:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_7_limit_sampler():
     """Limit-law sampler soundness: exact identity under strict
     concavity, variances within 3 Monte Carlo standard errors of the
@@ -255,6 +256,7 @@ def test_criterion_7_limit_sampler():
            f"two-slope var {v_pwa:.4f} (dev {dev_pwa:.4f} < {3 * se_pwa:.4f})")
 
 
+@pytest.mark.slow
 def test_criterion_7_conjectured_non_normal_recorded():
     """Descriptive record for the x-weighted quadratic functional at the
     two-slope truth: the limit is conjectured non-normal; the KS distance
@@ -289,6 +291,7 @@ def _median_se(x):
     return math.sqrt(math.pi / 2.0) * ((q75 - q25) / 1.349) / math.sqrt(x.size)
 
 
+@pytest.mark.slow
 def test_criterion_8a_uniform_mean_band_spec_defect(uniform_study):
     """Uniform truth, n = 1e4 and 1e5, 500 replications each: the
     median of the raw statistic n(mu_hat - 1) grows by b log(n2/n1) =
@@ -332,6 +335,7 @@ def test_criterion_8a_uniform_mean_band_spec_defect(uniform_study):
            f"(no finite mean)")
 
 
+@pytest.mark.slow
 def test_criterion_8b_uniform_clt_ks(uniform_study):
     """Uniform truth, n = 1e5, 500 replications: KS of the standardized
     statistics against N(0, 1) below 0.15 (slow sqrt(log n) regime).

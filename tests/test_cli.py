@@ -50,10 +50,11 @@ class TestEstimate:
         assert main(["estimate", "--data", str(data_file),
                      "--functional", "entropy"]) == 2
 
-    def test_bad_data_is_config_error(self, tmp_path):
+    def test_bad_data_is_config_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("1.0\n-3.0\n")
         assert main(["estimate", "--data", str(bad), "--functional", "power:2"]) == 2
+        assert f"{bad}:2: negative observation" in capsys.readouterr().err
 
     def test_degenerate_data_is_numeric_failure(self, tmp_path):
         degenerate = tmp_path / "zeros.txt"
@@ -177,6 +178,12 @@ class TestParsing:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+    @pytest.mark.parametrize("threads", ["0", "-3", "two"])
+    def test_bad_threads_is_config_error(self, threads, capsys):
+        assert main(["--threads", threads, "uniform-clt", "--h", "power:2",
+                     "--n", "50", "--reps", "2"]) == 2
+        assert "--threads" in capsys.readouterr().err
 
     def test_module_run_reports_errors(self, tmp_path):
         # ``python -m grenfun.cli`` runs the same entry point as ``grenfun``

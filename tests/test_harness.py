@@ -17,7 +17,7 @@ from grenfun import (
     true_tau,
     uniform_clt_statistic,
 )
-from grenfun.harness import reference_is_normal
+from grenfun.harness import _worker_count, reference_is_normal
 
 
 class TestTruthOracles:
@@ -191,3 +191,32 @@ class TestRunUniformStudy:
     def test_smooth_functional_rejected(self):
         with pytest.raises(InputError, match="density alone"):
             run_uniform_study("xz2", [100], 5, seed=0)
+
+
+class TestWorkerCount:
+    # the count is checked directly: no test starts a large pool
+    def test_capped_by_cpu_count(self, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: 4)
+        assert _worker_count(100_000, 40) == 4
+        assert _worker_count(3, 40) == 3
+
+    def test_capped_by_job_count(self, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: 64)
+        assert _worker_count(16, 5) == 5
+        assert _worker_count(16, 1) == 1
+
+    def test_unknown_cpu_count_means_one(self, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: None)
+        assert _worker_count(8, 40) == 1
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_nonpositive_rejected(self, threads):
+        with pytest.raises(InputError, match="threads must be >= 1"):
+            _worker_count(threads, 40)
+
+    def test_statistics_unchanged_by_cap(self):
+        # more threads than replications: the pool is capped at the job count
+        config = StudyConfig(ScenarioSpec.exponential(1.0), "power:2", [200], 3, seed=5)
+        serial = run_study(config, threads=1)[0].statistics
+        capped = run_study(config, threads=64)[0].statistics
+        assert serial.tobytes() == capped.tobytes()

@@ -1,4 +1,6 @@
+import gzip
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +21,8 @@ from grenfun import (
 )
 from grenfun.majorant import _pool_ties
 from grenfun.samples import PWA_KINK, SQRT2
+
+from oracles import read_observations_by_line
 
 
 class TestIngest:
@@ -186,6 +190,21 @@ class TestDraw:
         assert float(np.max(np.abs(ys - spec.cdf(xs)))) < 0.01
 
 
+_NUMBER_LINE = st.builds(
+    lambda v, fmt, left, right: left + fmt(v) + right,
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+    st.sampled_from([repr, lambda v: "%.17g" % v, lambda v: "%.6e" % v]),
+    st.sampled_from(["", " ", "\t", "  \t"]),
+    st.sampled_from(["", " ", "\t", " \t "]),
+)
+_FILLER_LINE = st.sampled_from(["", " ", "\t \t", "# comment", "  # indented comment", "#"])
+#: a data file's lines: finite nonnegative doubles in three spellings,
+#: padded with blanks, mixed with blank, whitespace-only and comment lines
+_DATA_LINES = st.lists(st.one_of(_NUMBER_LINE, _NUMBER_LINE, _FILLER_LINE),
+                       min_size=1, max_size=60).filter(
+    lambda lines: any(t.strip() and not t.strip().startswith("#") for t in lines))
+
+
 class TestDataFiles:
     def test_comments_and_blanks_skipped(self, tmp_path):
         path = tmp_path / "obs.txt"
@@ -201,9 +220,79 @@ class TestDataFiles:
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "obs.txt"
-        path.write_text("# nothing here\n")
-        with pytest.raises(InputError, match="no observations"):
+        for text in ("# nothing here\n", "", "# only a comment\n\n  \n"):
+            path.write_text(text)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(InputError, match="obs.txt: no observations found"):
+                    read_observations(path)
+
+    def test_inline_comment_accepted(self, tmp_path):
+        path = tmp_path / "obs.txt"
+        path.write_text("1.5  # note\n0.25# tight\n")
+        assert np.array_equal(read_observations(path).values, [0.25, 1.5])
+
+    @pytest.mark.parametrize("bad, message", [
+        ("0.5 0.75", "not a decimal number: '0.5 0.75'"),
+        ("1_000", "not a decimal number: '1_000'"),
+        ("\u0661\u0662", "not a decimal number: '\u0661\u0662'"),
+        ("1e400", "non-finite observation: '1e400'"),
+        ("nan", "non-finite observation: 'nan'"),
+        ("-1", "negative observation: '-1'"),
+    ])
+    def test_bad_line_named(self, tmp_path, bad, message):
+        path = tmp_path / "obs.txt"
+        path.write_text(f"# header\n1.0  # fine\n\n{bad}\n2.0\n", encoding="utf-8")
+        with pytest.raises(InputError) as info:
             read_observations(path)
+        assert str(info.value) == f"{path}:4: {message}"
+
+    @pytest.mark.parametrize("text", ["1.0 2.0\n", "1.0 2.0\n3.0 4.0\n"])
+    def test_two_column_file_rejected(self, tmp_path, text):
+        # every line has two numbers, which the loader reads as a table
+        path = tmp_path / "obs.txt"
+        path.write_text(text)
+        with pytest.raises(InputError, match=r"obs.txt:1: not a decimal number: '1.0 2.0'"):
+            read_observations(path)
+
+    def test_first_bad_line_named(self, tmp_path):
+        # ingest checks finiteness before sign; the scan goes by line
+        path = tmp_path / "obs.txt"
+        path.write_text("1.0\n-2.0\ninf\n")
+        with pytest.raises(InputError, match="obs.txt:2: negative"):
+            read_observations(path)
+
+    def test_compressed_file_read_and_bad_line_named(self, tmp_path):
+        # the scan reads the decompressed text the loader read
+        path = tmp_path / "obs.txt.gz"
+        with gzip.open(path, "wt") as fh:
+            fh.write("0.5\n2.0\n")
+        assert np.array_equal(read_observations(path).values, [0.5, 2.0])
+        with gzip.open(path, "wt") as fh:
+            fh.write("0.5\n# comment\nx\n")
+        with pytest.raises(InputError, match="obs.txt.gz:3: not a decimal number: 'x'"):
+            read_observations(path)
+
+    def test_undecodable_file_is_input_error(self, tmp_path):
+        path = tmp_path / "obs.txt"
+        path.write_bytes(b"1.0\n\xff\xfe\n")
+        # under a single-byte locale encoding the bytes decode, and the
+        # line is no number instead
+        with pytest.raises(InputError, match=r"obs\.txt(: not a text file|:2: not a decimal)"):
+            read_observations(path)
+
+    @given(_DATA_LINES, st.sampled_from(["\n", "\r\n"]), st.booleans())
+    def test_matches_line_oracle(self, tmp_path_factory, lines, newline, final_newline):
+        path = tmp_path_factory.mktemp("obs") / "obs.txt"
+        path.write_bytes((newline.join(lines) + (newline if final_newline else "")).encode())
+        got = read_observations(path).values
+        assert got.tobytes() == read_observations_by_line(path).tobytes()
+
+    def test_matches_line_oracle_on_large_file(self, tmp_path):
+        values = draw(ScenarioSpec.paper_pwa(), 100_000, default_stream(4)).values
+        path = tmp_path / "obs.txt"
+        path.write_text("\n".join(map(repr, default_stream(5).permutation(values).tolist())) + "\n")
+        assert read_observations(path).values.tobytes() == read_observations_by_line(path).tobytes()
 
 
 class TestSampleInvariants:
