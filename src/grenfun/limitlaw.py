@@ -6,6 +6,19 @@ the bridge untouched; piecewise-affine truths apply the least concave
 majorant interval by interval.  Unbounded supports are truncated where
 the CDF reaches 1 - truncation_mass, and the neglected tail's worst-case
 contribution is reported alongside emitted samples.
+
+The integral is a Stieltjes sum on a grid, with each cell's path value
+taken at its left endpoint, so the draws follow the grid's law, not the
+continuum limit's.  The bias is small and shrinks about as 1/grid: for
+exponential data and ``xz2`` the variance of the draws is 0.044903 at
+grid size 1000 against the limit's 8/27 - 1/4 = 0.046296 (-3.0%), and
+0.045596 at 2000, 0.045945 at 4000 (quadratic forms of the bridge
+covariance on each grid).
+
+Under a piecewise-affine truth every row is hulled over every affine
+interval at once: :meth:`YPlan.apply` lays blocks of rows end to end
+with the interval endpoints fixed, one call of the segmented hull
+kernel per block (see :mod:`grenfun.majorant`).
 """
 
 from __future__ import annotations
@@ -18,7 +31,7 @@ import numpy as np
 
 from .errors import InputError
 from .functionals import ScalarFunctional, SmoothFunctional
-from .majorant import GridPath, _hull_indices, restricted_lcm
+from .majorant import GridPath, _grid_index, _hull_path, _hull_rows
 from .samples import ScenarioSpec, _load_column
 
 DEFAULT_TRUNCATION_MASS = 1e-6
@@ -103,14 +116,21 @@ def hadamard_lcm_derivative(model: TrueModel, g_path: GridPath) -> GridPath:
     Strictly concave truth: the identity (the same object is returned).
     Piecewise-affine truth: the LCM is taken independently over each
     affine interval; interval endpoints are extreme hull points, so the
-    path's values there are preserved exactly.
+    path's values there are preserved exactly.  This is the row kernel
+    of :meth:`YPlan.apply`, run on a single row.
     """
     if model.concavity_kind == STRICTLY_CONCAVE:
         return g_path
-    out = g_path
+    return _hull_path(g_path, _interval_ends(model, g_path.grid))
+
+
+def _interval_ends(model: TrueModel, grid: np.ndarray) -> np.ndarray:
+    """Mask of the grid points that no affine interval holds strictly
+    inside: the runs between them are what the LCM derivative hulls."""
+    fixed = np.ones(grid.size, dtype=bool)
     for a, b in model.affine_intervals():
-        out = restricted_lcm(out, a, b)
-    return out
+        fixed[_grid_index(grid, a) + 1:_grid_index(grid, b)] = False
+    return fixed
 
 
 def _cell_levels(model: TrueModel, grid: np.ndarray) -> np.ndarray:
@@ -160,13 +180,11 @@ class YPlan:
             self.t_idx = np.searchsorted(self.grid, ts)
             if np.any(self.t_idx >= self.grid.size) or np.any(self.grid[self.t_idx] != ts):
                 raise InputError("grid does not contain every affine-interval endpoint")
-            self.intervals = [(int(np.searchsorted(self.grid, a)),
-                               int(np.searchsorted(self.grid, b)))
-                              for a, b in model.affine_intervals()]
+            self.fixed = _interval_ends(model, self.grid)
         else:
             self.jumps = None
             self.t_idx = None
-            self.intervals = []
+            self.fixed = None
 
     def apply(self, paths: np.ndarray) -> np.ndarray:
         """Limit-variable realizations for rows of bridge-composed values
@@ -178,8 +196,7 @@ class YPlan:
             jump_part = 0.0
         if self.needs_hull:
             hat = paths.copy()
-            for ia, ib in self.intervals:
-                _hull_rows_inplace(hat, self.grid, ia, ib)
+            _hull_rows(hat, self.grid, self.fixed)
             cont_part = hat[:, :-1] @ self.dpsi
         else:
             cont_part = paths[:, :-1] @ self.dpsi
@@ -192,16 +209,6 @@ def y_from_path(G: SmoothFunctional, model: TrueModel, g_path: GridPath) -> floa
     left-endpoint evaluation plus exact jump contributions."""
     plan = YPlan(G, model, g_path.grid)
     return float(plan.apply(g_path.values)[0])
-
-
-def _hull_rows_inplace(values: np.ndarray, grid: np.ndarray, ia: int, ib: int):
-    """Replace values[:, ia:ib+1] with the per-row upper concave hull."""
-    seg_grid = grid[ia:ib + 1]
-    for row in values:
-        seg = row[ia:ib + 1]
-        idx = _hull_indices(seg_grid, seg)
-        if idx.size < seg_grid.size:
-            row[ia:ib + 1] = np.maximum(seg, np.interp(seg_grid, seg_grid[idx], seg[idx]))
 
 
 def draw_y_samples(G: SmoothFunctional, model: TrueModel, grid_size: int,

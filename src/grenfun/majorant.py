@@ -17,6 +17,19 @@ most ``PRUNE_FLOOR`` points remain, or when a pass drops fewer than
 ``1/PRUNE_MIN_DROP`` of its points.  The last rule bounds the cost: on a
 concave chain whose last point is raised, each pass drops a single
 point, and pruning to the end would take quadratic time.
+
+One call can hull many independent runs.  A boolean ``fixed`` mask marks
+points that are never dropped; the points from one fixed point to the
+next form a run, hulled on its own, so a fixed point is the last vertex
+of one run and the first of the next.  The prune passes cover all runs
+at once; a fixed point is kept whatever its turn, so no interior point
+ever has a neighbour outside its run.  After the prune, only the runs
+that still dropped a point in the last pass go through the scan: a run
+that dropped nothing has only strictly concave turns and is its own
+hull.  :func:`lcm` is the one-run case (only the end points fixed).
+:func:`_hull_rows` lays the rows of a path array end to end, with every
+interval endpoint fixed, and hulls a block of rows per kernel call; it
+serves the limit-law sampler and :func:`restricted_lcm`.
 """
 
 from __future__ import annotations
@@ -32,37 +45,71 @@ from .errors import InputError
 PRUNE_FLOOR = 64
 #: ... or once a pass drops fewer than 1/PRUNE_MIN_DROP of its points
 PRUNE_MIN_DROP = 8
+#: points hulled per call of the kernel by :func:`_hull_rows`
+ROW_BLOCK_POINTS = 1 << 16
 
 
-def _hull_indices(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Indices of the canonical upper-hull vertices of (xs, ys).
+def _hull_indices(xs: np.ndarray, ys: np.ndarray, fixed=None) -> np.ndarray:
+    """Indices of the canonical upper-hull vertices of every run of (xs, ys).
 
-    xs must be a strictly increasing float array and ys a float array of
-    the same length.  Collinear interior points are dropped, so
-    consecutive hull slopes are strictly decreasing.
+    ``fixed`` is a boolean mask of points that are always kept; they cut
+    the input into runs, each running from one fixed point to the next,
+    and every run is hulled on its own.  Without a mask, only the first
+    and last points are fixed and the input is one run.  The first and
+    last points must be fixed, and xs must be strictly increasing within
+    each run; between runs it may fall back.  Collinear interior points
+    are dropped, so consecutive hull slopes within a run are strictly
+    decreasing.
     """
     idx = np.arange(xs.size)
-    x, y = xs, ys
+    x, y, fx = xs, ys, fixed
+    last = None
     while idx.size > PRUNE_FLOOR:
         dx = x[1:] - x[:-1]
         dy = y[1:] - y[:-1]
         keep = np.empty(idx.size, dtype=bool)
         keep[0] = keep[-1] = True
         np.greater(dy[:-1] * dx[1:], dy[1:] * dx[:-1], out=keep[1:-1])
+        if fx is not None:
+            keep |= fx
         sel = np.flatnonzero(keep)
         dropped = idx.size - sel.size
         if dropped == 0:
             return idx
+        if fx is not None:
+            last = (fx, keep, sel)
+            fx = fx[sel]
         idx, x, y = idx[sel], x[sel], y[sel]
         if dropped * PRUNE_MIN_DROP < idx.size + dropped:
             break
+    if last is None:
+        return idx[_stack_scan(x, y, fx)]
+    # a run that dropped nothing in the last pass has only strictly
+    # concave turns: it is its own hull, so only the others are scanned
+    fx_before, keep, sel = last
+    run = np.cumsum(fx_before)
+    dirty = np.zeros(run[-1] + 1, dtype=bool)
+    dirty[run[~keep]] = True
+    scan = fx | dirty[run[sel]]
+    at = np.flatnonzero(scan)
+    final = ~scan
+    final[at[_stack_scan(x[at], y[at], fx[at])]] = True
+    return idx[final]
+
+
+def _stack_scan(x: np.ndarray, y: np.ndarray, fixed) -> list:
+    """Positions of the upper-hull vertices of each run, by Andrew's
+    monotone-chain stack scan (fixed points start a new run and are
+    never popped; ``fixed=None`` means one run)."""
     xl = x.tolist()
     yl = y.tolist()
+    fl = fixed.tolist() if fixed is not None else None
     stack = []
+    base = 0  # stack position of the current run's first point
     for i in range(len(xl)):
         x3 = xl[i]
         y3 = yl[i]
-        while len(stack) >= 2:
+        while len(stack) - base >= 2:
             j2 = stack[-1]
             j1 = stack[-2]
             x2 = xl[j2]
@@ -74,7 +121,45 @@ def _hull_indices(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
             else:
                 break
         stack.append(i)
-    return idx[stack]
+        if fl is not None and fl[i]:
+            base = len(stack) - 1
+    return stack
+
+
+def _hull_rows(values: np.ndarray, xs: np.ndarray, fixed: np.ndarray) -> None:
+    """Replace every row of ``values`` by its upper concave hull over
+    each run of ``xs`` between fixed columns, in place.
+
+    ``values`` is a C-contiguous 2-D array whose rows share the abscissae
+    ``xs`` (strictly increasing) and the column mask ``fixed``, whose
+    first and last entries must be set.  Rows are hulled in blocks of
+    about ``ROW_BLOCK_POINTS`` points, one kernel call per block.  Hull
+    values are the chords of ``np.interp`` and only ever raise a point,
+    so a row that is its own hull is left bit for bit as it was.
+    """
+    rows_per_block = max(1, ROW_BLOCK_POINTS // xs.size)
+    block_x = np.tile(xs, rows_per_block)
+    block_fixed = np.tile(fixed, rows_per_block)
+    for start in range(0, values.shape[0], rows_per_block):
+        flat = values[start:start + rows_per_block].reshape(-1)
+        x = block_x[:flat.size]
+        vi = _hull_indices(x, flat, block_fixed[:flat.size])
+        if vi.size == flat.size:
+            continue
+        vx = x[vi]
+        vy = flat[vi]
+        # np.interp's arithmetic: slope*(x - x_k) + y_k from the left
+        # vertex k.  The last vertex of a row has a slope toward the next
+        # row's first point; vertices themselves are never written.
+        slope = np.empty(vi.size)
+        np.divide(vy[1:] - vy[:-1], vx[1:] - vx[:-1], out=slope[:-1])
+        slope[-1] = 0.0
+        vertex = np.zeros(flat.size, dtype=bool)
+        vertex[vi] = True
+        k = np.cumsum(vertex)
+        k -= 1
+        chord = slope[k] * (x - vx[k]) + vy[k]
+        np.maximum(flat, chord, out=flat, where=~vertex)
 
 
 def _pool_ties(xs, ys):
@@ -195,10 +280,16 @@ def restricted_lcm(path: GridPath, a: float, b: float) -> GridPath:
     ib = _grid_index(path.grid, float(b))
     if ia >= ib:
         raise InputError("need a < b on the grid")
-    hull = lcm(path.grid[ia:ib + 1], path.values[ia:ib + 1])
-    new_values = path.values.copy()
-    # pointwise max with the input: chord interpolation cannot lower a
-    # point that already sits on the hull (collinear points stay put)
-    new_values[ia:ib + 1] = np.maximum(new_values[ia:ib + 1],
-                                       hull(path.grid[ia:ib + 1]))
-    return GridPath(path.grid, new_values)
+    fixed = np.ones(path.grid.size, dtype=bool)
+    fixed[ia + 1:ib] = False
+    return _hull_path(path, fixed)
+
+
+def _hull_path(path: GridPath, fixed: np.ndarray) -> GridPath:
+    """The path with each run between ``fixed`` grid points replaced by
+    its upper concave hull (:func:`_hull_rows` on one row)."""
+    if not np.all(np.isfinite(path.values)):
+        raise InputError("non-finite path value")
+    values = path.values[None, :].copy()
+    _hull_rows(values, path.grid, fixed)
+    return GridPath(path.grid, values[0])

@@ -2,7 +2,8 @@
 algorithms so they can arbitrate correctness.
 
 The hull oracle decides vertex membership by checking every chord, which
-is the definition of the upper concave envelope; the isotonic oracle is a
+is the definition of the upper concave envelope; the row-hull reference
+hulls one row and one interval at a time; the isotonic oracle is a
 plain pool-adjacent-violators pass over weighted block means; the data
 file oracle parses one line at a time with Python's ``float``.
 """
@@ -53,6 +54,18 @@ def stack_scan_hull_indices(xs, ys):
                 break
         stack.append(i)
     return stack
+
+
+def hull_rows_by_row(values, grid, ia, ib):
+    """Replace values[:, ia:ib+1] with each row's upper concave hull, one
+    row at a time: vertices by the unpruned scan, hull values by
+    ``np.interp``, never below the input.  In place."""
+    seg_grid = grid[ia:ib + 1]
+    for row in values:
+        seg = row[ia:ib + 1]
+        idx = stack_scan_hull_indices(seg_grid, seg)
+        if len(idx) < seg_grid.size:
+            row[ia:ib + 1] = np.maximum(seg, np.interp(seg_grid, seg_grid[idx], seg[idx]))
 
 
 def brute_force_hull_values(xs, ys):

@@ -185,16 +185,24 @@ class TestParsing:
                      "--n", "50", "--reps", "2"]) == 2
         assert "--threads" in capsys.readouterr().err
 
-    def test_module_run_reports_errors(self, tmp_path):
-        # ``python -m grenfun.cli`` runs the same entry point as ``grenfun``
+    @staticmethod
+    def _run_missing_file(module, tmp_path):
         src = str(Path(grenfun.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
-            [sys.executable, "-m", "grenfun.cli", "estimate",
+            [sys.executable, "-m", module, "estimate",
              "--data", str(tmp_path / "nope.txt"), "--functional", "xz2"],
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "error:" in proc.stderr
+
+    def test_module_run_reports_errors(self, tmp_path):
+        # ``python -m grenfun.cli`` runs the same entry point as ``grenfun``
+        self._run_missing_file("grenfun.cli", tmp_path)
+
+    def test_package_run_reports_errors(self, tmp_path):
+        # ... and so does ``python -m grenfun``
+        self._run_missing_file("grenfun", tmp_path)

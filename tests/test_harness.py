@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 
 import numpy as np
@@ -179,6 +180,19 @@ class TestRunUniformStudy:
         (alone,) = run_uniform_study("power:2", [400], 6, seed=3)
         _, paired = run_uniform_study("power:2", [200, 400], 6, seed=3)
         assert alone.statistics.tobytes() == paired.statistics.tobytes()
+
+    def test_no_bias_check_in_summary(self, tmp_path, caplog):
+        # the statistic has no finite mean, so no bias check is reported
+        caplog.set_level(logging.INFO, logger="grenfun")
+        (report,) = run_uniform_study("power:2", [300], 8, seed=4, out_dir=tmp_path)
+        assert "bias_check" not in report.summaries
+        summary = json.loads((tmp_path / f"{report.base_name()}_summary.json").read_text())
+        assert set(summary["summaries"]) == {"mean", "variance", "ks"}
+        assert "bias check" not in caplog.text
+        # a scenario study still logs and reports it
+        config = StudyConfig(ScenarioSpec.exponential(1.0), "power:2", [200], 5, seed=4)
+        assert "bias_check" in run_study(config)[0].summaries
+        assert "bias check" in caplog.text
 
     def test_linear_functional_rejected(self):
         with pytest.raises(NumericError, match="degenerate normalization"):

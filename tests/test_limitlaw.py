@@ -19,13 +19,14 @@ from grenfun import (
 from grenfun.limitlaw import YPlan, _bridge_values, build_grid, emit_y_csv, load_y_csv, y_from_path
 from grenfun.majorant import GridPath
 
-from oracles import brute_force_hull_indices
+from oracles import brute_force_hull_indices, hull_rows_by_row
 
 Z2 = by_name("power:2")
 XZ2 = by_name("xz2")
 PWA_MODEL = TrueModel.from_scenario(ScenarioSpec.paper_pwa())
 EXP_MODEL = TrueModel.from_scenario(ScenarioSpec.exponential(1.0))
 UNIF_MODEL = TrueModel.from_scenario(ScenarioSpec.uniform(1.0))
+THREE_MODEL = TrueModel.from_scenario(ScenarioSpec.piecewise([0.5, 1.0, 2.0], [1.0, 0.6, 0.2]))
 
 
 class TestBridgePath:
@@ -119,6 +120,28 @@ class TestHadamardDerivative:
                 for endpoint in (a, b):
                     i = int(np.searchsorted(grid, endpoint))
                     assert out.values[i] == vals[i]
+
+
+class TestPlanRowHulls:
+    """YPlan.apply hulls all rows and intervals in blocks through one
+    kernel; each row must match hulling it one interval at a time."""
+
+    @pytest.mark.parametrize("model", [PWA_MODEL, THREE_MODEL], ids=["paper_pwa", "three"])
+    @pytest.mark.parametrize("grid_size,rows", [(50, 400), (1000, 70), (3000, 25)])
+    def test_apply_matches_per_row_reference(self, model, grid_size, rows):
+        grid = build_grid(model, grid_size)
+        paths = _bridge_values(np.asarray(model.spec.cdf(grid), dtype=float), rows,
+                               default_stream(grid_size + rows))
+        hat = paths.copy()
+        for a, b in model.affine_intervals():
+            hull_rows_by_row(hat, grid, int(np.searchsorted(grid, a)),
+                             int(np.searchsorted(grid, b)))
+        plan = YPlan(XZ2, model, grid)
+        expected = -(hat[:, :-1] @ plan.dpsi + paths[:, plan.t_idx] @ plan.jumps)
+        assert plan.apply(paths).tobytes() == expected.tobytes()
+        # one row through the LCM derivative: the same kernel, the same bytes
+        out = hadamard_lcm_derivative(model, GridPath(grid, paths[-1]))
+        assert out.values.tobytes() == hat[-1].tobytes()
 
 
 class TestSampleY:

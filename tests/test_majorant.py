@@ -14,9 +14,10 @@ from grenfun import (
     restricted_lcm,
 )
 from grenfun.limitlaw import _bridge_values
-from grenfun.majorant import PRUNE_FLOOR, GridPath, _hull_indices
+from grenfun import majorant
+from grenfun.majorant import PRUNE_FLOOR, GridPath, _hull_indices, _hull_rows
 
-from oracles import brute_force_hull_indices, stack_scan_hull_indices
+from oracles import brute_force_hull_indices, hull_rows_by_row, stack_scan_hull_indices
 
 
 def random_point_set(rng, max_n=200, dyadic=False):
@@ -84,6 +85,20 @@ class TestOracleAgreement:
             assert np.array_equal(hull.values, ys_u[idx])
 
 
+def _per_run_reference(values, xs, fixed):
+    ref = values.copy()
+    ends = np.flatnonzero(fixed)
+    for ia, ib in zip(ends[:-1], ends[1:]):
+        hull_rows_by_row(ref, xs, ia, ib)
+    return ref
+
+
+def _concave_chain(n):
+    # integer coordinates: every cross product is exact
+    xs = np.arange(n, dtype=float)
+    return xs, -((xs - n // 2) ** 2)
+
+
 class TestPrunedKernel:
     """The prune runs only above PRUNE_FLOOR points, so these inputs are
     larger than that; the kernel must return exactly the vertices of an
@@ -112,28 +127,25 @@ class TestPrunedKernel:
     @pytest.mark.parametrize("n", [10_000, 100_000])
     def test_ecdf_hulls_match_full_scan(self, spec, n):
         xs, ys = ecdf(draw(spec, n, default_stream(n)))
-        assert np.array_equal(_hull_indices(xs, ys), stack_scan_hull_indices(xs, ys))
-
-    def _chain(self, n):
-        # integer coordinates: every cross product is exact
-        xs = np.arange(n, dtype=float)
-        return xs, -((xs - n // 2) ** 2)
+        expected = stack_scan_hull_indices(xs, ys)
+        assert np.array_equal(_hull_indices(xs, ys), expected)
+        assert np.array_equal(lcm(xs, ys).knots, xs[expected])
 
     def test_concave_chain_with_raised_end(self):
         # each prune pass drops one point here; the stop rule hands the
         # rest to the scan
-        xs, ys = self._chain(5000)
+        xs, ys = _concave_chain(5000)
         ys[-1] = 1e9
         idx = _hull_indices(xs, ys)
         assert np.array_equal(idx, stack_scan_hull_indices(xs, ys))
         assert idx[0] == 0 and idx[-1] == xs.size - 1
 
     def test_strictly_concave_chain_keeps_every_point(self):
-        xs, ys = self._chain(1000)
+        xs, ys = _concave_chain(1000)
         assert np.array_equal(_hull_indices(xs, ys), np.arange(xs.size))
 
     def test_strictly_convex_chain_keeps_endpoints(self):
-        xs, ys = self._chain(1000)
+        xs, ys = _concave_chain(1000)
         assert np.array_equal(_hull_indices(xs, -ys), [0, xs.size - 1])
 
     def test_collinear_keeps_endpoints(self):
@@ -146,6 +158,108 @@ class TestPrunedKernel:
 
     def test_two_points(self):
         assert np.array_equal(_hull_indices(np.array([0.0, 1.0]), np.array([5.0, -1.0])), [0, 1])
+
+
+class TestSegmentedKernel:
+    """One kernel call hulls many runs, cut by fixed points; every run
+    must come out as if hulled on its own."""
+
+    @pytest.mark.parametrize("seed", [300, 301, 302])
+    def test_runs_match_per_run_oracle(self, seed):
+        # runs of 2 to 150 points, many at or under PRUNE_FLOOR; each
+        # run has its own abscissae, so xs falls back between runs
+        rng = np.random.default_rng(seed)
+        xs, ys, fixed, offsets = [], [], [], []
+        start = 0
+        for _ in range(60):
+            m = int(rng.integers(2, 151))
+            run_x = np.unique(rng.random(m + 5))[:m] * 10.0
+            m = run_x.size
+            run_y = (_bridge_values(np.linspace(0.0, 1.0, m), 1, rng)[0]
+                     if rng.random() < 0.5 else rng.random(m))
+            mask = np.zeros(m, dtype=bool)
+            mask[0] = mask[-1] = True
+            xs.append(run_x)
+            ys.append(run_y)
+            fixed.append(mask)
+            offsets.append(start)
+            start += m
+        got = _hull_indices(np.concatenate(xs), np.concatenate(ys), np.concatenate(fixed))
+        expected = np.concatenate([off + np.asarray(brute_force_hull_indices(x, y))
+                                   for off, x, y in zip(offsets, xs, ys)])
+        assert np.array_equal(got, expected)
+
+    def test_shared_fixed_point_splits_one_row(self):
+        # a dip at the fixed point: the whole row's hull would drop it
+        xs = np.arange(200, dtype=float)
+        ys = -np.abs(xs - 100.0)
+        ys[100] = -50.0
+        fixed = np.zeros(200, dtype=bool)
+        fixed[[0, 100, 199]] = True
+        got = _hull_indices(xs, ys, fixed)
+        assert 100 in got
+        expected = list(brute_force_hull_indices(xs[:101], ys[:101]))
+        expected += [100 + i for i in brute_force_hull_indices(xs[100:], ys[100:])[1:]]
+        assert np.array_equal(got, expected)
+
+    def test_rows_that_drop_nothing_are_left_alone(self):
+        xs, ys = _concave_chain(300)
+        values = np.tile(ys, (40, 1))
+        fixed = np.zeros(xs.size, dtype=bool)
+        fixed[[0, 120, xs.size - 1]] = True
+        flat_x = np.tile(xs, 40)
+        flat_fixed = np.tile(fixed, 40)
+        assert np.array_equal(_hull_indices(flat_x, values.reshape(-1), flat_fixed),
+                              np.arange(values.size))
+        before = values.copy()
+        _hull_rows(values, xs, fixed)
+        assert values.tobytes() == before.tobytes()
+
+    def test_stall_scans_only_runs_that_dropped(self, monkeypatch):
+        # bridge rows, one concave chain with a raised last point (drops one
+        # point per pass, so the prune stalls), and strictly concave rows
+        # lifted to 9e6..1e7 that never drop a point
+        n = 2000
+        xs, chain = _concave_chain(n)
+        chain[-1] = 1e9
+        concave = -((xs - n // 2) ** 2) + 1e7
+        rng = np.random.default_rng(303)
+        rows = [_bridge_values(np.linspace(0.0, 1.0, n), 1, rng)[0] for _ in range(8)]
+        values = np.array(rows + [chain] + [concave] * 8)
+        fixed = np.zeros(n, dtype=bool)
+        fixed[[0, n - 1]] = True
+        scanned = []
+        scan = majorant._stack_scan
+
+        def recording_scan(x, y, fx):
+            scanned.append(y[~fx].copy())
+            return scan(x, y, fx)
+
+        monkeypatch.setattr(majorant, "_stack_scan", recording_scan)
+        expected = _per_run_reference(values, xs, fixed)
+        _hull_rows(values, xs, fixed)
+        assert values.tobytes() == expected.tobytes()
+        (interior,) = scanned
+        assert np.any(interior < -1e5)      # the chain is scanned
+        assert not np.any(interior > 1e6)   # the concave rows are not
+
+    @pytest.mark.parametrize("rows", [1, 3, 4, 100])
+    def test_block_edges(self, rows, monkeypatch):
+        # three rows per block: the last column of each block's last row,
+        # a partial last block, a single row
+        monkeypatch.setattr(majorant, "ROW_BLOCK_POINTS", 3 * 257 + 7)
+        # not a dyadic grid: chords through its points round, so a chord
+        # evaluated at a vertex need not return the vertex's value
+        xs = np.linspace(0.0, 1.0, 257) ** 1.1
+        fixed = np.zeros(xs.size, dtype=bool)
+        fixed[[0, 100, 256]] = True
+        values = _bridge_values(xs, rows, np.random.default_rng(304 + rows))
+        values[:, -1] += np.linspace(-0.5, 0.5, rows)   # end values off zero
+        expected = _per_run_reference(values, xs, fixed)
+        _hull_rows(values, xs, fixed)
+        assert values.tobytes() == expected.tobytes()
+        last_rows = np.append(np.arange(2, rows, 3), rows - 1)
+        assert values[last_rows, -1].tobytes() == expected[last_rows, -1].tobytes()
 
 
 class TestHullInvariants:
