@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import InputError
 from .functionals import ScalarFunctional, SmoothFunctional
-from .majorant import GridPath, _grid_index, _hull_path, _hull_rows
+from .majorant import GridPath, _grid_index, _hull_rows, _hull_spans, _span_ends
 from .samples import ScenarioSpec, _load_column
 
 DEFAULT_TRUNCATION_MASS = 1e-6
@@ -121,16 +121,13 @@ def hadamard_lcm_derivative(model: TrueModel, g_path: GridPath) -> GridPath:
     """
     if model.concavity_kind == STRICTLY_CONCAVE:
         return g_path
-    return _hull_path(g_path, _interval_ends(model, g_path.grid))
+    return _hull_spans(g_path, _interval_spans(model, g_path.grid))
 
 
-def _interval_ends(model: TrueModel, grid: np.ndarray) -> np.ndarray:
-    """Mask of the grid points that no affine interval holds strictly
-    inside: the runs between them are what the LCM derivative hulls."""
-    fixed = np.ones(grid.size, dtype=bool)
-    for a, b in model.affine_intervals():
-        fixed[_grid_index(grid, a) + 1:_grid_index(grid, b)] = False
-    return fixed
+def _interval_spans(model: TrueModel, grid: np.ndarray) -> list:
+    """Grid-index spans of the affine intervals: what the LCM derivative
+    hulls, each on its own."""
+    return [(_grid_index(grid, a), _grid_index(grid, b)) for a, b in model.affine_intervals()]
 
 
 def _cell_levels(model: TrueModel, grid: np.ndarray) -> np.ndarray:
@@ -180,7 +177,7 @@ class YPlan:
             self.t_idx = np.searchsorted(self.grid, ts)
             if np.any(self.t_idx >= self.grid.size) or np.any(self.grid[self.t_idx] != ts):
                 raise InputError("grid does not contain every affine-interval endpoint")
-            self.fixed = _interval_ends(model, self.grid)
+            self.fixed = _span_ends(self.grid.size, _interval_spans(model, self.grid))
         else:
             self.jumps = None
             self.t_idx = None

@@ -49,17 +49,15 @@ PRUNE_MIN_DROP = 8
 ROW_BLOCK_POINTS = 1 << 16
 
 
-def _hull_indices(xs: np.ndarray, ys: np.ndarray, fixed=None) -> np.ndarray:
+def _hull_indices(xs: np.ndarray, ys: np.ndarray, fixed: np.ndarray) -> np.ndarray:
     """Indices of the canonical upper-hull vertices of every run of (xs, ys).
 
     ``fixed`` is a boolean mask of points that are always kept; they cut
     the input into runs, each running from one fixed point to the next,
-    and every run is hulled on its own.  Without a mask, only the first
-    and last points are fixed and the input is one run.  The first and
-    last points must be fixed, and xs must be strictly increasing within
-    each run; between runs it may fall back.  Collinear interior points
-    are dropped, so consecutive hull slopes within a run are strictly
-    decreasing.
+    and every run is hulled on its own.  The first and last points must
+    be fixed, and xs must be strictly increasing within each run; between
+    runs it may fall back.  Collinear interior points are dropped, so
+    consecutive hull slopes within a run are strictly decreasing.
     """
     idx = np.arange(xs.size)
     x, y, fx = xs, ys, fixed
@@ -68,18 +66,14 @@ def _hull_indices(xs: np.ndarray, ys: np.ndarray, fixed=None) -> np.ndarray:
         dx = x[1:] - x[:-1]
         dy = y[1:] - y[:-1]
         keep = np.empty(idx.size, dtype=bool)
-        keep[0] = keep[-1] = True
         np.greater(dy[:-1] * dx[1:], dy[1:] * dx[:-1], out=keep[1:-1])
-        if fx is not None:
-            keep |= fx
+        keep |= fx  # the first and last points are fixed, so this sets them too
         sel = np.flatnonzero(keep)
         dropped = idx.size - sel.size
         if dropped == 0:
             return idx
-        if fx is not None:
-            last = (fx, keep, sel)
-            fx = fx[sel]
-        idx, x, y = idx[sel], x[sel], y[sel]
+        last = (fx, keep, sel)
+        idx, x, y, fx = idx[sel], x[sel], y[sel], fx[sel]
         if dropped * PRUNE_MIN_DROP < idx.size + dropped:
             break
     if last is None:
@@ -97,13 +91,13 @@ def _hull_indices(xs: np.ndarray, ys: np.ndarray, fixed=None) -> np.ndarray:
     return idx[final]
 
 
-def _stack_scan(x: np.ndarray, y: np.ndarray, fixed) -> list:
+def _stack_scan(x: np.ndarray, y: np.ndarray, fixed: np.ndarray) -> list:
     """Positions of the upper-hull vertices of each run, by Andrew's
     monotone-chain stack scan (fixed points start a new run and are
-    never popped; ``fixed=None`` means one run)."""
+    never popped)."""
     xl = x.tolist()
     yl = y.tolist()
-    fl = fixed.tolist() if fixed is not None else None
+    fl = fixed.tolist()
     stack = []
     base = 0  # stack position of the current run's first point
     for i in range(len(xl)):
@@ -121,7 +115,7 @@ def _stack_scan(x: np.ndarray, y: np.ndarray, fixed) -> list:
             else:
                 break
         stack.append(i)
-        if fl is not None and fl[i]:
+        if fl[i]:
             base = len(stack) - 1
     return stack
 
@@ -137,7 +131,7 @@ def _hull_rows(values: np.ndarray, xs: np.ndarray, fixed: np.ndarray) -> None:
     values are the chords of ``np.interp`` and only ever raise a point,
     so a row that is its own hull is left bit for bit as it was.
     """
-    rows_per_block = max(1, ROW_BLOCK_POINTS // xs.size)
+    rows_per_block = min(values.shape[0], max(1, ROW_BLOCK_POINTS // xs.size))
     block_x = np.tile(xs, rows_per_block)
     block_fixed = np.tile(fixed, rows_per_block)
     for start in range(0, values.shape[0], rows_per_block):
@@ -238,7 +232,9 @@ def lcm(xs, ys, interval=None) -> PiecewiseLinearConcave:
     xs, ys = _pool_ties(xs, ys)
     if xs.size == 1:
         return PiecewiseLinearConcave(xs.copy(), ys.copy())
-    idx = _hull_indices(xs, ys)
+    ends = np.zeros(xs.size, dtype=bool)
+    ends[0] = ends[-1] = True
+    idx = _hull_indices(xs, ys, ends)
     return PiecewiseLinearConcave(xs[idx], ys[idx])
 
 
@@ -272,24 +268,40 @@ def _grid_index(grid: np.ndarray, x: float) -> int:
 def restricted_lcm(path: GridPath, a: float, b: float) -> GridPath:
     """LCM of a grid path over the grid points inside ``[a, b]``.
 
-    Endpoints must lie on the grid.  Values outside [a, b] are untouched;
-    the values at a and b themselves are extreme hull points, hence also
-    unchanged.
+    Endpoints must lie on the grid.  Values outside [a, b] are untouched
+    and need not be finite; the values at a and b themselves are extreme
+    hull points, hence also unchanged.
     """
     ia = _grid_index(path.grid, float(a))
     ib = _grid_index(path.grid, float(b))
     if ia >= ib:
         raise InputError("need a < b on the grid")
-    fixed = np.ones(path.grid.size, dtype=bool)
-    fixed[ia + 1:ib] = False
-    return _hull_path(path, fixed)
+    return _hull_spans(path, [(ia, ib)])
 
 
-def _hull_path(path: GridPath, fixed: np.ndarray) -> GridPath:
-    """The path with each run between ``fixed`` grid points replaced by
-    its upper concave hull (:func:`_hull_rows` on one row)."""
-    if not np.all(np.isfinite(path.values)):
-        raise InputError("non-finite path value")
-    values = path.values[None, :].copy()
-    _hull_rows(values, path.grid, fixed)
-    return GridPath(path.grid, values[0])
+def _span_ends(size: int, spans) -> np.ndarray:
+    """Mask of the points, of ``size``, that no grid-index span
+    ``(ia, ib)`` holds strictly inside: the fixed points whose runs are
+    the spans."""
+    fixed = np.ones(size, dtype=bool)
+    for ia, ib in spans:
+        fixed[ia + 1:ib] = False
+    return fixed
+
+
+def _hull_spans(path: GridPath, spans) -> GridPath:
+    """The path with its values over each grid-index span ``(ia, ib)``
+    replaced by their upper concave hull, by :func:`_hull_rows` on one
+    row.  Spans may share an end point but not overlap.  The row runs
+    from the first span's start to the last span's end, and only the
+    values inside a span must be finite; the rest are left as they are."""
+    for ia, ib in spans:
+        if not np.all(np.isfinite(path.values[ia:ib + 1])):
+            raise InputError("non-finite path value")
+    lo = min(ia for ia, _ in spans)
+    hi = max(ib for _, ib in spans) + 1
+    row = path.values[None, lo:hi].copy()
+    _hull_rows(row, path.grid[lo:hi], _span_ends(hi, spans)[lo:])
+    values = path.values.copy()
+    values[lo:hi] = row[0]
+    return GridPath(path.grid, values)

@@ -14,6 +14,7 @@ from grenfun import (
     hadamard_lcm_derivative,
     ks_distance,
     linear_y_samples,
+    restricted_lcm,
     sample_Y,
 )
 from grenfun.limitlaw import YPlan, _bridge_values, build_grid, emit_y_csv, load_y_csv, y_from_path
@@ -83,6 +84,16 @@ class TestHadamardDerivative:
         path = GridPath(grid, 2.0 * grid)
         out = hadamard_lcm_derivative(UNIF_MODEL, path)
         assert np.array_equal(out.values, path.values)
+
+    def test_values_past_the_last_interval_are_not_read(self):
+        # the grid runs past the uniform truth's support [0, 1]
+        grid = np.arange(65) / 32.0
+        values = np.sin(5.0 * grid)
+        values[40:] = np.inf
+        out = hadamard_lcm_derivative(UNIF_MODEL, GridPath(grid, values))
+        inside = restricted_lcm(GridPath(grid[:33], values[:33]), 0.0, 1.0)
+        assert out.values[:33].tobytes() == inside.values.tobytes()
+        assert np.array_equal(out.values[33:], values[33:])
 
     def test_misaligned_grid_rejected(self):
         grid = np.linspace(0.0, 1.0, 100)  # does not contain the kink

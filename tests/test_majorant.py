@@ -93,6 +93,13 @@ def _per_run_reference(values, xs, fixed):
     return ref
 
 
+def _ends(n):
+    """The fixed mask of a single run: only its end points."""
+    fixed = np.zeros(n, dtype=bool)
+    fixed[0] = fixed[-1] = True
+    return fixed
+
+
 def _concave_chain(n):
     # integer coordinates: every cross product is exact
     xs = np.arange(n, dtype=float)
@@ -119,7 +126,7 @@ class TestPrunedKernel:
             else:
                 xs = np.linspace(0.0, 1.0, n)
                 ys = _bridge_values(xs, 1, rng)[0]
-            idx = _hull_indices(xs, ys)
+            idx = _hull_indices(xs, ys, _ends(xs.size))
             assert np.array_equal(idx, brute_force_hull_indices(xs, ys))
 
     @pytest.mark.parametrize("spec", [ScenarioSpec.exponential(1.0), ScenarioSpec.paper_pwa(),
@@ -128,7 +135,7 @@ class TestPrunedKernel:
     def test_ecdf_hulls_match_full_scan(self, spec, n):
         xs, ys = ecdf(draw(spec, n, default_stream(n)))
         expected = stack_scan_hull_indices(xs, ys)
-        assert np.array_equal(_hull_indices(xs, ys), expected)
+        assert np.array_equal(_hull_indices(xs, ys, _ends(xs.size)), expected)
         assert np.array_equal(lcm(xs, ys).knots, xs[expected])
 
     def test_concave_chain_with_raised_end(self):
@@ -136,28 +143,30 @@ class TestPrunedKernel:
         # rest to the scan
         xs, ys = _concave_chain(5000)
         ys[-1] = 1e9
-        idx = _hull_indices(xs, ys)
+        idx = _hull_indices(xs, ys, _ends(xs.size))
         assert np.array_equal(idx, stack_scan_hull_indices(xs, ys))
         assert idx[0] == 0 and idx[-1] == xs.size - 1
 
     def test_strictly_concave_chain_keeps_every_point(self):
         xs, ys = _concave_chain(1000)
-        assert np.array_equal(_hull_indices(xs, ys), np.arange(xs.size))
+        assert np.array_equal(_hull_indices(xs, ys, _ends(xs.size)), np.arange(xs.size))
 
     def test_strictly_convex_chain_keeps_endpoints(self):
         xs, ys = _concave_chain(1000)
-        assert np.array_equal(_hull_indices(xs, -ys), [0, xs.size - 1])
+        assert np.array_equal(_hull_indices(xs, -ys, _ends(xs.size)), [0, xs.size - 1])
 
     def test_collinear_keeps_endpoints(self):
         xs = np.arange(1000, dtype=float)
-        assert np.array_equal(_hull_indices(xs, 3.0 * xs - 7.0), [0, xs.size - 1])
+        assert np.array_equal(_hull_indices(xs, 3.0 * xs - 7.0, _ends(xs.size)), [0, xs.size - 1])
 
     def test_constant_keeps_endpoints(self):
         xs = np.arange(1000, dtype=float)
-        assert np.array_equal(_hull_indices(xs, np.full(xs.size, 2.5)), [0, xs.size - 1])
+        assert np.array_equal(_hull_indices(xs, np.full(xs.size, 2.5), _ends(xs.size)),
+                              [0, xs.size - 1])
 
     def test_two_points(self):
-        assert np.array_equal(_hull_indices(np.array([0.0, 1.0]), np.array([5.0, -1.0])), [0, 1])
+        assert np.array_equal(_hull_indices(np.array([0.0, 1.0]), np.array([5.0, -1.0]), _ends(2)),
+                              [0, 1])
 
 
 class TestSegmentedKernel:
@@ -177,11 +186,9 @@ class TestSegmentedKernel:
             m = run_x.size
             run_y = (_bridge_values(np.linspace(0.0, 1.0, m), 1, rng)[0]
                      if rng.random() < 0.5 else rng.random(m))
-            mask = np.zeros(m, dtype=bool)
-            mask[0] = mask[-1] = True
             xs.append(run_x)
             ys.append(run_y)
-            fixed.append(mask)
+            fixed.append(_ends(m))
             offsets.append(start)
             start += m
         got = _hull_indices(np.concatenate(xs), np.concatenate(ys), np.concatenate(fixed))
@@ -226,8 +233,7 @@ class TestSegmentedKernel:
         rng = np.random.default_rng(303)
         rows = [_bridge_values(np.linspace(0.0, 1.0, n), 1, rng)[0] for _ in range(8)]
         values = np.array(rows + [chain] + [concave] * 8)
-        fixed = np.zeros(n, dtype=bool)
-        fixed[[0, n - 1]] = True
+        fixed = _ends(n)
         scanned = []
         scan = majorant._stack_scan
 
@@ -353,6 +359,23 @@ class TestRestrictedLcm:
         assert out.values[5] == values[5]
         assert out.values[15] == values[15]
         assert np.all(out.values[5:16] >= values[5:16] - 1e-12)
+
+    def test_non_finite_values_outside_the_interval_are_kept(self):
+        grid = np.linspace(0.0, 1.0, 21)
+        values = np.sin(9.0 * grid)
+        values[[0, 3, 20]] = [np.inf, np.nan, -np.inf]
+        out = restricted_lcm(GridPath(grid, values), grid[5], grid[15])
+        inside = restricted_lcm(GridPath(grid, np.sin(9.0 * grid)), grid[5], grid[15])
+        assert out.values[5:16].tobytes() == inside.values[5:16].tobytes()
+        assert np.array_equal(out.values[:5], values[:5], equal_nan=True)
+        assert np.array_equal(out.values[16:], values[16:])
+
+    def test_non_finite_value_inside_the_interval_rejected(self):
+        grid = np.linspace(0.0, 1.0, 21)
+        values = np.sin(9.0 * grid)
+        values[15] = np.inf
+        with pytest.raises(InputError, match="non-finite"):
+            restricted_lcm(GridPath(grid, values), grid[5], grid[15])
 
     def test_bridge_paths_match_oracle(self):
         rng = np.random.default_rng(11)
