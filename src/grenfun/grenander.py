@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericError
-from .majorant import lcm
+from .majorant import _upper_hull
 from .samples import Sample, ecdf
 
 MASS_TOL = 1e-10
@@ -102,7 +102,11 @@ def fit(s: Sample) -> StepDensity:
 
     Levels are exactly the left-hand slopes of the LCM of the empirical
     CDF; breakpoints are the hull knots (equal consecutive slopes merged
-    by the hull scan), the last one being the largest observation.
+    by the hull scan), the last one being the largest observation.  The
+    scan orders slopes by cross products; where two consecutive slopes
+    still round to levels that do not strictly decrease (nearly
+    collinear ECDF points), the knot between them is dropped and the
+    pooled piece takes the slope across it.
 
     Observations at exactly 0 are pooled into the first slope segment
     (the hull is anchored at height 0 at the origin), which keeps the
@@ -111,11 +115,17 @@ def fit(s: Sample) -> StepDensity:
     xs, ys = ecdf(s)
     if xs[-1] == 0.0:
         raise NumericError("all observations are 0: degenerate support")
-    if ys[0] != 0.0:
-        ys = ys.copy()
-        ys[0] = 0.0
-    hull = lcm(xs, ys, interval=(0.0, float(xs[-1])))
-    return StepDensity(hull.knots[1:], hull.slopes)
+    ys[0] = 0.0
+    # the ECDF points are sorted, tie-pooled and finite, so the hull
+    # kernel takes them as they are; StepDensity checks its output
+    idx = _upper_hull(xs, ys)
+    while True:
+        knots = xs[idx]
+        levels = np.diff(ys[idx]) / np.diff(knots)
+        flat = levels[1:] >= levels[:-1]
+        if not flat.any():
+            return StepDensity(knots[1:], levels)
+        idx = np.delete(idx, 1 + np.flatnonzero(flat))
 
 
 def evaluate(d: StepDensity, x):

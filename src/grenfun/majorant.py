@@ -26,7 +26,8 @@ at once; a fixed point is kept whatever its turn, so no interior point
 ever has a neighbour outside its run.  After the prune, only the runs
 that still dropped a point in the last pass go through the scan: a run
 that dropped nothing has only strictly concave turns and is its own
-hull.  :func:`lcm` is the one-run case (only the end points fixed).
+hull.  :func:`_upper_hull` is the one-run case (only the end points
+fixed), behind :func:`lcm` and the Grenander fit.
 :func:`_hull_rows` lays the rows of a path array end to end, with every
 interval endpoint fixed, and hulls a block of rows per kernel call; it
 serves the limit-law sampler and :func:`restricted_lcm`.
@@ -232,10 +233,18 @@ def lcm(xs, ys, interval=None) -> PiecewiseLinearConcave:
     xs, ys = _pool_ties(xs, ys)
     if xs.size == 1:
         return PiecewiseLinearConcave(xs.copy(), ys.copy())
+    idx = _upper_hull(xs, ys)
+    return PiecewiseLinearConcave(xs[idx], ys[idx])
+
+
+def _upper_hull(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Indices of the upper-hull vertices of at least two finite points
+    with strictly increasing xs: the one-run case of the kernel, with
+    only the end points fixed.  The core of :func:`lcm`, for callers
+    whose points are already sorted and pooled."""
     ends = np.zeros(xs.size, dtype=bool)
     ends[0] = ends[-1] = True
-    idx = _hull_indices(xs, ys, ends)
-    return PiecewiseLinearConcave(xs[idx], ys[idx])
+    return _hull_indices(xs, ys, ends)
 
 
 @dataclass(frozen=True)

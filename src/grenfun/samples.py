@@ -277,11 +277,15 @@ def draw(spec: ScenarioSpec, n: int, stream=None) -> Sample:
     """Draw ``n`` i.i.d. observations from ``spec`` by inversion.
 
     Deterministic given the seed and the stream position; uses
-    ``spec.seed`` when no stream is injected.
+    ``spec.seed`` when no stream is injected.  With neither, raises
+    :class:`InputError` rather than draw from OS entropy, which no seed
+    could reproduce.
     """
     if n < 1:
         raise InputError("need n >= 1 draws")
     if stream is None:
+        if spec.seed is None:
+            raise InputError("draw needs a seed: pass a stream or set spec.seed")
         stream = default_stream(spec.seed)
     u = stream.random(int(n))
     return Sample(np.sort(spec.quantile(u)))

@@ -5,7 +5,8 @@ The hull oracle decides vertex membership by checking every chord, which
 is the definition of the upper concave envelope; the row-hull reference
 hulls one row and one interval at a time; the isotonic oracle is a
 plain pool-adjacent-violators pass over weighted block means; the data
-file oracle parses one line at a time with Python's ``float``.
+file oracle parses one line at a time with Python's ``float``; the
+quadrature oracle integrates one Grenander piece at a time.
 """
 
 from pathlib import Path
@@ -74,33 +75,42 @@ def brute_force_hull_values(xs, ys):
     return np.interp(xs, np.asarray(xs)[idx], np.asarray(ys)[idx])
 
 
-def pava_antitonic(y, w):
-    """Weighted least-squares antitonic (nonincreasing) regression by
-    pool-adjacent-violators.  Returns the fitted values."""
-    blocks = []  # [mean, weight, count]
-    for yi, wi in zip(y, w):
-        blocks.append([float(yi), float(wi), 1])
-        while len(blocks) > 1 and blocks[-2][0] <= blocks[-1][0]:
+def pava_antitonic(mass, w):
+    """Weighted least-squares antitonic (nonincreasing) regression of the
+    ratios mass/w with weights w, by pool-adjacent-violators.  A block's
+    fitted value is its total mass over its total weight, so no ratio is
+    ever multiplied back by its weight.  Returns the fitted values."""
+    blocks = []  # [mass, weight, count]
+    for mi, wi in zip(mass, w):
+        blocks.append([float(mi), float(wi), 1])
+        while len(blocks) > 1 and blocks[-2][0] / blocks[-2][1] <= blocks[-1][0] / blocks[-1][1]:
             m2, w2, c2 = blocks.pop()
             m1, w1, c1 = blocks.pop()
-            tot = w1 + w2
-            blocks.append([(m1 * w1 + m2 * w2) / tot, tot, c1 + c2])
-    out = np.empty(len(y))
+            blocks.append([m1 + m2, w1 + w2, c1 + c2])
+    out = np.empty(len(w))
     pos = 0
-    for mean, _, count in blocks:
-        out[pos:pos + count] = mean
+    for total, weight, count in blocks:
+        out[pos:pos + count] = total / weight
         pos += count
     return out
 
 
 def grenander_levels_by_pava(sample_values):
     """Grenander fitted values at each sorted observation, via antitonic
-    regression of the raw histogram slopes with spacing weights."""
+    regression of the raw histogram slopes (mass 1/n per observation
+    over its spacing) with spacing weights.
+
+    Tied observations form one block carrying their count; observations
+    at exactly 0 carry no width and join the first positive block, so
+    they get the first level.  Needs one positive observation."""
     x = np.asarray(sample_values, dtype=float)
     n = x.size
-    spacings = np.diff(x, prepend=0.0)
-    raw = (1.0 / n) / spacings
-    return pava_antitonic(raw, spacings)
+    distinct, counts = np.unique(x, return_counts=True)
+    if distinct[0] == 0.0:
+        counts[1] += counts[0]
+        distinct, counts = distinct[1:], counts[1:]
+    fitted = pava_antitonic(counts / n, np.diff(distinct, prepend=0.0))
+    return fitted[np.searchsorted(distinct, x)]
 
 
 def read_observations_by_line(path):
@@ -118,3 +128,42 @@ def read_observations_by_line(path):
         except ValueError:
             raise ValueError(f"{path}:{lineno}: not a decimal number: {text!r}") from None
     return np.sort(np.array(values, dtype=float))
+
+
+def tau_plugin_by_piece(G, d, domain=None, order=16):
+    """Integral of g(f(x), x) dx for a step density f, one piece at a
+    time: adaptive Gauss-Legendre on each piece, accepted when orders
+    ``order`` and ``2 * order`` agree to 1e-10 relative, else bisected
+    at most 10 levels deep (returning the finer value there), the pieces
+    summed left to right, plus the g(0, .) tail over a compact domain
+    unless g vanishes at 0."""
+    rules = {k: np.polynomial.legendre.leggauss(k) for k in (order, 2 * order)}
+
+    def gl(fn, a, b, k):
+        nodes, weights = rules[k]
+        mid = 0.5 * (a + b)
+        half = 0.5 * (b - a)
+        x = mid + half * nodes
+        try:
+            vals = np.asarray(fn(x), dtype=float)
+            if vals.shape != x.shape:
+                raise TypeError
+        except (TypeError, ValueError):
+            vals = np.array([float(fn(float(t))) for t in x])
+        return half * float(np.dot(weights, vals))
+
+    def piece(fn, a, b, depth=0):
+        coarse = gl(fn, a, b, order)
+        fine = gl(fn, a, b, 2 * order)
+        if abs(fine - coarse) <= 1e-10 * max(1.0, abs(fine)) or depth >= 10:
+            return fine
+        mid = 0.5 * (a + b)
+        return piece(fn, a, mid, depth + 1) + piece(fn, mid, b, depth + 1)
+
+    edges = np.concatenate(([0.0], d.breakpoints))
+    total = 0.0
+    for i, v in enumerate(d.levels):
+        total += piece(lambda x, v=v: G.g(v, x), edges[i], edges[i + 1])
+    if domain is not None and domain[1] > d.support_end and not G.vanishes_at_zero:
+        total += piece(lambda x: G.g(0.0, x), d.support_end, float(domain[1]))
+    return float(total)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from grenfun import functionals
 from grenfun import (
     InputError,
     NumericError,
@@ -25,6 +26,8 @@ from grenfun import (
     one_step_correction,
     tau_plugin,
 )
+
+from oracles import tau_plugin_by_piece
 
 Z2 = by_name("power:2")
 Z1 = by_name("identity")
@@ -114,6 +117,106 @@ class TestTauPlugin:
             )
 
 
+def _step_at(x, cut=0.3):
+    return (np.asarray(x, dtype=float) > cut).astype(float)
+
+
+#: g(z, x) = z^2 1{x > 0.3}: a jump in x that no bisection resolves
+STEP_IN_X = SmoothFunctional(
+    g=lambda z, x: z * z * _step_at(x),
+    gdot=lambda z, x: 2.0 * z * _step_at(x),
+    gddot=lambda z, x: 2.0 * _step_at(x) + 0.0 * z,
+    vanishes_at_zero=True,
+)
+
+
+def _ramp_at(x, mid=0.5, width=0.01):
+    return 1.0 + np.tanh((np.asarray(x, dtype=float) - mid) / width)
+
+
+#: g(z, x) = z^2 (1 + tanh((x - 0.5) / 0.01)): smooth, but 16 and 32
+#: nodes disagree on the piece holding the ramp until it is bisected
+STEEP_IN_X = SmoothFunctional(
+    g=lambda z, x: z * z * _ramp_at(x),
+    gdot=lambda z, x: 2.0 * z * _ramp_at(x),
+    gddot=lambda z, x: 2.0 * _ramp_at(x) + 0.0 * z,
+    vanishes_at_zero=True,
+)
+#: g(z, x) = z^2 log(1 + x) through ``math``: scalar arguments only
+SCALAR_ONLY = SmoothFunctional(
+    g=lambda z, x: z * z * math.log1p(x),
+    gdot=lambda z, x: 2.0 * z * math.log1p(x),
+    gddot=lambda z, x: 2.0 * math.log1p(x),
+    vanishes_at_zero=True,
+)
+#: g(z, x) = (z^2 + 1) x: g(0, x) = x does not vanish, so the tail counts
+TAILED = SmoothFunctional(
+    g=lambda z, x: (z * z + 1.0) * np.asarray(x, dtype=float),
+    gdot=lambda z, x: 2.0 * z * np.asarray(x, dtype=float),
+    gddot=lambda z, x: 2.0 * np.asarray(x, dtype=float) + 0.0 * z,
+)
+_TRUTHS = {"exponential": ScenarioSpec.exponential(1.0),
+           "paper_pwa": ScenarioSpec.paper_pwa(),
+           "uniform": ScenarioSpec.uniform(1.0)}
+
+
+@pytest.fixture
+def piece_calls(monkeypatch):
+    """Depths of the calls tau_plugin makes to the one-piece quadrature."""
+    depths = []
+    one_piece = functionals._integrate_piece
+
+    def counted(fn, a, b, order, depth=0):
+        depths.append(depth)
+        return one_piece(fn, a, b, order, depth)
+
+    monkeypatch.setattr(functionals, "_integrate_piece", counted)
+    return depths
+
+
+class TestBatchedQuadrature:
+    """tau_plugin evaluates all pieces in one batch per order; it must
+    return the same float as the one-piece-at-a-time loop."""
+
+    @pytest.mark.parametrize("n", [1_000, 10_000, 100_000, 1_000_000])
+    @pytest.mark.parametrize("truth", sorted(_TRUTHS))
+    def test_ecdf_fits_byte_equal(self, truth, n, piece_calls):
+        d = fit(draw(_TRUTHS[truth], n, default_stream(derive_seed(606, n))))
+        assert tau_plugin(XZ2, d) == tau_plugin_by_piece(XZ2, d)
+        assert piece_calls == []  # every piece took the batched path
+
+    def test_split_step_density(self):
+        d = StepDensity(np.array([0.25, 0.5, 1.0]), np.array([1.2, 1.2, 0.8]), validate=False)
+        assert tau_plugin(XZ2, d) == tau_plugin_by_piece(XZ2, d)
+
+    @pytest.mark.parametrize("density", ["paper_pwa", "fit"])
+    def test_compact_domain_with_tail(self, density, piece_calls):
+        d = (PWA_TRUTH if density == "paper_pwa"
+             else fit(draw(ScenarioSpec.exponential(1.0), 5_000, default_stream(17))))
+        domain = (0.0, d.support_end + 1.5)
+        got = tau_plugin(TAILED, d, domain=domain)
+        assert got == tau_plugin_by_piece(TAILED, d, domain=domain)
+        assert got != tau_plugin(TAILED, d, domain=(0.0, d.support_end))
+        assert piece_calls == [0]  # the tail alone
+
+    @pytest.mark.parametrize("density", ["paper_pwa", "fit"])
+    def test_bisected_pieces(self, density, piece_calls):
+        d = (PWA_TRUTH if density == "paper_pwa"
+             else fit(draw(ScenarioSpec.exponential(1.0), 10_000, default_stream(23))))
+        assert tau_plugin(STEEP_IN_X, d) == tau_plugin_by_piece(STEEP_IN_X, d)
+        assert max(piece_calls) > 0
+
+    def test_scalar_only_integrand_falls_back(self, piece_calls):
+        d = fit(draw(ScenarioSpec.paper_pwa(), 1_000, default_stream(29)))
+        assert tau_plugin(SCALAR_ONLY, d) == tau_plugin_by_piece(SCALAR_ONLY, d)
+        assert piece_calls.count(0) == d.levels.size
+
+    def test_unresolved_piece_raises(self):
+        # the jump at x = 0.3 leaves an error of about 3e-7 at the depth cap
+        with pytest.raises(NumericError, match=r"unresolved on 1 piece.*piece 1 on \[.*error 3"):
+            tau_plugin(STEP_IN_X, PWA_TRUTH)
+
+
 class TestNuPlugin:
     def test_constant_gives_total_mass(self):
         one = ScalarFunctional(h=lambda z: np.ones_like(np.asarray(z, dtype=float)),
@@ -190,6 +293,12 @@ class TestFunctionalValidation:
             SmoothFunctional(g=lambda z, x: x * z * z,
                              gdot=lambda z, x: x * z,
                              gddot=lambda z, x: 2.0 * x)
+
+    def test_wrong_gddot_rejected_at_probe_point(self):
+        with pytest.raises(InputError, match=r"gddot disagrees .* at \(z=.*, x=.*\)"):
+            SmoothFunctional(g=lambda z, x: x * z * z,
+                             gdot=lambda z, x: 2.0 * x * z,
+                             gddot=lambda z, x: 3.0 * x)
 
 
 class TestRegistry:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from grenfun import (
@@ -93,6 +93,59 @@ class TestPavaEquivalence:
         fitted = evaluate(d, s.values)
         oracle = grenander_levels_by_pava(s.values)
         np.testing.assert_allclose(fitted, oracle, rtol=1e-12, atol=1e-13)
+
+
+def _lcm_route(s):
+    """The hull of the Grenander fit through the public ``lcm``: sort,
+    filter to [0, max], pool ties, hull, validate."""
+    xs, ys = ecdf(s)
+    ys[0] = 0.0
+    return lcm(xs, ys, interval=(0.0, float(xs[-1])))
+
+
+_WIDE = st.floats(min_value=1e-300, max_value=1e300)
+_ADVERSARIAL = st.one_of(
+    # any magnitude from 1e-300 to 1e300, with exact zeros mixed in
+    st.lists(st.one_of(_WIDE, st.just(0.0)), min_size=1, max_size=60),
+    # heavy ties on a few values
+    st.lists(st.sampled_from([0.0, 1e-300, 0.5, 1.0, 3.0, 1e300]), min_size=1, max_size=80),
+    # near-collinear ECDF runs: an evenly spaced grid, some points one ulp up
+    st.builds(
+        lambda start, step, nudges: [
+            float(np.nextafter(start + step * i, np.inf) if nudge and i else start + step * i)
+            for i, nudge in enumerate(nudges)
+        ],
+        st.one_of(st.just(0.0), st.floats(min_value=1e-300, max_value=1e3)),
+        st.floats(min_value=1e-12, max_value=10.0),
+        st.lists(st.booleans(), min_size=1, max_size=200),
+    ),
+)
+
+
+class TestFitProperties:
+    """The fit goes to the hull kernel directly; it must match the
+    public ``lcm`` route bit for bit and stay a proper density."""
+
+    @given(_ADVERSARIAL)
+    @example([1.0])
+    @example([0.0, 0.0, 2.0])
+    @example([1e-300, 1e300])
+    @example([0.0, 5.5, 11.0, 16.5, 22.000000000000004, 27.500000000000004, 33.00000000000001])
+    def test_direct_fit_matches_lcm_route_and_pava(self, raw):
+        assume(max(raw) > 0.0)
+        s = ingest(raw)
+        d = fit(s)
+        hull = _lcm_route(s)
+        if np.all(np.diff(hull.slopes) < 0.0):
+            assert d.breakpoints.tobytes() == hull.knots[1:].tobytes()
+            assert d.levels.tobytes() == hull.slopes.tobytes()
+        else:
+            # hull slopes that round to non-decreasing levels are pooled
+            assert set(d.breakpoints.tolist()) < set(hull.knots[1:].tolist())
+        assert abs(d.mass - 1.0) <= 1e-10
+        assert np.all(np.diff(d.levels) < 0.0)
+        np.testing.assert_allclose(evaluate(d, s.values),
+                                   grenander_levels_by_pava(s.values), rtol=1e-12, atol=0.0)
 
 
 class TestEvaluate:

@@ -174,6 +174,10 @@ class TestDraw:
         b = draw(spec, 1000)
         assert np.array_equal(a.values, b.values)
 
+    def test_unseeded_draw_rejected(self):
+        with pytest.raises(InputError, match="pass a stream or set spec.seed"):
+            draw(ScenarioSpec.exponential(1.0), 10)
+
     def test_derive_seed_decorrelates_studies(self):
         kits = [derive_seed(seed, rep) for seed in (0, 1) for rep in range(100)]
         assert len(set(kits)) == len(kits)
