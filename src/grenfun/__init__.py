@@ -32,16 +32,8 @@ from .inference import (
     sigma_eff_tau,
     uniform_clt_statistic,
 )
-from .limitlaw import (
-    GridPath,
-    TrueModel,
-    bridge_path,
-    draw_y_samples,
-    hadamard_lcm_derivative,
-    linear_y_samples,
-    sample_Y,
-)
-from .majorant import PiecewiseLinearConcave, lcm, restricted_lcm
+from .limitlaw import TrueModel, draw_y_samples, linear_y_samples
+from .majorant import PiecewiseLinearConcave, lcm
 from .samples import (
     Sample,
     ScenarioSpec,

@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 configuration/input error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -65,13 +66,14 @@ def _build_parser() -> argparse.ArgumentParser:
     lim = sub.add_parser("limit-sample", help="sample the limiting variable")
     lim.add_argument("--config", required=True, type=Path,
                      help="JSON with scenario, functional, optional grid_size")
-    lim.add_argument("--draws", required=True, type=int)
+    lim.add_argument("--draws", required=True, type=_positive_int)
 
     uni = sub.add_parser("uniform-clt", help="uniform-truth CLT study")
     uni.add_argument("--h", required=True, dest="functional",
                      help="functional of the density alone, e.g. power:2")
-    uni.add_argument("--n", required=True, type=int)
-    uni.add_argument("--reps", required=True, type=int)
+    uni.add_argument("--n", required=True, type=_positive_int, nargs="+",
+                     help="one or more sample sizes")
+    uni.add_argument("--reps", required=True, type=_positive_int)
     return parser
 
 
@@ -100,9 +102,7 @@ def _cmd_estimate(args) -> int:
 def _cmd_simulate(args) -> int:
     config = StudyConfig.from_json(args.config)
     if args.seed is not None:
-        config = StudyConfig(config.scenario, config.functional, config.n_values,
-                             config.replications, args.seed, config.grid_size,
-                             config.reference_draws)
+        config = dataclasses.replace(config, seed=args.seed)
     reports = run_study(config, threads=args.threads, out_dir=args.out)
     for report in reports:
         print(json.dumps(report.to_json(), sort_keys=True))
@@ -137,7 +137,7 @@ def _cmd_limit_sample(args) -> int:
 
 def _cmd_uniform_clt(args) -> int:
     seed = args.seed if args.seed is not None else 0
-    reports = run_uniform_study(args.functional, [args.n], args.reps,
+    reports = run_uniform_study(args.functional, args.n, args.reps,
                                 seed, threads=args.threads, out_dir=args.out)
     for report in reports:
         print(json.dumps(report.to_json(), sort_keys=True))

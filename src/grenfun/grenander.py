@@ -119,6 +119,15 @@ def fit(s: Sample) -> StepDensity:
     # the ECDF points are sorted, tie-pooled and finite, so the hull
     # kernel takes them as they are; StepDensity checks its output
     idx = _upper_hull(xs, ys)
+    # the first level is the largest; past the float range it is inf
+    # (a subnormal smallest observation), which no density can carry
+    with np.errstate(over="ignore"):
+        top = ys[idx[1]] / xs[idx[1]]
+    if np.isinf(top):
+        raise NumericError(
+            f"first density level {float(ys[idx[1]])!r}/{float(xs[idx[1]])!r} overflows: "
+            "the smallest positive observation is too close to 0"
+        )
     while True:
         knots = xs[idx]
         levels = np.diff(ys[idx]) / np.diff(knots)

@@ -129,6 +129,11 @@ def ks_distance(sample, reference) -> float:
 
 # -- configuration and report records --------------------------------------
 
+def _check_budget(n_values, replications) -> None:
+    if replications < 1 or any(n < 1 for n in n_values):
+        raise InputError("replications and sample sizes must be positive")
+
+
 @dataclass(frozen=True)
 class StudyConfig:
     """Scenario + functional + sample sizes + replication budget."""
@@ -143,8 +148,7 @@ class StudyConfig:
 
     def __post_init__(self):
         by_name(self.functional)
-        if self.replications < 1 or any(n < 1 for n in self.n_values):
-            raise InputError("replications and sample sizes must be positive")
+        _check_budget(self.n_values, self.replications)
         object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
 
     @staticmethod
@@ -363,6 +367,7 @@ def run_uniform_study(functional_name: str, n_values, replications: int,
     quantiles (the Q-Q pairs) and its KS distance instead.
     """
     h = by_name(functional_name)
+    _check_budget(n_values, replications)
     if not isinstance(h, ScalarFunctional):
         raise InputError("uniform study needs a functional of the density alone")
     if float(h.hdoubleprime(1.0)) == 0.0:

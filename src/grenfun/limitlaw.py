@@ -18,7 +18,8 @@ covariance on each grid).
 Under a piecewise-affine truth every row is hulled over every affine
 interval at once: :meth:`YPlan.apply` lays blocks of rows end to end
 with the interval endpoints fixed, one call of the segmented hull
-kernel per block (see :mod:`grenfun.majorant`).
+kernel per block (see :mod:`grenfun.majorant`).  A single path is a
+one-row array.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from .errors import InputError
 from .functionals import ScalarFunctional, SmoothFunctional
-from .majorant import GridPath, _grid_index, _hull_rows, _hull_spans, _span_ends
+from .majorant import _hull_rows
 from .samples import ScenarioSpec, _load_column
 
 DEFAULT_TRUNCATION_MASS = 1e-6
@@ -71,21 +72,6 @@ class TrueModel:
         return self.spec.affine_intervals()
 
 
-def bridge_path(grid, stream) -> GridPath:
-    """Exact Brownian-bridge sample on a grid over [0, 1].
-
-    Standard Brownian motion from independent Gaussian increments, then
-    pinned: B(t) = W(t) - t W(1).  Values at 0 and 1 are exactly 0.
-    """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2 or grid[0] != 0.0 or grid[-1] != 1.0:
-        raise InputError("bridge grid must run from 0 to 1")
-    if np.any(np.diff(grid) <= 0.0):
-        raise InputError("bridge grid must be strictly increasing")
-    values = _bridge_values(grid, 1, stream)[0]
-    return GridPath(grid, values)
-
-
 def _bridge_values(u: np.ndarray, draws: int, stream) -> np.ndarray:
     """Rows of bridge values on the grid u (u[0] = 0); pinned to 0 at
     u = 1 exactly when the grid ends at 1."""
@@ -108,26 +94,6 @@ def build_grid(model: TrueModel, grid_size: int) -> np.ndarray:
     if model.concavity_kind == PIECEWISE_AFFINE:
         base = np.union1d(base, model.breakpoints)
     return base
-
-
-def hadamard_lcm_derivative(model: TrueModel, g_path: GridPath) -> GridPath:
-    """Directional derivative of the LCM operator applied to a path.
-
-    Strictly concave truth: the identity (the same object is returned).
-    Piecewise-affine truth: the LCM is taken independently over each
-    affine interval; interval endpoints are extreme hull points, so the
-    path's values there are preserved exactly.  This is the row kernel
-    of :meth:`YPlan.apply`, run on a single row.
-    """
-    if model.concavity_kind == STRICTLY_CONCAVE:
-        return g_path
-    return _hull_spans(g_path, _interval_spans(model, g_path.grid))
-
-
-def _interval_spans(model: TrueModel, grid: np.ndarray) -> list:
-    """Grid-index spans of the affine intervals: what the LCM derivative
-    hulls, each on its own."""
-    return [(_grid_index(grid, a), _grid_index(grid, b)) for a, b in model.affine_intervals()]
 
 
 def _cell_levels(model: TrueModel, grid: np.ndarray) -> np.ndarray:
@@ -177,7 +143,13 @@ class YPlan:
             self.t_idx = np.searchsorted(self.grid, ts)
             if np.any(self.t_idx >= self.grid.size) or np.any(self.grid[self.t_idx] != ts):
                 raise InputError("grid does not contain every affine-interval endpoint")
-            self.fixed = _span_ends(self.grid.size, _interval_spans(model, self.grid))
+            # the affine intervals run from 0 through the breakpoints: the
+            # hull runs end at the first grid point and at t_idx, and
+            # nothing past the last breakpoint is hulled
+            self.fixed = np.zeros(self.grid.size, dtype=bool)
+            self.fixed[0] = True
+            self.fixed[self.t_idx] = True
+            self.fixed[self.t_idx[-1]:] = True
         else:
             self.jumps = None
             self.t_idx = None
@@ -198,14 +170,6 @@ class YPlan:
         else:
             cont_part = paths[:, :-1] @ self.dpsi
         return -(cont_part + jump_part)
-
-
-def y_from_path(G: SmoothFunctional, model: TrueModel, g_path: GridPath) -> float:
-    """One realization of the limit variable from a given bridge-composed
-    path: apply the LCM derivative, then the Stieltjes sum with
-    left-endpoint evaluation plus exact jump contributions."""
-    plan = YPlan(G, model, g_path.grid)
-    return float(plan.apply(g_path.values)[0])
 
 
 def draw_y_samples(G: SmoothFunctional, model: TrueModel, grid_size: int,
@@ -249,25 +213,13 @@ def draw_y_samples(G: SmoothFunctional, model: TrueModel, grid_size: int,
     return ys, info
 
 
-def sample_Y(G: SmoothFunctional, model: TrueModel, grid_size: int, stream) -> float:
-    """One draw of the limit variable."""
-    ys, _ = draw_y_samples(G, model, grid_size, 1, stream)
-    return float(ys[0])
-
-
 def linear_y_samples(h: ScalarFunctional, model: TrueModel, draws: int, stream) -> np.ndarray:
     """Draws from the linear breakpoint formula for x-free functionals
     under a piecewise-affine truth: minus the sum over breakpoints of the
     bridge value times the jump of h'(f)."""
     if model.concavity_kind != PIECEWISE_AFFINE:
         raise InputError("linear formula requires a piecewise-affine truth")
-    ts = model.breakpoints
-    vs = model.levels
-    jumps = np.empty(ts.size)
-    for i in range(ts.size):
-        left = float(h.hprime(vs[i]))
-        right = float(h.hprime(vs[i + 1])) if i + 1 < vs.size else float(h.hprime(0.0))
-        jumps[i] = right - left
+    ts, jumps = _jump_terms(h.as_smooth(), model)
     u = np.concatenate(([0.0], np.asarray(model.spec.cdf(ts), dtype=float)))
     u[-1] = 1.0
     paths = _bridge_values(u, draws, stream)

@@ -30,7 +30,7 @@ hull.  :func:`_upper_hull` is the one-run case (only the end points
 fixed), behind :func:`lcm` and the Grenander fit.
 :func:`_hull_rows` lays the rows of a path array end to end, with every
 interval endpoint fixed, and hulls a block of rows per kernel call; it
-serves the limit-law sampler and :func:`restricted_lcm`.
+serves the limit-law sampler.
 """
 
 from __future__ import annotations
@@ -245,72 +245,3 @@ def _upper_hull(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     ends = np.zeros(xs.size, dtype=bool)
     ends[0] = ends[-1] = True
     return _hull_indices(xs, ys, ends)
-
-
-@dataclass(frozen=True)
-class GridPath:
-    """Function values on a finite strictly increasing grid starting at 0."""
-
-    grid: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if grid.ndim != 1 or grid.size < 2 or grid.shape != values.shape:
-            raise InputError("grid and values must be equal-length 1-D arrays, length >= 2")
-        if grid[0] != 0.0:
-            raise InputError("grid must start at 0")
-        if np.any(np.diff(grid) <= 0.0):
-            raise InputError("grid must be strictly increasing")
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", values)
-
-
-def _grid_index(grid: np.ndarray, x: float) -> int:
-    i = int(np.searchsorted(grid, x))
-    if i == grid.size or grid[i] != x:
-        raise InputError(f"subinterval endpoint {x!r} is not a grid point")
-    return i
-
-
-def restricted_lcm(path: GridPath, a: float, b: float) -> GridPath:
-    """LCM of a grid path over the grid points inside ``[a, b]``.
-
-    Endpoints must lie on the grid.  Values outside [a, b] are untouched
-    and need not be finite; the values at a and b themselves are extreme
-    hull points, hence also unchanged.
-    """
-    ia = _grid_index(path.grid, float(a))
-    ib = _grid_index(path.grid, float(b))
-    if ia >= ib:
-        raise InputError("need a < b on the grid")
-    return _hull_spans(path, [(ia, ib)])
-
-
-def _span_ends(size: int, spans) -> np.ndarray:
-    """Mask of the points, of ``size``, that no grid-index span
-    ``(ia, ib)`` holds strictly inside: the fixed points whose runs are
-    the spans."""
-    fixed = np.ones(size, dtype=bool)
-    for ia, ib in spans:
-        fixed[ia + 1:ib] = False
-    return fixed
-
-
-def _hull_spans(path: GridPath, spans) -> GridPath:
-    """The path with its values over each grid-index span ``(ia, ib)``
-    replaced by their upper concave hull, by :func:`_hull_rows` on one
-    row.  Spans may share an end point but not overlap.  The row runs
-    from the first span's start to the last span's end, and only the
-    values inside a span must be finite; the rest are left as they are."""
-    for ia, ib in spans:
-        if not np.all(np.isfinite(path.values[ia:ib + 1])):
-            raise InputError("non-finite path value")
-    lo = min(ia for ia, _ in spans)
-    hi = max(ib for _, ib in spans) + 1
-    row = path.values[None, lo:hi].copy()
-    _hull_rows(row, path.grid[lo:hi], _span_ends(hi, spans)[lo:])
-    values = path.values.copy()
-    values[lo:hi] = row[0]
-    return GridPath(path.grid, values)

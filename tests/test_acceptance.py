@@ -27,7 +27,6 @@ from grenfun import (
     empirical_average,
     evaluate,
     fit,
-    hadamard_lcm_derivative,
     ks_distance,
     lcm,
     mu_plugin,
@@ -39,13 +38,14 @@ from grenfun import (
     true_sigma_eff,
     true_tau,
 )
-from grenfun.limitlaw import _bridge_values, build_grid
-from grenfun.majorant import GridPath
+from grenfun.limitlaw import YPlan, _bridge_values, build_grid
+from grenfun.majorant import _hull_rows
 
 from oracles import brute_force_hull_indices, grenander_levels_by_pava
 
 ACCEPTANCE_SEED = 0
 Z2 = by_name("power:2")
+XZ2 = by_name("xz2")
 EXP1 = ScenarioSpec.exponential(1.0)
 PWA = ScenarioSpec.paper_pwa()
 SQRT2 = math.sqrt(2.0)
@@ -209,20 +209,25 @@ def test_criterion_7_limit_sampler():
     concavity, variances within 3 Monte Carlo standard errors of the
     efficient values at 1e5 draws, and per-interval hulls equal to the
     brute-force oracle on 200-point grids."""
-    # (a) strictly concave: the derivative is the identity, bit for bit
+    # (a) strictly concave: the derivative is the identity, bit for bit:
+    # the plan hulls nothing and sums the paths as they are
     exp_model = TrueModel.from_scenario(EXP1)
     grid = build_grid(exp_model, 500)
-    path = GridPath(grid, np.sin(grid))
-    assert hadamard_lcm_derivative(exp_model, path) is path
+    paths = np.sin(np.outer([1.0, 0.5], grid))
+    plan = YPlan(XZ2, exp_model, grid)
+    assert not plan.needs_hull and plan.fixed is None
+    assert plan.apply(paths).tobytes() == (-(paths[:, :-1] @ plan.dpsi + 0.0)).tobytes()
 
-    # (b) per-interval LCM against the oracle on 200-point grids
+    # (b) per-interval LCM against the oracle on 200-point grids, every
+    # row hulled in one kernel call with the plan's interval ends fixed
     pwa_model = TrueModel.from_scenario(PWA)
     grid200 = build_grid(pwa_model, 200)
     u200 = pwa_model.spec.cdf(grid200)
     rng = default_stream(derive_seed(ACCEPTANCE_SEED, 71))
-    for _ in range(20):
-        vals = _bridge_values(u200, 1, rng)[0]
-        out = hadamard_lcm_derivative(pwa_model, GridPath(grid200, vals))
+    paths = _bridge_values(u200, 20, rng)
+    hat = paths.copy()
+    _hull_rows(hat, grid200, YPlan(XZ2, pwa_model, grid200).fixed)
+    for vals, out in zip(paths, hat):
         expected = vals.copy()
         for a, b in pwa_model.affine_intervals():
             ia, ib = int(np.searchsorted(grid200, a)), int(np.searchsorted(grid200, b))
@@ -230,7 +235,7 @@ def test_criterion_7_limit_sampler():
             seg = np.interp(grid200[ia:ib + 1], grid200[ia:ib + 1][idx],
                             vals[ia:ib + 1][idx])
             expected[ia:ib + 1] = np.maximum(vals[ia:ib + 1], seg)
-        assert np.array_equal(out.values, expected)
+        assert np.array_equal(out, expected)
 
     # (c) efficient variances at 1e5 draws, 3 empirical-SE bands
     def var_with_se(ys):
@@ -262,7 +267,7 @@ def test_criterion_7_conjectured_non_normal_recorded():
     two-slope truth: the limit is conjectured non-normal; the KS distance
     to the mean-zero efficient normal is recorded, not asserted."""
     pwa_model = TrueModel.from_scenario(PWA)
-    ys, info = draw_y_samples(by_name("xz2"), pwa_model, 1000, 100_000,
+    ys, info = draw_y_samples(XZ2, pwa_model, 1000, 100_000,
                               default_stream(derive_seed(ACCEPTANCE_SEED, 74)))
     sig2 = true_sigma_eff(PWA, "xz2")
     ks = ks_distance(ys, {"mean": 0.0, "var": sig2})

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,10 @@ import pytest
 
 import grenfun
 import grenfun.inference
+from grenfun import ScenarioSpec, StudyConfig
 from grenfun.cli import main
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.fixture
@@ -61,6 +65,15 @@ class TestEstimate:
         degenerate.write_text("0.0\n0.0\n")
         assert main(["estimate", "--data", str(degenerate),
                      "--functional", "power:2"]) == 3
+
+    def test_subnormal_data_is_numeric_failure(self, tmp_path, capsys):
+        subnormal = tmp_path / "tiny.txt"
+        subnormal.write_text("2.2250738585e-313\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["estimate", "--data", str(subnormal),
+                         "--functional", "power:2"]) == 3
+        assert "overflows" in capsys.readouterr().err
 
     def test_missing_file_is_config_error(self, tmp_path):
         assert main(["estimate", "--data", str(tmp_path / "nope.txt"),
@@ -165,11 +178,26 @@ class TestUniformClt:
         assert summary["reference"] == {"type": "normal", "mean": 0.0, "var": 1.0}
         assert (out / "uniform_clt_power2_n500_stats.csv").exists()
 
+    def test_several_sizes_match_single_runs(self, tmp_path, capsys):
+        both, one = tmp_path / "both", tmp_path / "one"
+        assert main(["--seed", "5", "--out", str(both), "uniform-clt", "--h", "power:2",
+                     "--n", "300", "500", "--reps", "7"]) == 0
+        for n in ("300", "500"):
+            assert main(["--seed", "5", "--out", str(one), "uniform-clt", "--h", "power:2",
+                         "--n", n, "--reps", "7"]) == 0
+        capsys.readouterr()
+        for n in (300, 500):
+            name = f"uniform_clt_power2_n{n}_stats.csv"
+            assert (both / name).read_bytes() == (one / name).read_bytes()
+
     def test_degenerate_functional_numeric_failure(self):
         assert main(["uniform-clt", "--h", "identity", "--n", "100", "--reps", "2"]) == 3
 
     def test_unknown_functional_config_error(self):
         assert main(["uniform-clt", "--h", "nope", "--n", "100", "--reps", "2"]) == 2
+
+
+_UNIFORM = ["uniform-clt", "--h", "power:2", "--n", "50", "--reps", "2"]
 
 
 class TestParsing:
@@ -179,11 +207,21 @@ class TestParsing:
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
 
-    @pytest.mark.parametrize("threads", ["0", "-3", "two"])
-    def test_bad_threads_is_config_error(self, threads, capsys):
-        assert main(["--threads", threads, "uniform-clt", "--h", "power:2",
-                     "--n", "50", "--reps", "2"]) == 2
-        assert "--threads" in capsys.readouterr().err
+    @pytest.mark.parametrize("flag,argv", [
+        ("--threads", ["--threads", "0", *_UNIFORM]),
+        ("--threads", ["--threads", "-3", *_UNIFORM]),
+        ("--threads", ["--threads", "two", *_UNIFORM]),
+        ("--n", ["uniform-clt", "--h", "power:2", "--n", "0", "--reps", "2"]),
+        ("--n", ["uniform-clt", "--h", "power:2", "--n", "50", "-5", "--reps", "2"]),
+        ("--reps", ["uniform-clt", "--h", "power:2", "--n", "50", "--reps", "0"]),
+        ("--draws", ["limit-sample", "--config", "limit.json", "--draws", "0"]),
+    ], ids=["0", "-3", "two", "n=0", "n=50,-5", "reps=0", "draws=0"])
+    def test_bad_threads_is_config_error(self, flag, argv, capsys):
+        # --threads and the sample, replication and draw counts must all
+        # be positive integers; the parser rejects them before any work
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert flag in err and "Traceback" not in err
 
     @staticmethod
     def _run_missing_file(module, tmp_path):
@@ -206,3 +244,27 @@ class TestParsing:
     def test_package_run_reports_errors(self, tmp_path):
         # ... and so does ``python -m grenfun``
         self._run_missing_file("grenfun", tmp_path)
+
+
+class TestShippedConfigs:
+    """The run configs under configs/ load through the CLI's own loaders."""
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.name)
+    def test_loads_through_the_cli(self, path, tmp_path, capsys):
+        if path.name.startswith("limit_"):
+            assert main(["--out", str(tmp_path), "limit-sample",
+                         "--config", str(path), "--draws", "2"]) == 0
+        else:
+            assert isinstance(StudyConfig.from_json(path), StudyConfig)
+
+    def test_section6_configs_are_the_full_scale_studies(self):
+        # the three sampling-distribution studies of the paper's Section 6
+        studies = {"section6_exponential_power2.json": (ScenarioSpec.exponential(1.0), "power:2"),
+                   "section6_paper_pwa_power2.json": (ScenarioSpec.paper_pwa(), "power:2"),
+                   "section6_paper_pwa_xz2.json": (ScenarioSpec.paper_pwa(), "xz2")}
+        assert {p.name for p in CONFIGS.glob("section6_*.json")} == set(studies)
+        for name, (spec, functional) in studies.items():
+            expected = StudyConfig(scenario=spec, functional=functional,
+                                   n_values=(5000, 20000, 100000), replications=1000,
+                                   seed=0, grid_size=1000, reference_draws=20000)
+            assert StudyConfig.from_json(CONFIGS / name) == expected

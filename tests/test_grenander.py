@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given
@@ -43,6 +45,13 @@ class TestFit:
     def test_all_zero_rejected(self):
         with pytest.raises(NumericError, match="degenerate"):
             fit(ingest([0.0, 0.0]))
+
+    def test_subnormal_first_level_is_numeric_failure(self):
+        # 1/n over a subnormal first knot overflows the float range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="overflows"):
+                fit(ingest([2.2250738585e-313]))
 
     def test_interior_zeros_pooled_into_first_piece(self):
         # zeros carry no width; their mass folds into the first slope so

@@ -206,6 +206,11 @@ class TestRunUniformStudy:
         with pytest.raises(InputError, match="density alone"):
             run_uniform_study("xz2", [100], 5, seed=0)
 
+    @pytest.mark.parametrize("n_values,reps", [([100], 0), ([100, 0], 5), ([-3], 5)])
+    def test_empty_budget_rejected(self, n_values, reps):
+        with pytest.raises(InputError, match="must be positive"):
+            run_uniform_study("power:2", n_values, reps, seed=0)
+
 
 class TestWorkerCount:
     # the count is checked directly: no test starts a large pool

@@ -7,18 +7,14 @@ from grenfun import (
     InputError,
     ScenarioSpec,
     TrueModel,
-    bridge_path,
     by_name,
     default_stream,
     draw_y_samples,
-    hadamard_lcm_derivative,
     ks_distance,
     linear_y_samples,
-    restricted_lcm,
-    sample_Y,
 )
-from grenfun.limitlaw import YPlan, _bridge_values, build_grid, emit_y_csv, load_y_csv, y_from_path
-from grenfun.majorant import GridPath
+from grenfun.limitlaw import YPlan, _bridge_values, build_grid, emit_y_csv, load_y_csv
+from grenfun.majorant import _hull_rows
 
 from oracles import brute_force_hull_indices, hull_rows_by_row
 
@@ -30,13 +26,23 @@ UNIF_MODEL = TrueModel.from_scenario(ScenarioSpec.uniform(1.0))
 THREE_MODEL = TrueModel.from_scenario(ScenarioSpec.piecewise([0.5, 1.0, 2.0], [1.0, 0.6, 0.2]))
 
 
+def lcm_derivative(model, grid, paths):
+    """Rows of ``paths`` through the LCM derivative as YPlan.apply takes
+    it: hulled over each affine interval by the kernel under a
+    piecewise-affine truth, left as they are under a strictly concave one."""
+    plan = YPlan(XZ2, model, grid)
+    hat = np.array(paths, dtype=float, ndmin=2)
+    if plan.needs_hull:
+        _hull_rows(hat, plan.grid, plan.fixed)
+    return hat
+
+
 class TestBridgePath:
     def test_pinned_exactly(self):
         grid = np.linspace(0.0, 1.0, 257)
-        for seed in range(5):
-            path = bridge_path(grid, default_stream(seed))
-            assert path.values[0] == 0.0
-            assert path.values[-1] == 0.0
+        vals = _bridge_values(grid, 5, default_stream(0))
+        assert np.all(vals[:, 0] == 0.0)
+        assert np.all(vals[:, -1] == 0.0)
 
     def test_variance_at_half(self):
         grid = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
@@ -65,50 +71,44 @@ class TestBridgePath:
             got = _bridge_values(u, draws, default_stream(seed))
             assert np.array_equal(got, direct(u, draws, default_stream(seed)))
 
-    def test_bad_grid_rejected(self):
-        with pytest.raises(InputError):
-            bridge_path(np.array([0.0, 0.5, 0.9]), default_stream(0))
-        with pytest.raises(InputError):
-            bridge_path(np.array([0.1, 0.5, 1.0]), default_stream(0))
-
 
 class TestHadamardDerivative:
+    """The LCM derivative that YPlan.apply applies to every row."""
+
     def test_strictly_concave_identity_bit_exact(self):
         grid = np.linspace(0.0, 1.0, 101)
-        path = GridPath(grid, np.sin(7.0 * grid))
-        out = hadamard_lcm_derivative(EXP_MODEL, path)
-        assert out is path
+        paths = np.sin(7.0 * np.outer([1.0, 2.0, 3.0], grid))
+        plan = YPlan(XZ2, EXP_MODEL, grid)
+        assert not plan.needs_hull and plan.fixed is None
+        assert lcm_derivative(EXP_MODEL, grid, paths).tobytes() == paths.tobytes()
+        assert plan.apply(paths).tobytes() == (-(paths[:, :-1] @ plan.dpsi + 0.0)).tobytes()
 
     def test_single_interval_affine_unchanged(self):
         grid = np.arange(33) / 32.0
-        path = GridPath(grid, 2.0 * grid)
-        out = hadamard_lcm_derivative(UNIF_MODEL, path)
-        assert np.array_equal(out.values, path.values)
+        out = lcm_derivative(UNIF_MODEL, grid, 2.0 * grid)
+        assert np.array_equal(out[0], 2.0 * grid)
 
-    def test_values_past_the_last_interval_are_not_read(self):
+    def test_values_past_the_last_interval_stay_fixed(self):
         # the grid runs past the uniform truth's support [0, 1]
         grid = np.arange(65) / 32.0
-        values = np.sin(5.0 * grid)
-        values[40:] = np.inf
-        out = hadamard_lcm_derivative(UNIF_MODEL, GridPath(grid, values))
-        inside = restricted_lcm(GridPath(grid[:33], values[:33]), 0.0, 1.0)
-        assert out.values[:33].tobytes() == inside.values.tobytes()
-        assert np.array_equal(out.values[33:], values[33:])
+        values = np.sin(5.0 * grid)  # not concave past 1: a hull would move it
+        out = lcm_derivative(UNIF_MODEL, grid, values)[0]
+        inside = lcm_derivative(UNIF_MODEL, grid[:33], values[:33])[0]
+        assert out[:33].tobytes() == inside.tobytes()
+        assert np.array_equal(out[33:], values[33:])
 
     def test_misaligned_grid_rejected(self):
         grid = np.linspace(0.0, 1.0, 100)  # does not contain the kink
-        path = GridPath(grid, np.zeros(100) + np.sin(grid))
         with pytest.raises(InputError):
-            hadamard_lcm_derivative(PWA_MODEL, path)
+            YPlan(XZ2, PWA_MODEL, grid)
 
     def test_per_interval_hulls_match_oracle(self):
         grid = build_grid(PWA_MODEL, 200)
         u = PWA_MODEL.spec.cdf(grid)
         rng = default_stream(42)
-        for _ in range(20):
-            vals = _bridge_values(u, 1, rng)[0]
-            path = GridPath(grid, vals)
-            out = hadamard_lcm_derivative(PWA_MODEL, path)
+        paths = _bridge_values(u, 20, rng)
+        out = lcm_derivative(PWA_MODEL, grid, paths)
+        for vals, hulled in zip(paths, out):
             expected = vals.copy()
             for a, b in PWA_MODEL.affine_intervals():
                 ia = int(np.searchsorted(grid, a))
@@ -117,20 +117,19 @@ class TestHadamardDerivative:
                 seg = np.interp(grid[ia:ib + 1], grid[ia:ib + 1][idx],
                                 vals[ia:ib + 1][idx])
                 expected[ia:ib + 1] = np.maximum(vals[ia:ib + 1], seg)
-            assert np.array_equal(out.values, expected)
+            assert np.array_equal(hulled, expected)
 
     def test_majorizes_input_with_endpoint_equality(self):
         grid = build_grid(PWA_MODEL, 300)
         u = PWA_MODEL.spec.cdf(grid)
         rng = default_stream(9)
-        for _ in range(10):
-            vals = _bridge_values(u, 1, rng)[0]
-            out = hadamard_lcm_derivative(PWA_MODEL, GridPath(grid, vals))
-            assert np.all(out.values >= vals)
-            for a, b in PWA_MODEL.affine_intervals():
-                for endpoint in (a, b):
-                    i = int(np.searchsorted(grid, endpoint))
-                    assert out.values[i] == vals[i]
+        paths = _bridge_values(u, 10, rng)
+        out = lcm_derivative(PWA_MODEL, grid, paths)
+        assert np.all(out >= paths)
+        for a, b in PWA_MODEL.affine_intervals():
+            for endpoint in (a, b):
+                i = int(np.searchsorted(grid, endpoint))
+                assert np.array_equal(out[:, i], paths[:, i])
 
 
 class TestPlanRowHulls:
@@ -150,28 +149,32 @@ class TestPlanRowHulls:
         plan = YPlan(XZ2, model, grid)
         expected = -(hat[:, :-1] @ plan.dpsi + paths[:, plan.t_idx] @ plan.jumps)
         assert plan.apply(paths).tobytes() == expected.tobytes()
-        # one row through the LCM derivative: the same kernel, the same bytes
-        out = hadamard_lcm_derivative(model, GridPath(grid, paths[-1]))
-        assert out.values.tobytes() == hat[-1].tobytes()
+        # the last row hulled on its own: the same kernel, the same bytes
+        out = lcm_derivative(model, grid, paths[-1])
+        assert out.tobytes() == hat[-1].tobytes()
 
 
 class TestSampleY:
     def test_single_draw_is_finite_float(self):
-        y = sample_Y(Z2.as_smooth(), EXP_MODEL, 500, default_stream(0))
-        assert isinstance(y, float) and math.isfinite(y)
+        ys, _ = draw_y_samples(Z2.as_smooth(), EXP_MODEL, 500, 1, default_stream(0))
+        assert ys.shape == (1,) and ys.dtype == float and math.isfinite(ys[0])
 
     def test_uniform_truth_quadratic_is_degenerate(self):
         ys, _ = draw_y_samples(Z2.as_smooth(), UNIF_MODEL, 200, 50, default_stream(3))
         assert np.array_equal(ys, np.zeros(50))
 
     def test_y_from_path_matches_batch_logic(self):
+        # a 1-D path is a one-row batch; in a larger batch the matrix
+        # product may sum in another order, so rows agree to rounding
         grid = build_grid(PWA_MODEL, 100)
         u = PWA_MODEL.spec.cdf(grid)
-        vals = _bridge_values(u, 1, default_stream(5))[0]
-        path = GridPath(grid, vals)
-        direct = y_from_path(XZ2, PWA_MODEL, path)
+        paths = _bridge_values(u, 7, default_stream(5))
         plan = YPlan(XZ2, PWA_MODEL, grid)
-        assert direct == plan.apply(vals[None, :])[0]
+        batch = plan.apply(paths)
+        for k in (0, 3, 6):
+            one = plan.apply(paths[k])
+            assert one.tobytes() == plan.apply(paths[k:k + 1]).tobytes()
+            assert one[0] == pytest.approx(batch[k], rel=1e-12, abs=1e-15)
 
     def test_metadata_reports_truncation_and_tail(self):
         ys, info = draw_y_samples(Z2.as_smooth(), EXP_MODEL, 300, 20, default_stream(1))
