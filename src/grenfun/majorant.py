@@ -30,7 +30,8 @@ hull.  :func:`_upper_hull` is the one-run case (only the end points
 fixed), behind :func:`lcm` and the Grenander fit.
 :func:`_hull_rows` lays the rows of a path array end to end, with every
 interval endpoint fixed, and hulls a block of rows per kernel call; it
-serves the limit-law sampler.
+serves the limit-law sampler.  It returns the vertex indices alone and
+writes no hull values: the sampler sums each row on its vertices.
 """
 
 from __future__ import annotations
@@ -121,40 +122,29 @@ def _stack_scan(x: np.ndarray, y: np.ndarray, fixed: np.ndarray) -> list:
     return stack
 
 
-def _hull_rows(values: np.ndarray, xs: np.ndarray, fixed: np.ndarray) -> None:
-    """Replace every row of ``values`` by its upper concave hull over
-    each run of ``xs`` between fixed columns, in place.
+def _hull_rows(values: np.ndarray, xs: np.ndarray, fixed: np.ndarray) -> np.ndarray:
+    """Flat indices into ``values.reshape(-1)`` of the upper-hull vertices
+    of every row of ``values`` over each run of ``xs`` between fixed
+    columns, in increasing order.
 
     ``values`` is a C-contiguous 2-D array whose rows share the abscissae
     ``xs`` (strictly increasing) and the column mask ``fixed``, whose
-    first and last entries must be set.  Rows are hulled in blocks of
-    about ``ROW_BLOCK_POINTS`` points, one kernel call per block.  Hull
-    values are the chords of ``np.interp`` and only ever raise a point,
-    so a row that is its own hull is left bit for bit as it was.
+    first and last entries must be set, so every row starts and ends with
+    a vertex.  Rows are hulled in blocks of about ``ROW_BLOCK_POINTS``
+    points, one kernel call per block.  ``values`` is only read: the hull
+    between two consecutive vertices of a row is their chord.
     """
     rows_per_block = min(values.shape[0], max(1, ROW_BLOCK_POINTS // xs.size))
+    step = rows_per_block * xs.size
     block_x = np.tile(xs, rows_per_block)
     block_fixed = np.tile(fixed, rows_per_block)
-    for start in range(0, values.shape[0], rows_per_block):
-        flat = values[start:start + rows_per_block].reshape(-1)
-        x = block_x[:flat.size]
-        vi = _hull_indices(x, flat, block_fixed[:flat.size])
-        if vi.size == flat.size:
-            continue
-        vx = x[vi]
-        vy = flat[vi]
-        # np.interp's arithmetic: slope*(x - x_k) + y_k from the left
-        # vertex k.  The last vertex of a row has a slope toward the next
-        # row's first point; vertices themselves are never written.
-        slope = np.empty(vi.size)
-        np.divide(vy[1:] - vy[:-1], vx[1:] - vx[:-1], out=slope[:-1])
-        slope[-1] = 0.0
-        vertex = np.zeros(flat.size, dtype=bool)
-        vertex[vi] = True
-        k = np.cumsum(vertex)
-        k -= 1
-        chord = slope[k] * (x - vx[k]) + vy[k]
-        np.maximum(flat, chord, out=flat, where=~vertex)
+    flat = values.reshape(-1)
+    blocks = []
+    for start in range(0, flat.size, step):
+        chunk = flat[start:start + step]
+        blocks.append(_hull_indices(block_x[:chunk.size], chunk, block_fixed[:chunk.size])
+                      + start)
+    return np.concatenate(blocks)
 
 
 def _pool_ties(xs, ys):

@@ -3,7 +3,8 @@ algorithms so they can arbitrate correctness.
 
 The hull oracle decides vertex membership by checking every chord, which
 is the definition of the upper concave envelope; the row-hull reference
-hulls one row and one interval at a time; the isotonic oracle is a
+hulls one row and one interval at a time, and the chord fill turns the
+kernel's vertex indices into hull values; the isotonic oracle is a
 plain pool-adjacent-violators pass over weighted block means; the data
 file oracle parses one line at a time with Python's ``float``; the
 quadrature oracle integrates one Grenander piece at a time.
@@ -57,16 +58,47 @@ def stack_scan_hull_indices(xs, ys):
     return stack
 
 
-def hull_rows_by_row(values, grid, ia, ib):
-    """Replace values[:, ia:ib+1] with each row's upper concave hull, one
-    row at a time: vertices by the unpruned scan, hull values by
-    ``np.interp``, never below the input.  In place."""
-    seg_grid = grid[ia:ib + 1]
-    for row in values:
-        seg = row[ia:ib + 1]
-        idx = stack_scan_hull_indices(seg_grid, seg)
-        if len(idx) < seg_grid.size:
-            row[ia:ib + 1] = np.maximum(seg, np.interp(seg_grid, seg_grid[idx], seg[idx]))
+def hull_rows_by_row(values, grid, fixed):
+    """Replace each row of ``values`` with its upper concave hull over
+    every run of ``grid`` between fixed columns, one row and one run at a
+    time: vertices by the unpruned scan, hull values by ``np.interp``,
+    never below the input.  In place; returns the flat indices into
+    ``values.reshape(-1)`` of every row's vertices, in increasing order."""
+    ends = np.flatnonzero(fixed)
+    vertices = []
+    for r, row in enumerate(values):
+        base = r * grid.size
+        vertices.append(base + ends[0])
+        for ia, ib in zip(ends[:-1], ends[1:]):
+            seg_grid = grid[ia:ib + 1]
+            seg = row[ia:ib + 1]
+            idx = stack_scan_hull_indices(seg_grid, seg)
+            vertices.extend(base + ia + i for i in idx[1:])
+            if len(idx) < seg_grid.size:
+                row[ia:ib + 1] = np.maximum(seg, np.interp(seg_grid, seg_grid[idx], seg[idx]))
+    return np.array(vertices, dtype=np.intp)
+
+
+def fill_chords(values, xs, vertices):
+    """Raise every point of the C-contiguous rows ``values`` (abscissae
+    ``xs``) that is not among the flat ``vertices`` to the chord of the
+    vertices on either side, in place.  The chord is np.interp's
+    arithmetic, slope * (x - x_k) + y_k from the left vertex k; every row
+    must start and end with a vertex.  The reference for the hull values
+    that the kernel's vertices define."""
+    flat = values.reshape(-1)
+    x = np.tile(xs, values.shape[0])
+    vx = x[vertices]
+    vy = flat[vertices]
+    slope = np.empty(vertices.size)
+    np.divide(vy[1:] - vy[:-1], vx[1:] - vx[:-1], out=slope[:-1])
+    slope[-1] = 0.0
+    vertex = np.zeros(flat.size, dtype=bool)
+    vertex[vertices] = True
+    k = np.cumsum(vertex)
+    k -= 1
+    chord = slope[k] * (x - vx[k]) + vy[k]
+    np.maximum(flat, chord, out=flat, where=~vertex)
 
 
 def brute_force_hull_values(xs, ys):

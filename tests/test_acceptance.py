@@ -41,7 +41,7 @@ from grenfun import (
 from grenfun.limitlaw import YPlan, _bridge_values, build_grid
 from grenfun.majorant import _hull_rows
 
-from oracles import brute_force_hull_indices, grenander_levels_by_pava
+from oracles import brute_force_hull_indices, fill_chords, grenander_levels_by_pava
 
 ACCEPTANCE_SEED = 0
 Z2 = by_name("power:2")
@@ -210,23 +210,27 @@ def test_criterion_7_limit_sampler():
     efficient values at 1e5 draws, and per-interval hulls equal to the
     brute-force oracle on 200-point grids."""
     # (a) strictly concave: the derivative is the identity, bit for bit:
-    # the plan hulls nothing and sums the paths as they are
+    # the plan hulls nothing and sums the paths as they are, by the
+    # trapezoid weights (dpsi_(j-1) + dpsi_j) / 2
     exp_model = TrueModel.from_scenario(EXP1)
     grid = build_grid(exp_model, 500)
     paths = np.sin(np.outer([1.0, 0.5], grid))
     plan = YPlan(XZ2, exp_model, grid)
     assert not plan.needs_hull and plan.fixed is None
-    assert plan.apply(paths).tobytes() == (-(paths[:, :-1] @ plan.dpsi + 0.0)).tobytes()
+    padded = np.concatenate(([0.0], plan.dpsi, [0.0]))
+    weights = (padded[:-1] + padded[1:]) / 2
+    assert plan.apply(paths).tobytes() == (-(paths @ weights + 0.0)).tobytes()
 
     # (b) per-interval LCM against the oracle on 200-point grids, every
-    # row hulled in one kernel call with the plan's interval ends fixed
+    # row hulled in one kernel call with the plan's interval ends fixed,
+    # and filled from its vertices by the oracle's chord fill
     pwa_model = TrueModel.from_scenario(PWA)
     grid200 = build_grid(pwa_model, 200)
     u200 = pwa_model.spec.cdf(grid200)
     rng = default_stream(derive_seed(ACCEPTANCE_SEED, 71))
     paths = _bridge_values(u200, 20, rng)
     hat = paths.copy()
-    _hull_rows(hat, grid200, YPlan(XZ2, pwa_model, grid200).fixed)
+    fill_chords(hat, grid200, _hull_rows(hat, grid200, YPlan(XZ2, pwa_model, grid200).fixed))
     for vals, out in zip(paths, hat):
         expected = vals.copy()
         for a, b in pwa_model.affine_intervals():

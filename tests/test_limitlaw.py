@@ -1,11 +1,15 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grenfun import (
     InputError,
     ScenarioSpec,
+    SmoothFunctional,
     TrueModel,
     by_name,
     default_stream,
@@ -13,10 +17,11 @@ from grenfun import (
     ks_distance,
     linear_y_samples,
 )
+from grenfun import majorant
 from grenfun.limitlaw import YPlan, _bridge_values, build_grid, emit_y_csv, load_y_csv
 from grenfun.majorant import _hull_rows
 
-from oracles import brute_force_hull_indices, hull_rows_by_row
+from oracles import brute_force_hull_indices, fill_chords, hull_rows_by_row
 
 Z2 = by_name("power:2")
 XZ2 = by_name("xz2")
@@ -24,17 +29,56 @@ PWA_MODEL = TrueModel.from_scenario(ScenarioSpec.paper_pwa())
 EXP_MODEL = TrueModel.from_scenario(ScenarioSpec.exponential(1.0))
 UNIF_MODEL = TrueModel.from_scenario(ScenarioSpec.uniform(1.0))
 THREE_MODEL = TrueModel.from_scenario(ScenarioSpec.piecewise([0.5, 1.0, 2.0], [1.0, 0.6, 0.2]))
+# psi = 2 x^2 f(x) is not affine in x within a piece
+X2Z2 = SmoothFunctional(g=lambda z, x: x * x * z * z, gdot=lambda z, x: 2.0 * x * x * z,
+                        gddot=lambda z, x: 2.0 * x * x + 0.0 * z, vanishes_at_zero=True,
+                        name="x2z2")
 
 
 def lcm_derivative(model, grid, paths):
     """Rows of ``paths`` through the LCM derivative as YPlan.apply takes
-    it: hulled over each affine interval by the kernel under a
-    piecewise-affine truth, left as they are under a strictly concave one."""
+    it: under a piecewise-affine truth, hulled over each affine interval
+    on the kernel's vertices and filled by the oracle's chord fill; under
+    a strictly concave one, left as they are."""
     plan = YPlan(XZ2, model, grid)
     hat = np.array(paths, dtype=float, ndmin=2)
     if plan.needs_hull:
-        _hull_rows(hat, plan.grid, plan.fixed)
+        fill_chords(hat, plan.grid, _hull_rows(hat, plan.grid, plan.fixed))
     return hat
+
+
+def interval_mask(model, grid):
+    """The columns a hull keeps: the ends of every affine interval, and
+    every column past the last one, where nothing is hulled."""
+    ends = np.searchsorted(grid, np.ravel(model.affine_intervals()))
+    fixed = np.zeros(grid.size, dtype=bool)
+    fixed[ends] = True
+    fixed[ends[-1]:] = True
+    return fixed
+
+
+def trapezoid_weights(dpsi):
+    """c_j = (dpsi_{j-1} + dpsi_j) / 2, with dpsi zero past either end."""
+    padded = np.concatenate(([0.0], dpsi, [0.0]))
+    return (padded[:-1] + padded[1:]) / 2
+
+
+def trapezoid_reference(plan, hat, paths):
+    """Minus the grid trapezoid sum of the hulled rows ``hat``,
+    sum_i (h_i + h_(i+1)) / 2 dpsi_i, plus the jumps of psi at the
+    breakpoint values of ``paths``; and the sum of the absolute values of
+    those terms, per row."""
+    terms = (hat[:, :-1] + hat[:, 1:]) / 2 * plan.dpsi
+    jumps = paths[:, plan.t_idx] * plan.jumps
+    return (-(terms.sum(axis=1) + jumps.sum(axis=1)),
+            np.abs(terms).sum(axis=1) + np.abs(jumps).sum(axis=1))
+
+
+def var_with_se(ys):
+    """Sample variance and its empirical standard error."""
+    v = float(np.var(ys, ddof=1))
+    centered = ys - np.mean(ys)
+    return v, math.sqrt((float(np.mean(centered ** 4)) - v * v) / ys.size)
 
 
 class TestBridgePath:
@@ -81,7 +125,8 @@ class TestHadamardDerivative:
         plan = YPlan(XZ2, EXP_MODEL, grid)
         assert not plan.needs_hull and plan.fixed is None
         assert lcm_derivative(EXP_MODEL, grid, paths).tobytes() == paths.tobytes()
-        assert plan.apply(paths).tobytes() == (-(paths[:, :-1] @ plan.dpsi + 0.0)).tobytes()
+        expected = -(paths @ trapezoid_weights(plan.dpsi) + 0.0)
+        assert plan.apply(paths).tobytes() == expected.tobytes()
 
     def test_single_interval_affine_unchanged(self):
         grid = np.arange(33) / 32.0
@@ -134,7 +179,9 @@ class TestHadamardDerivative:
 
 class TestPlanRowHulls:
     """YPlan.apply hulls all rows and intervals in blocks through one
-    kernel; each row must match hulling it one interval at a time."""
+    kernel and sums each row on its vertices; the vertices must be those
+    of hulling each row one interval at a time, and the sum the grid
+    trapezoid of the filled rows."""
 
     @pytest.mark.parametrize("model", [PWA_MODEL, THREE_MODEL], ids=["paper_pwa", "three"])
     @pytest.mark.parametrize("grid_size,rows", [(50, 400), (1000, 70), (3000, 25)])
@@ -143,15 +190,61 @@ class TestPlanRowHulls:
         paths = _bridge_values(np.asarray(model.spec.cdf(grid), dtype=float), rows,
                                default_stream(grid_size + rows))
         hat = paths.copy()
-        for a, b in model.affine_intervals():
-            hull_rows_by_row(hat, grid, int(np.searchsorted(grid, a)),
-                             int(np.searchsorted(grid, b)))
+        vertices = hull_rows_by_row(hat, grid, interval_mask(model, grid))
         plan = YPlan(XZ2, model, grid)
-        expected = -(hat[:, :-1] @ plan.dpsi + paths[:, plan.t_idx] @ plan.jumps)
-        assert plan.apply(paths).tobytes() == expected.tobytes()
+        assert _hull_rows(paths, plan.grid, plan.fixed).tobytes() == vertices.tobytes()
+        expected, scale = trapezoid_reference(plan, hat, paths)
+        assert np.all(np.abs(plan.apply(paths) - expected) <= 1e-12 * scale)
         # the last row hulled on its own: the same kernel, the same bytes
         out = lcm_derivative(model, grid, paths[-1])
         assert out.tobytes() == hat[-1].tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           model=st.sampled_from([PWA_MODEL, THREE_MODEL]),
+           G=st.sampled_from([XZ2, X2Z2]),
+           grid_size=st.integers(2, 1500),
+           uniform=st.booleans(),
+           rows=st.integers(1, 12),
+           rows_per_block=st.integers(1, 4),
+           slack=st.floats(0.0, 0.99))
+    def test_vertex_sum_matches_filled_trapezoid(self, seed, model, G, grid_size, uniform,
+                                                  rows, rows_per_block, slack):
+        # summation by parts needs no psi affine within a piece (X2Z2) and
+        # no uniform grid; the block size is cut so that rows cross blocks,
+        # and each bridge row is shifted so that rows do not end at 0
+        rng = np.random.default_rng(seed)
+        if uniform:
+            grid = build_grid(model, grid_size)
+        else:
+            grid = np.union1d(rng.random(grid_size) * model.truncation,
+                              np.concatenate(([0.0], model.breakpoints)))
+        paths = _bridge_values(np.asarray(model.spec.cdf(grid), dtype=float), rows, rng)
+        paths += rng.standard_normal((rows, 1))
+        hat = paths.copy()
+        vertices = hull_rows_by_row(hat, grid, interval_mask(model, grid))
+        plan = YPlan(G, model, grid)
+        block = rows_per_block * grid.size + int(slack * grid.size)
+        with mock.patch.object(majorant, "ROW_BLOCK_POINTS", block):
+            assert _hull_rows(paths, plan.grid, plan.fixed).tobytes() == vertices.tobytes()
+            got = plan.apply(paths)
+        expected, scale = trapezoid_reference(plan, hat, paths)
+        assert np.all(np.abs(got - expected) <= 1e-12 * scale)
+
+    def test_vertex_sum_keeps_its_digits_on_a_fine_grid(self):
+        # at grid 19601 the kink of paper_pwa lies 9.2e-10 from a grid
+        # point; plain running sums of psi and of its integral drift by
+        # about 1e-12 of the sum over the 19602 cells, compensated ones
+        # stay at rounding level
+        grid = build_grid(PWA_MODEL, 19601)
+        assert np.diff(grid).min() < 1e-9
+        paths = _bridge_values(np.asarray(PWA_MODEL.spec.cdf(grid), dtype=float), 20,
+                               default_stream(19601))
+        hat = paths.copy()
+        hull_rows_by_row(hat, grid, interval_mask(PWA_MODEL, grid))
+        plan = YPlan(XZ2, PWA_MODEL, grid)
+        expected, scale = trapezoid_reference(plan, hat, paths)
+        assert np.all(np.abs(plan.apply(paths) - expected) <= 1e-14 * scale)
 
 
 class TestSampleY:
@@ -181,6 +274,9 @@ class TestSampleY:
         assert info["truncation"] == pytest.approx(-math.log(1e-6), rel=1e-9)
         assert 0.0 < info["tail_bound"] < 1e-4
         assert info["draws"] == 20
+        # no tail past a piecewise-affine truth's support
+        _, info = draw_y_samples(XZ2, PWA_MODEL, 300, 20, default_stream(1))
+        assert info["truncation"] == 1.0 and info["tail_bound"] == 0.0
 
     def test_emit_and_load_round_trip(self, tmp_path):
         ys, info = draw_y_samples(Z2.as_smooth(), PWA_MODEL, 100, 10_000, default_stream(2))
@@ -194,6 +290,15 @@ class TestSampleY:
 
 @pytest.mark.slow
 class TestDistributionalInvariants:
+    def test_variance_matches_the_limit_at_grid_1000(self):
+        # exponential/xz2: the trapezoid sum's exact variance at grid 1000
+        # is 0.046286 against the limit's 8/27 - 1/4 = 0.046296, well
+        # inside 3 SEs (about 0.0006) at 1e5 draws; a left-endpoint sum
+        # (0.044903) misses by about 7 SEs
+        ys, _ = draw_y_samples(XZ2, EXP_MODEL, 1000, 100_000, default_stream(500))
+        v, se = var_with_se(ys)
+        assert abs(v - (8.0 / 27.0 - 0.25)) < 3.0 * se
+
     def test_linear_formula_agrees_with_path_sampler(self):
         # x-free functional, piecewise-affine truth: the two samplers
         # share one law (KS < 0.01 at 1e5 draws)

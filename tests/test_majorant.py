@@ -18,7 +18,12 @@ from grenfun.limitlaw import _bridge_values
 from grenfun import majorant
 from grenfun.majorant import PRUNE_FLOOR, _hull_indices, _hull_rows
 
-from oracles import brute_force_hull_indices, hull_rows_by_row, stack_scan_hull_indices
+from oracles import (
+    brute_force_hull_indices,
+    fill_chords,
+    hull_rows_by_row,
+    stack_scan_hull_indices,
+)
 
 
 def random_point_set(rng, max_n=200, dyadic=False):
@@ -87,11 +92,18 @@ class TestOracleAgreement:
 
 
 def _per_run_reference(values, xs, fixed):
+    """Each row hulled one run at a time by the oracle, and the flat
+    indices of its vertices."""
     ref = values.copy()
-    ends = np.flatnonzero(fixed)
-    for ia, ib in zip(ends[:-1], ends[1:]):
-        hull_rows_by_row(ref, xs, ia, ib)
-    return ref
+    return ref, hull_rows_by_row(ref, xs, fixed)
+
+
+def _hull_in_place(values, xs, fixed):
+    """The kernel's vertices of every row, with the rows filled to their
+    hull by the oracle's chord fill; returns the vertices."""
+    vertices = _hull_rows(values, xs, fixed)
+    fill_chords(values, xs, vertices)
+    return vertices
 
 
 def _ends(n):
@@ -220,7 +232,8 @@ class TestSegmentedKernel:
         assert np.array_equal(_hull_indices(flat_x, values.reshape(-1), flat_fixed),
                               np.arange(values.size))
         before = values.copy()
-        _hull_rows(values, xs, fixed)
+        vertices = _hull_in_place(values, xs, fixed)
+        assert vertices.tobytes() == np.arange(values.size).tobytes()
         assert values.tobytes() == before.tobytes()
 
     def test_stall_scans_only_runs_that_dropped(self, monkeypatch):
@@ -243,8 +256,8 @@ class TestSegmentedKernel:
             return scan(x, y, fx)
 
         monkeypatch.setattr(majorant, "_stack_scan", recording_scan)
-        expected = _per_run_reference(values, xs, fixed)
-        _hull_rows(values, xs, fixed)
+        expected, expected_vertices = _per_run_reference(values, xs, fixed)
+        assert _hull_in_place(values, xs, fixed).tobytes() == expected_vertices.tobytes()
         assert values.tobytes() == expected.tobytes()
         (interior,) = scanned
         assert np.any(interior < -1e5)      # the chain is scanned
@@ -262,8 +275,8 @@ class TestSegmentedKernel:
         fixed[[0, 100, 256]] = True
         values = _bridge_values(xs, rows, np.random.default_rng(304 + rows))
         values[:, -1] += np.linspace(-0.5, 0.5, rows)   # end values off zero
-        expected = _per_run_reference(values, xs, fixed)
-        _hull_rows(values, xs, fixed)
+        expected, expected_vertices = _per_run_reference(values, xs, fixed)
+        assert _hull_in_place(values, xs, fixed).tobytes() == expected_vertices.tobytes()
         assert values.tobytes() == expected.tobytes()
         last_rows = np.append(np.arange(2, rows, 3), rows - 1)
         assert values[last_rows, -1].tobytes() == expected[last_rows, -1].tobytes()
@@ -299,10 +312,11 @@ class TestSegmentedKernel:
                 row[:] = rng.integers(0, 9, cols) / 8.0
             else:
                 row[:] = rng.integers(-8, 9) / 4.0 + rng.integers(-8, 9) / 4.0 * xs
-        expected = _per_run_reference(values, xs, fixed)
+        expected, expected_vertices = _per_run_reference(values, xs, fixed)
         block = rows_per_block * cols + int(slack * cols)
         with mock.patch.object(majorant, "ROW_BLOCK_POINTS", block):
-            _hull_rows(values, xs, fixed)
+            vertices = _hull_in_place(values, xs, fixed)
+        assert vertices.tobytes() == expected_vertices.tobytes()
         assert values.tobytes() == expected.tobytes()
 
 
@@ -359,14 +373,15 @@ class TestPiecewiseLinearConcaveType:
 
 class TestRestrictedLcm:
     """The LCM of a path over one span of its grid: ``_hull_rows`` on one
-    row, with the span's interior free and every other point fixed."""
+    row, with the span's interior free and every other point fixed, and
+    the row filled to its hull by the oracle's chord fill."""
 
     @staticmethod
     def _restricted(values, grid, ia, ib):
         fixed = np.ones(grid.size, dtype=bool)
         fixed[ia + 1:ib] = False
         row = np.array(values, dtype=float, ndmin=2)
-        _hull_rows(row, grid, fixed)
+        _hull_in_place(row, grid, fixed)
         return row[0]
 
     def test_affine_path_unchanged(self):
