@@ -2,8 +2,10 @@
 
 Subcommands: ``estimate`` (fit a data file and evaluate a functional,
 optionally with a confidence interval), ``simulate`` (replication study
-from a JSON config), ``limit-sample`` (draws of the limiting variable),
-and ``uniform-clt`` (the uniform-truth standardized-statistic study).
+from a JSON config), ``coverage`` (empirical coverage of the confidence
+interval, from the same config), ``limit-sample`` (draws of the limiting
+variable), and ``uniform-clt`` (the uniform-truth standardized-statistic
+study).
 
 Exit codes: 0 success, 2 configuration/input error, 3 numeric failure.
 """
@@ -13,17 +15,16 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
 from .errors import InputError, NumericError
 from .functionals import ScalarFunctional, by_name, mu_plugin, tau_plugin
 from .grenander import fit
-from .harness import StudyConfig, run_study, run_uniform_study
-from .inference import ci_mu, normal_interval, sigma_eff_tau
+from .harness import StudyConfig, read_run_config, run_coverage, run_study, run_uniform_study
+from .inference import efficient_interval
 from .limitlaw import TrueModel, draw_y_samples, emit_y_csv
-from .samples import ScenarioSpec, default_stream, read_observations
+from .samples import default_stream, read_observations
 
 
 def _positive_int(text: str) -> int:
@@ -63,6 +64,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run a replication study from JSON config")
     sim.add_argument("--config", required=True, type=Path)
 
+    cov = sub.add_parser("coverage", help="coverage of the confidence interval, "
+                                          "from a study's JSON config")
+    cov.add_argument("--config", required=True, type=Path)
+    cov.add_argument("--level", type=float, default=0.95,
+                     help="nominal level of the interval (default 0.95)")
+
     lim = sub.add_parser("limit-sample", help="sample the limiting variable")
     lim.add_argument("--config", required=True, type=Path,
                      help="JSON with scenario, functional, optional grid_size")
@@ -82,16 +89,13 @@ def _cmd_estimate(args) -> int:
     fn = by_name(args.functional)
     density = fit(sample)
     result = {"functional": args.functional, "n": sample.n}
-    if isinstance(fn, ScalarFunctional):
-        result["estimate"] = mu_plugin(fn, density)
-        if args.ci is not None:
-            result["ci"] = ci_mu(fn, sample, args.ci, density).to_json()
+    if args.ci is None:
+        plugin = mu_plugin if isinstance(fn, ScalarFunctional) else tau_plugin
+        result["estimate"] = plugin(fn, density)
     else:
-        result["estimate"] = tau_plugin(fn, density)
-        if args.ci is not None:
-            sigma = math.sqrt(sigma_eff_tau(fn, sample, density))
-            result["ci"] = normal_interval(result["estimate"], sigma, sample.n,
-                                           args.ci).to_json()
+        ci = efficient_interval(fn, sample, args.ci, density)
+        result["estimate"] = ci.estimate
+        result["ci"] = ci.to_json()
     print(json.dumps(result, sort_keys=True))
     if args.out != Path("."):
         args.out.mkdir(parents=True, exist_ok=True)
@@ -99,34 +103,38 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-def _cmd_simulate(args) -> int:
+def _study_config(args) -> StudyConfig:
     config = StudyConfig.from_json(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
-    reports = run_study(config, threads=args.threads, out_dir=args.out)
+    return config
+
+
+def _cmd_simulate(args) -> int:
+    reports = run_study(_study_config(args), threads=args.threads, out_dir=args.out)
     for report in reports:
         print(json.dumps(report.to_json(), sort_keys=True))
     return 0
 
 
+def _cmd_coverage(args) -> int:
+    for record in run_coverage(_study_config(args), args.level, threads=args.threads):
+        print(json.dumps(record, sort_keys=True))
+    return 0
+
+
 def _cmd_limit_sample(args) -> int:
-    try:
-        obj = json.loads(Path(args.config).read_text())
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{args.config}: invalid JSON: {exc}") from None
-    if not isinstance(obj, dict) or "scenario" not in obj or "functional" not in obj:
-        raise InputError("limit-sample config needs 'scenario' and 'functional'")
-    spec = ScenarioSpec.from_json(obj["scenario"])
-    fn = by_name(obj["functional"])
+    spec, name, seed, grid_size = read_run_config(args.config)
+    if args.seed is not None:
+        seed = args.seed
+    fn = by_name(name)
     if isinstance(fn, ScalarFunctional):
         fn = fn.as_smooth()
-    grid_size = int(obj.get("grid_size", 1000))
-    seed = args.seed if args.seed is not None else obj.get("seed", spec.seed or 0)
     model = TrueModel.from_scenario(spec)
     ys, info = draw_y_samples(fn, model, grid_size, args.draws, default_stream(seed))
     info["seed"] = int(seed)
     args.out.mkdir(parents=True, exist_ok=True)
-    slug = obj["functional"].replace(":", "")
+    slug = name.replace(":", "")
     path = args.out / f"{spec.kind}_{slug}_y.csv"
     emit_y_csv(path, ys, info)
     print(json.dumps({"file": str(path), "draws": len(ys),
@@ -147,6 +155,7 @@ def _cmd_uniform_clt(args) -> int:
 _COMMANDS = {
     "estimate": _cmd_estimate,
     "simulate": _cmd_simulate,
+    "coverage": _cmd_coverage,
     "limit-sample": _cmd_limit_sample,
     "uniform-clt": _cmd_uniform_clt,
 }

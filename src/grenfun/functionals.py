@@ -285,30 +285,37 @@ def tau_plugin(G: SmoothFunctional, d: StepDensity, domain=None, order: int = 16
     if domain is not None and float(domain[1]) < d.support_end:
         raise InputError("declared domain ends inside the density's support")
     edges = np.concatenate(([0.0], d.breakpoints))
-    a, b = edges[:-1], edges[1:]
-    coarse = _gl_rows(G.g, d.levels, a, b, order)
-    fine = None if coarse is None else _gl_rows(G.g, d.levels, a, b, 2 * order)
+    tail = None
+    if domain is not None and float(domain[1]) > d.support_end and not G.vanishes_at_zero:
+        tail = (d.support_end, float(domain[1]))
+    return _quadrature(G.g, d.levels, edges[:-1], edges[1:], order, tail)
+
+
+def _quadrature(g, levels, a, b, order: int, tail=None) -> float:
+    """The quadrature of :func:`tau_plugin`: the sum over pieces i, left to
+    right, of the integral of g(levels[i], x) dx on [a[i], b[i]], plus
+    that of g(0, x) dx on the ``tail`` interval if one is given."""
+    coarse = _gl_rows(g, levels, a, b, order)
+    fine = None if coarse is None else _gl_rows(g, levels, a, b, 2 * order)
     if fine is None:
-        fine = np.empty(d.levels.size)
-        redo = range(d.levels.size)
+        fine = np.empty(levels.size)
+        redo = range(levels.size)
     else:
         redo = np.flatnonzero(~_converged(coarse, fine))
     unresolved = []  # (error, where) of each piece left at the depth cap
     for i in redo:
-        v = d.levels[i]
-        fine[i], err = _integrate_piece(lambda x, v=v: G.g(v, x), a[i], b[i], order)
+        v = levels[i]
+        fine[i], err = _integrate_piece(lambda x, v=v: g(v, x), a[i], b[i], order)
         if err:
             unresolved.append((err, f"piece {i} on [{float(a[i])!r}, {float(b[i])!r}]"))
     total = 0.0
     for value in fine.tolist():
         total += value
-    if domain is not None:
-        t_end = float(domain[1])
-        if t_end > d.support_end and not G.vanishes_at_zero:
-            tail, err = _integrate_piece(lambda x: G.g(0.0, x), d.support_end, t_end, order)
-            if err:
-                unresolved.append((err, f"the tail on [{d.support_end!r}, {t_end!r}]"))
-            total += tail
+    if tail is not None:
+        value, err = _integrate_piece(lambda x: g(0.0, x), tail[0], tail[1], order)
+        if err:
+            unresolved.append((err, f"the tail on [{tail[0]!r}, {tail[1]!r}]"))
+        total += value
     if unresolved:
         err, where = max(unresolved, key=lambda item: item[0])
         raise NumericError(

@@ -1,15 +1,20 @@
-"""Replication studies, Kolmogorov-Smirnov comparisons, and reports.
+"""Replication studies, coverage studies, Kolmogorov-Smirnov
+comparisons, and reports.
 
 Standardization of scenario studies uses the known truth (the functional
 value and efficient variance of the data-generating density), matching
-the convention of limiting-distribution figures; CI-coverage experiments
-use the estimated variance separately.  Replication r draws from the
-stream seeded by ``derive_seed(seed, r)``, a SeedSequence hash of the
-study seed and the replication index alone.  It involves neither the
-sample size nor the scheduling, so statistics arrays are byte-identical
-regardless of how replications are spread over workers, and adding a
-sample size to a study leaves the statistics at the other sizes
-unchanged.
+the convention of limiting-distribution figures; coverage studies use
+the estimated variance instead.  Truths follow the plug-in principle:
+each is the functional's own g or gdot integrated against the scenario's
+density by the plug-in's quadrature (:func:`_truth`); no functional has
+a closed form of its own.
+
+Replication r draws from the stream seeded by ``derive_seed(seed, r)``,
+a SeedSequence hash of the study seed and the replication index alone.
+It involves neither the sample size nor the scheduling, so statistics
+arrays are byte-identical regardless of how replications are spread
+over workers, and adding a sample size to a study leaves the statistics
+at the other sizes unchanged.
 """
 
 from __future__ import annotations
@@ -25,11 +30,12 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError, NumericError
-from .functionals import ScalarFunctional, by_name, mu_plugin, tau_plugin
+from .functionals import ScalarFunctional, _quadrature, _step_sum, by_name, mu_plugin, tau_plugin
 from .grenander import fit
-from .inference import normal_cdf, normal_quantile, uniform_clt_statistic
+from .inference import efficient_interval, normal_cdf, normal_quantile, uniform_clt_statistic
 from .limitlaw import TrueModel, draw_y_samples, emit_y_csv
-from .samples import ScenarioSpec, default_stream, derive_seed, draw
+from .samples import (ScenarioSpec, config_field, default_stream, derive_seed, draw,
+                      read_json_object)
 
 log = logging.getLogger(__name__)
 
@@ -37,56 +43,54 @@ _QQ_PROBS = np.arange(1, 100) / 100.0
 _Y_SEED_SALT = 0x9E3779B9
 
 
-# -- closed-form truths for the built-in scenario/functional pairs --------
+# -- truths: the functional evaluated at the scenario's density ------------
 
-def _pw_moment(spec: ScenarioSpec, power: float) -> float:
-    """Integral of f(x)^power over the support, piecewise kinds."""
-    ts, vs = spec._pw_arrays()
-    return float(np.dot(vs ** power, np.diff(ts, prepend=0.0)))
+#: cells of an exponential truth, cut at the quantiles 1 - 2^-k
+_EXP_CELLS = 64
+
+
+def _integral(spec: ScenarioSpec, phi, x_free: bool) -> float:
+    """Integral of phi(f(x), x) dx at the scenario's density f, by the
+    quadrature of :func:`tau_plugin` over the step pieces of a piecewise
+    truth (an exact step sum when phi is x-free), or over the cells
+    [(k-1) ln2 / rate, k ln2 / rate], k <= 64, of an exponential truth,
+    which leave out the mass 2^-64."""
+    if spec.kind == "exponential":
+        edges = np.arange(_EXP_CELLS + 1) * (math.log(2.0) / spec.params["rate"])
+        # the levels are placeholders: f is evaluated at the nodes
+        levels, integrand = np.zeros(_EXP_CELLS), (lambda _, x: phi(spec.density(x), x))
+    else:
+        d = spec.true_density()
+        if x_free:
+            return _step_sum(lambda z: phi(z, 0.0), d, None)
+        edges = np.concatenate(([0.0], d.breakpoints))
+        levels, integrand = d.levels, phi
+    return _quadrature(integrand, levels, edges[:-1], edges[1:], 16)
+
+
+def _truth(spec: ScenarioSpec, fn) -> tuple:
+    """(tau, sigma^2) of a functional at the scenario's density f:
+    tau = integral of g(f(x), x) dx, and sigma^2 = Var psi(X) with
+    psi(x) = gdot(f(x), x) and X ~ f, as the centered second moment.
+    Each moment is divided by the integral of f, so that a constant psi
+    gets exactly 0."""
+    G = fn.as_smooth() if isinstance(fn, ScalarFunctional) else fn
+    if not G.vanishes_at_zero:
+        raise NumericError("divergent tail: g(0, .) not declared zero beyond the support")
+    mass = _integral(spec, lambda z, x: z, True)
+    mean = _integral(spec, lambda z, x: G.gdot(z, x) * z, G.x_free) / mass
+    var = _integral(spec, lambda z, x: (G.gdot(z, x) - mean) ** 2 * z, G.x_free) / mass
+    return _integral(spec, G.g, G.x_free), var
 
 
 def true_tau(spec: ScenarioSpec, functional_name: str) -> float:
-    """Closed-form value of the functional at the scenario truth."""
-    fn = by_name(functional_name)
-    if isinstance(fn, ScalarFunctional):
-        p = int(functional_name.split(":")[1]) if ":" in functional_name else 1
-        if spec.kind == "exponential":
-            rate = spec.params["rate"]
-            return rate ** (p - 1) / p
-        return _pw_moment(spec, p)
-    if functional_name == "xz2":
-        if spec.kind == "exponential":
-            return 0.25
-        ts, vs = spec._pw_arrays()
-        edges = np.concatenate(([0.0], ts))
-        return float(np.dot(vs ** 2, np.diff(edges ** 2) / 2.0))
-    raise InputError(f"no closed-form truth for functional {functional_name!r}")
+    """Value of the functional at the scenario truth."""
+    return _truth(spec, by_name(functional_name))[0]
 
 
 def true_sigma_eff(spec: ScenarioSpec, functional_name: str) -> float:
-    """Closed-form efficient variance Var(gdot(f(X), X)) at the truth."""
-    fn = by_name(functional_name)
-    if isinstance(fn, ScalarFunctional):
-        p = int(functional_name.split(":")[1]) if ":" in functional_name else 1
-        if p == 1:
-            return 0.0
-        if spec.kind == "exponential":
-            rate = spec.params["rate"]
-            m_hi = rate ** (2 * p - 2) / (2 * p - 1)
-            m_lo = rate ** (p - 1) / p
-            return p * p * (m_hi - m_lo * m_lo)
-        m_hi = _pw_moment(spec, 2 * p - 1)
-        m_lo = _pw_moment(spec, p)
-        return p * p * (m_hi - m_lo * m_lo)
-    if functional_name == "xz2":
-        if spec.kind == "exponential":
-            return 8.0 / 27.0 - 0.25
-        ts, vs = spec._pw_arrays()
-        edges = np.concatenate(([0.0], ts))
-        second = 4.0 * float(np.dot(vs ** 3, np.diff(edges ** 3) / 3.0))
-        first = float(np.dot(vs ** 2, np.diff(edges ** 2)))
-        return second - first * first
-    raise InputError(f"no closed-form variance for functional {functional_name!r}")
+    """Efficient variance Var(gdot(f(X), X)) at the scenario truth."""
+    return _truth(spec, by_name(functional_name))[1]
 
 
 def reference_is_normal(spec: ScenarioSpec, functional_name: str) -> bool:
@@ -130,8 +134,9 @@ def ks_distance(sample, reference) -> float:
 # -- configuration and report records --------------------------------------
 
 def _check_budget(n_values, replications) -> None:
-    if replications < 1 or any(n < 1 for n in n_values):
-        raise InputError("replications and sample sizes must be positive")
+    if replications < 1 or len(n_values) == 0 or any(n < 1 for n in n_values):
+        raise InputError("replications and sample sizes must be positive, "
+                         "with at least one sample size")
 
 
 @dataclass(frozen=True)
@@ -153,29 +158,29 @@ class StudyConfig:
 
     @staticmethod
     def from_json(obj) -> "StudyConfig":
-        if isinstance(obj, (str, Path)):
-            try:
-                obj = json.loads(Path(obj).read_text())
-            except json.JSONDecodeError as exc:
-                raise InputError(f"invalid config JSON: {exc}") from None
-        if not isinstance(obj, dict):
-            raise InputError("study config must be a JSON object")
-        try:
-            scenario = ScenarioSpec.from_json(obj["scenario"])
-            n_values = obj.get("n") or obj["n_values"]
-            if isinstance(n_values, (int, float)):
-                n_values = [n_values]
-            return StudyConfig(
-                scenario=scenario,
-                functional=obj["functional"],
-                n_values=tuple(int(v) for v in n_values),
-                replications=int(obj.get("replications", 1000)),
-                seed=int(obj.get("seed", scenario.seed or 0)),
-                grid_size=int(obj.get("grid_size", 1000)),
-                reference_draws=int(obj.get("reference_draws", 10000)),
-            )
-        except KeyError as exc:
-            raise InputError(f"study config missing field {exc}") from None
+        what = "study config"
+        obj = read_json_object(obj, what)
+        scenario, functional, seed, grid_size = read_run_config(obj, what)
+        n_values = config_field(what, obj, "n" if "n" in obj else "n_values", _sizes)
+        return StudyConfig(scenario, functional, n_values,
+                           config_field(what, obj, "replications", int, 1000), seed, grid_size,
+                           config_field(what, obj, "reference_draws", int, 10000))
+
+
+def _sizes(value) -> tuple:
+    return tuple(int(v) for v in (value if isinstance(value, (list, tuple)) else [value]))
+
+
+def read_run_config(obj, what: str = "limit-sample config") -> tuple:
+    """(scenario, functional name, seed, grid size) of a config, the
+    fields a study config shares with a limit-sample config; ``seed``
+    defaults to the scenario's, else 0, and ``grid_size`` to 1000."""
+    obj = read_json_object(obj, what)
+    scenario = ScenarioSpec.from_json(config_field(what, obj, "scenario", dict))
+    functional = config_field(what, obj, "functional", str)
+    by_name(functional)
+    seed = config_field(what, obj, "seed", int, scenario.seed or 0)
+    return scenario, functional, seed, config_field(what, obj, "grid_size", int, 1000)
 
 
 @dataclass
@@ -275,6 +280,13 @@ def _study_statistic(args) -> float:
     return math.sqrt(n) * (est - truth)
 
 
+def _coverage_draw(args) -> tuple:
+    scenario_json, functional_name, n, seed, level, truth, rep = args
+    s = draw(ScenarioSpec.from_json(scenario_json), n, default_stream(derive_seed(seed, rep)))
+    ci = efficient_interval(by_name(functional_name), s, level)
+    return float(ci.lower <= truth <= ci.upper), ci.width
+
+
 def _uniform_statistic(args) -> float:
     functional_name, n, seed, rep = args
     h = by_name(functional_name)
@@ -353,6 +365,31 @@ def run_study(config: StudyConfig, threads: int = 1, out_dir=None) -> list:
             report.write(out_dir)
         reports.append(report)
     return reports
+
+
+def run_coverage(config: StudyConfig, level: float, threads: int = 1) -> list:
+    """Per sample size, the share of replications whose efficient-variance
+    interval at ``level`` holds the truth, and the mean interval width.
+    Replication r draws from ``derive_seed(seed, r)``, as in
+    :func:`run_study`, so the records do not depend on ``threads``."""
+    if not 0.0 < level < 1.0:
+        raise InputError("confidence level must lie in (0, 1)")
+    truth = true_tau(config.scenario, config.functional)
+    scenario_json = config.scenario.to_json()
+    records = []
+    for n in config.n_values:
+        args = [(scenario_json, config.functional, n, config.seed, level, truth, rep)
+                for rep in range(config.replications)]
+        hits, widths = _map_replications(_coverage_draw, args, threads).T
+        records.append({
+            "scenario": scenario_json, "functional": config.functional, "n": n,
+            "replications": config.replications, "seed": config.seed,
+            "level": level, "truth": truth,
+            "coverage": int(hits.sum()) / config.replications,
+            # cumsum adds in replication order, as a loop over the draws does
+            "mean_width": float(np.cumsum(widths)[-1]) / config.replications,
+        })
+    return records
 
 
 def run_uniform_study(functional_name: str, n_values, replications: int,

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericError
-from .functionals import ScalarFunctional, SmoothFunctional, _apply, mu_plugin
+from .functionals import ScalarFunctional, SmoothFunctional, _apply, mu_plugin, tau_plugin
 from .grenander import StepDensity, evaluate, fit
 from .samples import Sample
 
@@ -141,15 +141,24 @@ def normal_interval(estimate: float, sigma_hat: float, n: int,
     )
 
 
-def ci_mu(h: ScalarFunctional, s: Sample, level: float,
-          d: StepDensity | None = None) -> ConfidenceInterval:
-    """Asymptotically valid interval for the integral of h(f).
+def efficient_interval(fn, s: Sample, level: float,
+                       d: StepDensity | None = None) -> ConfidenceInterval:
+    """Asymptotically valid interval for a functional of either kind: the
+    plug-in estimate +- z sigma_hat / sqrt(n), with sigma_hat^2 the
+    plug-in efficient variance (:func:`sigma_eff_mu` for a
+    :class:`ScalarFunctional`, :func:`sigma_eff_tau` otherwise).
 
     ``d`` is the Grenander fit of ``s``; it is computed when not given.
     """
     if d is None:
         d = fit(s)
-    return normal_interval(mu_plugin(h, d), math.sqrt(sigma_eff_mu(h, d)), s.n, level)
+    if isinstance(fn, ScalarFunctional):
+        return normal_interval(mu_plugin(fn, d), math.sqrt(sigma_eff_mu(fn, d)), s.n, level)
+    return normal_interval(tau_plugin(fn, d), math.sqrt(sigma_eff_tau(fn, s, d)), s.n, level)
+
+
+#: the interval for the integral of h(f), a functional of the density alone
+ci_mu = efficient_interval
 
 
 def uniform_clt_statistic(h: ScalarFunctional, s: Sample) -> float:

@@ -129,15 +129,15 @@ class ScenarioSpec:
                 + ", ".join(SCENARIO_KINDS)
             )
         if self.kind == "exponential":
-            rate = float(self.params.get("rate", 0.0))
-            if not rate > 0.0:
+            if not config_field("scenario params", self.params, "rate", _real, 0.0) > 0.0:
                 raise InputError("exponential scenario needs rate > 0")
         elif self.kind == "uniform":
-            upper = float(self.params.get("upper", 0.0))
-            if not upper > 0.0:
+            if not config_field("scenario params", self.params, "upper", _real, 0.0) > 0.0:
                 raise InputError("uniform scenario needs upper > 0")
         elif self.kind == "piecewise_constant":
-            ts, vs = self._pw_arrays()
+            ts, vs = (config_field("scenario params", self.params, key,
+                                   lambda v: np.asarray(v, dtype=float))
+                      for key in ("breakpoints", "levels"))
             if ts.size == 0 or ts.size != vs.size:
                 raise InputError("breakpoints and levels must be equal-length and nonempty")
             if np.any(ts <= 0.0) or np.any(np.diff(ts) <= 0.0):
@@ -270,7 +270,8 @@ class ScenarioSpec:
     def from_json(obj: dict) -> "ScenarioSpec":
         if not isinstance(obj, dict) or "kind" not in obj:
             raise InputError("scenario JSON must be an object with a 'kind' field")
-        return ScenarioSpec(obj["kind"], dict(obj.get("params", {})), obj.get("seed"))
+        seed = None if obj.get("seed") is None else config_field("scenario", obj, "seed", int)
+        return ScenarioSpec(obj["kind"], config_field("scenario", obj, "params", dict, {}), seed)
 
 
 def draw(spec: ScenarioSpec, n: int, stream=None) -> Sample:
@@ -365,10 +366,45 @@ def read_observations(path) -> Sample:
         raise _bad_line_error(path, exc) from None
 
 
+_REQUIRED = object()
+
+
+def config_field(what: str, obj: dict, key: str, convert, default=_REQUIRED):
+    """``convert(obj[key])``, or ``default`` as it is when ``key`` is absent.
+
+    A missing required key, or a value that ``convert`` rejects with
+    TypeError or ValueError, raises :class:`InputError` naming the field.
+    """
+    if key not in obj:
+        if default is _REQUIRED:
+            raise InputError(f"{what} missing field {key!r}")
+        return default
+    try:
+        return convert(obj[key])
+    except (TypeError, ValueError):
+        raise InputError(f"{what} field {key!r} has an invalid value: {obj[key]!r}") from None
+
+
+def _real(value) -> float:
+    """A number as a float; a string or a bool, which ``float`` would
+    take, is a TypeError."""
+    if isinstance(value, (str, bytes, bool)):
+        raise TypeError(value)
+    return float(value)
+
+
+def read_json_object(obj, what: str) -> dict:
+    """A config given as a dict or as the path of a JSON file."""
+    if isinstance(obj, (str, Path)):
+        try:
+            obj = json.loads(Path(obj).read_text())
+        except json.JSONDecodeError as exc:
+            raise InputError(f"{obj}: invalid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise InputError(f"{what} must be a JSON object")
+    return obj
+
+
 def read_scenario(path) -> ScenarioSpec:
     """Load a scenario spec from a JSON file ``{kind, params, seed}``."""
-    try:
-        obj = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON: {exc}") from None
-    return ScenarioSpec.from_json(obj)
+    return ScenarioSpec.from_json(read_json_object(path, "scenario"))

@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -10,10 +12,13 @@ import pytest
 
 import grenfun
 import grenfun.inference
-from grenfun import ScenarioSpec, StudyConfig
-from grenfun.cli import main
+from grenfun import ScenarioSpec, StudyConfig, by_name, default_stream, derive_seed, draw
+from grenfun.cli import _COMMANDS, _build_parser, main
+from grenfun.harness import read_run_config, true_tau
+from grenfun.inference import efficient_interval
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
 
 
 @pytest.fixture
@@ -143,6 +148,21 @@ class TestSimulate:
         }))
         assert main(["simulate", "--config", str(config)]) == 2
 
+    @pytest.mark.parametrize("field,change", [
+        ("replications", {"replications": "ten"}),
+        ("rate", {"scenario": {"kind": "exponential", "params": {"rate": "fast"}}}),
+    ])
+    def test_malformed_value_is_config_error(self, tmp_path, capsys, field, change):
+        config = tmp_path / "study.json"
+        config.write_text(json.dumps({
+            "scenario": {"kind": "exponential", "params": {"rate": 1.0}},
+            "functional": "power:2", "n": [100], "replications": 4, "seed": 0,
+            **change,
+        }))
+        assert main(["simulate", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert f"field {field!r}" in err and "Traceback" not in err
+
 
 class TestLimitSample:
     def test_emits_csv_with_metadata(self, tmp_path, capsys):
@@ -166,6 +186,62 @@ class TestLimitSample:
         config = tmp_path / "limit.json"
         config.write_text(json.dumps({"functional": "power:2"}))
         assert main(["limit-sample", "--config", str(config), "--draws", "5"]) == 2
+
+    def test_malformed_grid_size_is_config_error(self, tmp_path, capsys):
+        config = tmp_path / "limit.json"
+        config.write_text(json.dumps({
+            "scenario": {"kind": "paper_pwa", "params": {}},
+            "functional": "xz2", "grid_size": "many",
+        }))
+        assert main(["limit-sample", "--config", str(config), "--draws", "5"]) == 2
+        err = capsys.readouterr().err
+        assert "field 'grid_size'" in err and "Traceback" not in err
+
+
+_COVERAGE_CONFIG = {
+    "scenario": {"kind": "paper_pwa", "params": {}},
+    "functional": "xz2", "n": [300, 500], "replications": 12, "seed": 6,
+}
+
+
+class TestCoverage:
+    @pytest.fixture
+    def config(self, tmp_path):
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps(_COVERAGE_CONFIG))
+        return path
+
+    def test_stdout_unchanged_by_threads(self, config, capsys):
+        runs = []
+        for threads in ("1", "2"):
+            assert main(["--threads", threads, "coverage", "--config", str(config),
+                         "--level", "0.9"]) == 0
+            runs.append(capsys.readouterr().out)
+        assert runs[0] == runs[1]
+        assert len(runs[0].splitlines()) == 2
+
+    @pytest.mark.parametrize("functional", ["xz2", "power:2"])
+    def test_matches_a_hand_loop(self, tmp_path, capsys, functional):
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps({**_COVERAGE_CONFIG, "functional": functional}))
+        assert main(["coverage", "--config", str(path), "--level", "0.9"]) == 0
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        spec, fn = ScenarioSpec.paper_pwa(), by_name(functional)
+        truth = true_tau(spec, functional)
+        for record, n in zip(records, _COVERAGE_CONFIG["n"]):
+            hits, widths = 0, 0.0
+            for rep in range(12):
+                ci = efficient_interval(fn, draw(spec, n, default_stream(derive_seed(6, rep))), 0.9)
+                hits += int(ci.lower <= truth <= ci.upper)
+                widths += ci.width
+            assert record["n"] == n and record["truth"] == truth
+            assert record["coverage"] == hits / 12
+            assert record["mean_width"] == widths / 12
+
+    @pytest.mark.parametrize("level", ["1.5", "0", "-0.2"])
+    def test_level_outside_unit_interval_is_config_error(self, config, capsys, level):
+        assert main(["coverage", "--config", str(config), "--level", level]) == 2
+        assert "confidence level" in capsys.readouterr().err
 
 
 class TestUniformClt:
@@ -252,9 +328,11 @@ class TestShippedConfigs:
     @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.name)
     def test_loads_through_the_cli(self, path, tmp_path, capsys):
         if path.name.startswith("limit_"):
+            read_run_config(path)
             assert main(["--out", str(tmp_path), "limit-sample",
                          "--config", str(path), "--draws", "2"]) == 0
         else:
+            assert path.name.startswith("section6_"), "no command loads this config"
             assert isinstance(StudyConfig.from_json(path), StudyConfig)
 
     def test_section6_configs_are_the_full_scale_studies(self):
@@ -268,3 +346,31 @@ class TestShippedConfigs:
                                    n_values=(5000, 20000, 100000), replications=1000,
                                    seed=0, grid_size=1000, reference_draws=20000)
             assert StudyConfig.from_json(CONFIGS / name) == expected
+
+
+def _readme_commands():
+    """The argument lists of the ``grenfun`` and ``python -m grenfun``
+    command lines in the README's shell code blocks."""
+    text = (ROOT / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", text, flags=re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if "grenfun" in words:
+                commands.append(words[words.index("grenfun") + 1:])
+    return commands
+
+
+class TestReadmeCommands:
+    """The CLI is the only entry point, so every command the README shows
+    must parse."""
+
+    def test_every_subcommand_is_shown(self):
+        shown = {word for argv in _readme_commands() for word in argv}
+        assert set(_COMMANDS) <= shown
+
+    @pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+    def test_parses(self, argv):
+        config = getattr(_build_parser().parse_args(argv), "config", None)
+        if config is not None and config.parts[0] == "configs":
+            assert (ROOT / config).is_file()

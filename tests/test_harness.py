@@ -8,8 +8,11 @@ import pytest
 from grenfun import (
     InputError,
     NumericError,
+    ScalarFunctional,
     ScenarioSpec,
+    SmoothFunctional,
     StudyConfig,
+    by_name,
     default_stream,
     ks_distance,
     run_study,
@@ -18,7 +21,7 @@ from grenfun import (
     true_tau,
     uniform_clt_statistic,
 )
-from grenfun.harness import _worker_count, reference_is_normal
+from grenfun.harness import _truth, _worker_count, reference_is_normal
 
 
 class TestTruthOracles:
@@ -54,6 +57,73 @@ class TestTruthOracles:
         assert reference_is_normal(ScenarioSpec.paper_pwa(), "power:2")
         assert reference_is_normal(ScenarioSpec.exponential(1.0), "xz2")
         assert not reference_is_normal(ScenarioSpec.paper_pwa(), "xz2")
+
+
+def _exp_minus_x(x):
+    return np.exp(-np.asarray(x, dtype=float))
+
+
+#: g(z, x) = z^2 e^{-x}: not a built-in name, so it reaches the truths
+#: only through the generic core
+Z2_EXP_DECAY = SmoothFunctional(
+    g=lambda z, x: z * z * _exp_minus_x(x),
+    gdot=lambda z, x: 2.0 * z * _exp_minus_x(x),
+    gddot=lambda z, x: 2.0 * _exp_minus_x(x) + 0.0 * z,
+    vanishes_at_zero=True,
+)
+TABLE_TRUTHS = {
+    "exponential(0.5)": ScenarioSpec.exponential(0.5),
+    "exponential(1)": ScenarioSpec.exponential(1.0),
+    "exponential(3)": ScenarioSpec.exponential(3.0),
+    "uniform(2)": ScenarioSpec.uniform(2.0),
+    "paper_pwa": ScenarioSpec.paper_pwa(),
+    "three_steps": ScenarioSpec.piecewise([0.5, 1.0, 2.0], [1.0, 0.6, 0.2]),
+}
+TABLE_FUNCTIONALS = {name: by_name(name)
+                     for name in ("identity", "power:2", "power:3", "power:4", "xz2")}
+TABLE_FUNCTIONALS["z2_exp_decay"] = Z2_EXP_DECAY
+
+
+def _quad_integral(spec, phi):
+    """Integral of phi(f(x), x) dx by scipy's adaptive quadrature, one
+    call per piece of the support."""
+    from scipy.integrate import quad
+
+    pieces = [(0.0, math.inf)] if spec.kind == "exponential" else spec.affine_intervals()
+    return math.fsum(
+        quad(lambda x: phi(float(spec.density(x)), x), a, b,
+             epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        for a, b in pieces)
+
+
+class TestTruthTable:
+    """The generic truths against an independent integrator."""
+
+    @pytest.mark.parametrize("functional", sorted(TABLE_FUNCTIONALS))
+    @pytest.mark.parametrize("truth", sorted(TABLE_TRUTHS))
+    def test_matches_scipy_quad(self, truth, functional):
+        spec, fn = TABLE_TRUTHS[truth], TABLE_FUNCTIONALS[functional]
+        G = fn.as_smooth() if isinstance(fn, ScalarFunctional) else fn
+        tau = _quad_integral(spec, G.g)
+        mass = _quad_integral(spec, lambda z, x: z)
+        mean = _quad_integral(spec, lambda z, x: G.gdot(z, x) * z) / mass
+        var = _quad_integral(spec, lambda z, x: (G.gdot(z, x) - mean) ** 2 * z) / mass
+        got_tau, got_var = _truth(spec, fn)
+        assert got_tau == pytest.approx(tau, rel=1e-12)
+        assert got_var == pytest.approx(var, rel=1e-12, abs=1e-14)
+        if fn is not Z2_EXP_DECAY:
+            assert (true_tau(spec, functional), true_sigma_eff(spec, functional)) == (got_tau, got_var)
+
+    @pytest.mark.parametrize("truth", sorted(TABLE_TRUTHS))
+    def test_identity_variance_is_exactly_zero(self, truth):
+        # ks_distance takes a point-mass reference only when var == 0
+        assert true_sigma_eff(TABLE_TRUTHS[truth], "identity") == 0.0
+
+    def test_nonvanishing_integrand_rejected(self):
+        G = SmoothFunctional(g=lambda z, x: z * z + 1.0, gdot=lambda z, x: 2.0 * z,
+                             gddot=lambda z, x: 2.0 + 0.0 * z, x_free=True)
+        with pytest.raises(NumericError, match="divergent tail"):
+            _truth(ScenarioSpec.paper_pwa(), G)
 
 
 class TestKsDistance:
@@ -106,6 +176,13 @@ class TestStudyConfig:
     def test_missing_field_reported(self):
         with pytest.raises(InputError, match="missing field"):
             StudyConfig.from_json({"functional": "power:2"})
+
+    @pytest.mark.parametrize("n", [0, [], [0]])
+    def test_no_positive_sample_size_reported(self, n):
+        # not as a missing "n_values" field
+        with pytest.raises(InputError, match="must be positive"):
+            StudyConfig.from_json({"scenario": {"kind": "paper_pwa"}, "functional": "power:2",
+                                   "n": n, "replications": 3})
 
 
 @pytest.fixture(scope="module")
