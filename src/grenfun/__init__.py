@@ -3,11 +3,9 @@ nonincreasing density via the Grenander plug-in estimator."""
 
 from .errors import GrenfunError, InputError, NumericError
 from .functionals import (
-    ScalarFunctional,
     SmoothFunctional,
     by_name,
     empirical_average,
-    mu_plugin,
     nu_plugin,
     one_step_correction,
     tau_plugin,
@@ -24,11 +22,8 @@ from .harness import (
 )
 from .inference import (
     ConfidenceInterval,
-    ci_mu,
     normal_cdf,
     normal_quantile,
-    sigma_eff_mu,
-    sigma_eff_nu,
     sigma_eff_tau,
     uniform_clt_statistic,
 )

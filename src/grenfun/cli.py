@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from .errors import InputError, NumericError
-from .functionals import ScalarFunctional, by_name, mu_plugin, tau_plugin
+from .functionals import by_name, tau_plugin
 from .grenander import fit
 from .harness import StudyConfig, read_run_config, run_coverage, run_study, run_uniform_study
 from .inference import efficient_interval
@@ -90,8 +90,7 @@ def _cmd_estimate(args) -> int:
     density = fit(sample)
     result = {"functional": args.functional, "n": sample.n}
     if args.ci is None:
-        plugin = mu_plugin if isinstance(fn, ScalarFunctional) else tau_plugin
-        result["estimate"] = plugin(fn, density)
+        result["estimate"] = tau_plugin(fn, density)
     else:
         ci = efficient_interval(fn, sample, args.ci, density)
         result["estimate"] = ci.estimate
@@ -127,11 +126,8 @@ def _cmd_limit_sample(args) -> int:
     spec, name, seed, grid_size = read_run_config(args.config)
     if args.seed is not None:
         seed = args.seed
-    fn = by_name(name)
-    if isinstance(fn, ScalarFunctional):
-        fn = fn.as_smooth()
     model = TrueModel.from_scenario(spec)
-    ys, info = draw_y_samples(fn, model, grid_size, args.draws, default_stream(seed))
+    ys, info = draw_y_samples(by_name(name), model, grid_size, args.draws, default_stream(seed))
     info["seed"] = int(seed)
     args.out.mkdir(parents=True, exist_ok=True)
     slug = name.replace(":", "")

@@ -1,16 +1,18 @@
 """Plug-in functionals of a step density.
 
-Integrals of h(f(x)) and g(f(x), x) against Lebesgue measure reduce to
-finite sums over the density pieces; only the x-dependent case needs
-quadrature.  That quadrature is batched: for each of two Gauss-Legendre
-orders, g is evaluated once on a (pieces x order) node matrix, and each
-row is reduced by its own ``np.dot`` (never one matrix-vector product,
-which sums in another order), so every piece gets the same float as
-when integrated alone, provided g computes the same on arrays as on
-scalars (numpy's scalar ``**`` can differ from its array ``**`` in the
-last bit; ``*`` and ``+`` do not).  Only pieces whose two orders
-disagree are bisected, one at a time; a g that cannot take a matrix of
-nodes falls back to that one-piece path for all pieces.  A piece still
+One type, :class:`SmoothFunctional`, describes every target, the
+integral of g(f(x), x) dx.  Its ``x_free`` case g(z, x) = h(z), a
+functional of the density alone, reduces to exact finite sums over the
+density pieces; only the x-dependent case needs quadrature.  That
+quadrature is batched: for each of two Gauss-Legendre orders, g is
+evaluated once on a (pieces x order) node matrix, and each row is
+reduced by its own ``np.dot`` (never one matrix-vector product, which
+sums in another order), so every piece gets the same float as when
+integrated alone, provided g computes the same on arrays as on scalars
+(numpy's scalar ``**`` can differ from its array ``**`` in the last
+bit; ``*`` and ``+`` do not).  Only pieces whose two orders disagree
+are bisected, one at a time; a g that cannot take a matrix of nodes
+falls back to that one-piece path for all pieces.  A piece still
 unresolved after 10 bisections raises :class:`NumericError` instead of
 returning a value of unknown accuracy.
 
@@ -47,71 +49,16 @@ def _apply(fn, arr):
     return np.array([float(fn(float(z))) for z in arr])
 
 
-def _central_diff(fn, z, step):
-    return (float(fn(z + step)) - float(fn(z - step))) / (2.0 * step)
-
-
-def _check_derivative(fn, claimed, points, what, second_arg=None):
-    """Compare a claimed derivative against central differences in z,
-    at each z of ``points`` (with x = ``second_arg`` held fixed when the
-    functions take (z, x))."""
-    for z in points:
-        step = 6e-6 * max(1.0, abs(z))
-        if second_arg is None:
-            est = _central_diff(fn, z, step)
-            given = float(claimed(z))
-            at = f"z={z!r}"
-        else:
-            est = _central_diff(lambda t: fn(t, second_arg), z, step)
-            given = float(claimed(z, second_arg))
-            at = f"(z={z!r}, x={second_arg!r})"
-        if abs(est - given) > _REL_TOL_DERIV * max(1.0, abs(est), abs(given)):
-            raise InputError(
-                f"{what} disagrees with finite differences at {at}: "
-                f"claimed {given!r}, estimated {est!r}"
-            )
-
-
-@dataclass(frozen=True)
-class ScalarFunctional:
-    """A smooth map h with its derivatives, for functionals of f alone.
-
-    h must be twice continuously differentiable on [0, z_max]; third and
-    fourth derivatives are only needed by the uniform-density CLT.
-    Derivatives are checked against central finite differences at 32
-    deterministic probe points on construction.
-    """
-
-    h: callable
-    hprime: callable
-    hdoubleprime: callable
-    h3: callable = None
-    h4: callable = None
-    z_max: float = 8.0
-    name: str = None
-
-    def __post_init__(self):
-        rng = default_stream(_VALIDATION_SEED)
-        hi = min(self.z_max, 8.0)
-        zs = 1e-3 + (hi - 1e-3) * rng.random(32)
-        _check_derivative(self.h, self.hprime, zs, "hprime")
-        _check_derivative(self.hprime, self.hdoubleprime, zs, "hdoubleprime")
-        if self.h3 is not None:
-            _check_derivative(self.hdoubleprime, self.h3, zs, "h3")
-        if self.h4 is not None and self.h3 is not None:
-            _check_derivative(self.h3, self.h4, zs, "h4")
-
-    def as_smooth(self) -> "SmoothFunctional":
-        """View h(z) as the x-free integrand g(z, x) = h(z)."""
-        h, hp, hpp = self.h, self.hprime, self.hdoubleprime
-        return SmoothFunctional(
-            g=lambda z, x: h(z) + 0.0 * np.asarray(x, dtype=float),
-            gdot=lambda z, x: hp(z) + 0.0 * np.asarray(x, dtype=float),
-            gddot=lambda z, x: hpp(z) + 0.0 * np.asarray(x, dtype=float),
-            z_max=self.z_max,
-            x_free=True,
-            vanishes_at_zero=(float(h(0.0)) == 0.0),
-            name=self.name,
+def _check_derivative(fn, claimed, z, x, what):
+    """Compare a claimed z-derivative of fn(z, x) against a central
+    difference in z at the point (z, x)."""
+    step = 6e-6 * max(1.0, abs(z))
+    est = (float(fn(z + step, x)) - float(fn(z - step, x))) / (2.0 * step)
+    given = float(claimed(z, x))
+    if abs(est - given) > _REL_TOL_DERIV * max(1.0, abs(est), abs(given)):
+        raise InputError(
+            f"{what} disagrees with finite differences at (z={z!r}, x={x!r}): "
+            f"claimed {given!r}, estimated {est!r}"
         )
 
 
@@ -119,10 +66,13 @@ class ScalarFunctional:
 class SmoothFunctional:
     """A smooth integrand g(z, x) with its z-derivatives.
 
-    ``x_free`` declares that g ignores x entirely (integrals then reduce
-    to exact sums).  ``vanishes_at_zero`` declares g(0, x) = 0 for all x,
-    which makes the tail beyond the density's support drop out; without
-    it, integrals over an unbounded domain are rejected.
+    ``x_free`` declares that g ignores x entirely, so that g(z, x) = h(z)
+    is a functional of the density alone (integrals then reduce to exact
+    sums).  ``vanishes_at_zero`` declares g(0, x) = 0 for all x, which
+    makes the tail beyond the density's support drop out; without it,
+    integrals over an unbounded domain are rejected.  The derivatives
+    are checked against central finite differences at 32 deterministic
+    probe points on construction.
     """
 
     g: callable
@@ -140,19 +90,26 @@ class SmoothFunctional:
         zs = 1e-3 + (hi - 1e-3) * rng.random(32)
         xs = self.x_probe_max * rng.random(32)
         for z, x in zip(zs, xs):
-            _check_derivative(self.g, self.gdot, (z,), "gdot", second_arg=x)
-            _check_derivative(self.gdot, self.gddot, (z,), "gddot", second_arg=x)
+            _check_derivative(self.g, self.gdot, z, x, "gdot")
+            _check_derivative(self.gdot, self.gddot, z, x, "gddot")
         if self.vanishes_at_zero:
             for x in xs[:4]:
                 if float(self.g(0.0, x)) != 0.0:
                     raise InputError(f"vanishes_at_zero declared but g(0, {x!r}) != 0")
 
 
-def _step_sum(hfun, d: StepDensity, domain) -> float:
-    """Exact integral of hfun(f(x)) dx over [0, T] or [0, inf)."""
+def _require_x_free(G: SmoothFunctional, what: str) -> None:
+    if not G.x_free:
+        raise InputError(f"{what} needs a functional of the density alone (x_free)")
+
+
+def _step_sum(phi, d: StepDensity, domain) -> float:
+    """Exact integral of phi(f(x), x) dx over [0, T] or [0, inf) for an
+    x-free phi, which is read as phi(z, 0)."""
     tail = 0.0
+    at_zero = float(phi(0.0, 0.0))
     if domain is None:
-        if float(hfun(0.0)) != 0.0:
+        if at_zero != 0.0:
             raise NumericError(
                 "divergent tail: the integrand does not vanish at density 0 "
                 "on an unbounded domain; declare a compact domain [0, T]"
@@ -161,43 +118,39 @@ def _step_sum(hfun, d: StepDensity, domain) -> float:
         t_end = float(domain[1])
         if t_end < d.support_end:
             raise InputError("declared domain ends inside the density's support")
-        tail = float(hfun(0.0)) * (t_end - d.support_end)
-    hv = _apply(hfun, d.levels)
+        tail = at_zero * (t_end - d.support_end)
+    hv = _apply(lambda z: phi(z, 0.0), d.levels)
     return float(np.dot(hv, d.piece_widths)) + tail
 
 
-def mu_plugin(h: ScalarFunctional, d: StepDensity, domain=None) -> float:
-    """Integral of h(f(x)) dx for a step density f: an exact finite sum.
-
-    Without a compact ``domain`` [0, T], h(0) = 0 is required (otherwise
-    the tail beyond the support diverges); with one, the tail contributes
-    h(0) * (T - t_k).
-    """
-    return _step_sum(h.h, d, domain)
-
-
-def nu_plugin(h: ScalarFunctional, d: StepDensity) -> float:
-    """Integral of h(f(x)) f(x) dx: the plug-in carrier-measure average."""
-    hv = _apply(h.h, d.levels)
+def nu_plugin(G: SmoothFunctional, d: StepDensity) -> float:
+    """Integral of h(f(x)) f(x) dx, h = g(., 0) of an x-free functional:
+    the plug-in carrier-measure average."""
+    _require_x_free(G, "nu_plugin")
+    hv = _apply(lambda z: G.g(z, 0.0), d.levels)
     return float(np.dot(hv * d.levels, d.piece_widths))
 
 
-def empirical_average(h: ScalarFunctional, s: Sample, d: StepDensity) -> float:
-    """(1/n) sum of h(f(X_i)) with f the fitted density of the sample."""
-    return float(np.mean(_apply(h.h, evaluate(d, s.values))))
+def empirical_average(G: SmoothFunctional, s: Sample, d: StepDensity) -> float:
+    """(1/n) sum of h(f(X_i)), h = g(., 0) of an x-free functional, with
+    f the fitted density of the sample."""
+    _require_x_free(G, "empirical_average")
+    return float(np.mean(_apply(lambda z: G.g(z, 0.0), evaluate(d, s.values))))
 
 
-def one_step_correction(h: ScalarFunctional, s: Sample, d: StepDensity) -> float:
+def one_step_correction(G: SmoothFunctional, s: Sample, d: StepDensity) -> float:
     """Explicit first-order bias-correction term for the carrier average.
 
     Empirical mean of w(f(X_i)) minus the plug-in integral of w(f) f dx,
-    with w(z) = h(z) + z h'(z).  For the Grenander fit this is identically
-    zero, so the one-step estimator collapses onto the plug-in.
+    with w(z) = h(z) + z h'(z) and h = g(., 0) of an x-free functional.
+    For the Grenander fit this is identically zero, so the one-step
+    estimator collapses onto the plug-in.
     """
+    _require_x_free(G, "one_step_correction")
 
     def w(z):
         z = np.asarray(z, dtype=float)
-        return _apply(h.h, z) + z * _apply(h.hprime, z)
+        return _apply(lambda v: G.g(v, 0.0), z) + z * _apply(lambda v: G.gdot(v, 0.0), z)
 
     fitted = evaluate(d, s.values)
     plug = float(np.dot(w(d.levels) * d.levels, d.piece_widths))
@@ -271,12 +224,15 @@ def tau_plugin(G: SmoothFunctional, d: StepDensity, domain=None, order: int = 16
     adaptively, at most 10 levels deep; a piece still unresolved there
     raises :class:`NumericError` naming it.  A g that does not broadcast
     over a 2-D x with a column of z values (a scalar-only callable)
-    takes the same quadrature one piece at a time.  The sum is exact
-    when g is x-free.  Tail handling mirrors :func:`mu_plugin`, using
-    g(0, .).
+    takes the same quadrature one piece at a time.
+
+    An x-free g needs no quadrature: the integral is the exact step sum
+    of g(f, 0) against the piece widths.  Without a compact ``domain``
+    [0, T], g(0, 0) = 0 is required there (otherwise the tail beyond the
+    support diverges); with one, the tail contributes g(0, 0) (T - t_k).
     """
     if G.x_free:
-        return _step_sum(lambda z: G.g(z, 0.0), d, domain)
+        return _step_sum(G.g, d, domain)
     if domain is None and not G.vanishes_at_zero:
         raise NumericError(
             "divergent tail: g(0, .) not declared zero on an unbounded domain; "
@@ -328,19 +284,19 @@ def _quadrature(g, levels, a, b, order: int, tail=None) -> float:
 
 # -- built-in named functionals ------------------------------------------
 
-def _power(p: int) -> ScalarFunctional:
+def _power(p: int) -> SmoothFunctional:
     def deriv(k):
         coeff = 1.0
         for j in range(k):
             coeff *= (p - j)
         expo = p - k
         if expo < 0 or coeff == 0.0:
-            return lambda z: 0.0 * np.asarray(z, dtype=float)
-        return lambda z: coeff * np.asarray(z, dtype=float) ** expo
+            return lambda z, x: 0.0 * np.asarray(z, dtype=float)
+        return lambda z, x: coeff * np.asarray(z, dtype=float) ** expo
 
-    return ScalarFunctional(
-        h=deriv(0), hprime=deriv(1), hdoubleprime=deriv(2),
-        h3=deriv(3), h4=deriv(4), z_max=1e9, name=f"power:{p}",
+    return SmoothFunctional(
+        g=deriv(0), gdot=deriv(1), gddot=deriv(2), z_max=1e9,
+        x_free=True, vanishes_at_zero=True, name=f"power:{p}",
     )
 
 

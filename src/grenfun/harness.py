@@ -30,11 +30,12 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError, NumericError
-from .functionals import ScalarFunctional, _quadrature, _step_sum, by_name, mu_plugin, tau_plugin
+from .functionals import _quadrature, _require_x_free, _step_sum, by_name, tau_plugin
 from .grenander import fit
-from .inference import efficient_interval, normal_cdf, normal_quantile, uniform_clt_statistic
+from .inference import (_efficient_variance, efficient_interval, normal_cdf, normal_quantile,
+                        uniform_clt_statistic)
 from .limitlaw import TrueModel, draw_y_samples, emit_y_csv
-from .samples import (ScenarioSpec, config_field, default_stream, derive_seed, draw,
+from .samples import (ScenarioSpec, _integer, config_field, default_stream, derive_seed, draw,
                       read_json_object)
 
 log = logging.getLogger(__name__)
@@ -62,25 +63,21 @@ def _integral(spec: ScenarioSpec, phi, x_free: bool) -> float:
     else:
         d = spec.true_density()
         if x_free:
-            return _step_sum(lambda z: phi(z, 0.0), d, None)
+            return _step_sum(phi, d, None)
         edges = np.concatenate(([0.0], d.breakpoints))
         levels, integrand = d.levels, phi
     return _quadrature(integrand, levels, edges[:-1], edges[1:], 16)
 
 
-def _truth(spec: ScenarioSpec, fn) -> tuple:
+def _truth(spec: ScenarioSpec, G) -> tuple:
     """(tau, sigma^2) of a functional at the scenario's density f:
     tau = integral of g(f(x), x) dx, and sigma^2 = Var psi(X) with
-    psi(x) = gdot(f(x), x) and X ~ f, as the centered second moment.
-    Each moment is divided by the integral of f, so that a constant psi
-    gets exactly 0."""
-    G = fn.as_smooth() if isinstance(fn, ScalarFunctional) else fn
+    psi(x) = gdot(f(x), x) and X ~ f, by the arithmetic of the plug-in
+    estimate (:func:`grenfun.inference._efficient_variance`)."""
     if not G.vanishes_at_zero:
         raise NumericError("divergent tail: g(0, .) not declared zero beyond the support")
-    mass = _integral(spec, lambda z, x: z, True)
-    mean = _integral(spec, lambda z, x: G.gdot(z, x) * z, G.x_free) / mass
-    var = _integral(spec, lambda z, x: (G.gdot(z, x) - mean) ** 2 * z, G.x_free) / mass
-    return _integral(spec, G.g, G.x_free), var
+    return (_integral(spec, G.g, G.x_free),
+            _efficient_variance(lambda phi, x_free: _integral(spec, phi, x_free), G))
 
 
 def true_tau(spec: ScenarioSpec, functional_name: str) -> float:
@@ -97,7 +94,7 @@ def reference_is_normal(spec: ScenarioSpec, functional_name: str) -> bool:
     """Whether the limiting law is normal with the efficient variance:
     always for x-free functionals, and for any functional when the truth
     is strictly concave."""
-    return isinstance(by_name(functional_name), ScalarFunctional) or spec.is_strictly_concave
+    return by_name(functional_name).x_free or spec.is_strictly_concave
 
 
 # -- Kolmogorov-Smirnov distance ------------------------------------------
@@ -163,12 +160,12 @@ class StudyConfig:
         scenario, functional, seed, grid_size = read_run_config(obj, what)
         n_values = config_field(what, obj, "n" if "n" in obj else "n_values", _sizes)
         return StudyConfig(scenario, functional, n_values,
-                           config_field(what, obj, "replications", int, 1000), seed, grid_size,
-                           config_field(what, obj, "reference_draws", int, 10000))
+                           config_field(what, obj, "replications", _integer, 1000), seed, grid_size,
+                           config_field(what, obj, "reference_draws", _integer, 10000))
 
 
 def _sizes(value) -> tuple:
-    return tuple(int(v) for v in (value if isinstance(value, (list, tuple)) else [value]))
+    return tuple(map(_integer, value if isinstance(value, (list, tuple)) else [value]))
 
 
 def read_run_config(obj, what: str = "limit-sample config") -> tuple:
@@ -179,8 +176,8 @@ def read_run_config(obj, what: str = "limit-sample config") -> tuple:
     scenario = ScenarioSpec.from_json(config_field(what, obj, "scenario", dict))
     functional = config_field(what, obj, "functional", str)
     by_name(functional)
-    seed = config_field(what, obj, "seed", int, scenario.seed or 0)
-    return scenario, functional, seed, config_field(what, obj, "grid_size", int, 1000)
+    seed = config_field(what, obj, "seed", _integer, scenario.seed or 0)
+    return scenario, functional, seed, config_field(what, obj, "grid_size", _integer, 1000)
 
 
 @dataclass
@@ -272,12 +269,7 @@ def _study_statistic(args) -> float:
     spec = ScenarioSpec.from_json(scenario_json)
     fn = by_name(functional_name)
     s = draw(spec, n, default_stream(derive_seed(seed, rep)))
-    d = fit(s)
-    if isinstance(fn, ScalarFunctional):
-        est = mu_plugin(fn, d)
-    else:
-        est = tau_plugin(fn, d)
-    return math.sqrt(n) * (est - truth)
+    return math.sqrt(n) * (tau_plugin(fn, fit(s)) - truth)
 
 
 def _coverage_draw(args) -> tuple:
@@ -405,9 +397,8 @@ def run_uniform_study(functional_name: str, n_values, replications: int,
     """
     h = by_name(functional_name)
     _check_budget(n_values, replications)
-    if not isinstance(h, ScalarFunctional):
-        raise InputError("uniform study needs a functional of the density alone")
-    if float(h.hdoubleprime(1.0)) == 0.0:
+    _require_x_free(h, "uniform study")
+    if float(h.gddot(1.0, 0.0)) == 0.0:
         raise NumericError("degenerate normalization: h''(1) = 0")
     reference = {"type": "normal", "mean": 0.0, "var": 1.0}
     reports = []

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericError
-from .functionals import ScalarFunctional, SmoothFunctional, _apply, mu_plugin, tau_plugin
+from .functionals import SmoothFunctional, _require_x_free, _step_sum, tau_plugin
 from .grenander import StepDensity, evaluate, fit
 from .samples import Sample
 
@@ -93,33 +93,27 @@ class ConfidenceInterval:
         }
 
 
-def sigma_eff_mu(h: ScalarFunctional, d: StepDensity) -> float:
-    """Plug-in estimate of the efficient variance Var(h'(f(X))).
-
-    Integrates z h'(z)^2 and z h'(z) against the step density (both
-    vanish at z = 0, so no tail condition is needed); clamped at 0
-    against floating-point cancellation.
-    """
-    hp = _apply(h.hprime, d.levels)
-    w = d.piece_widths
-    m1 = float(np.dot(d.levels * hp * hp, w))
-    m2 = float(np.dot(d.levels * hp, w))
-    return max(m1 - m2 * m2, 0.0)
-
-
-def sigma_eff_nu(h: ScalarFunctional, d: StepDensity) -> float:
-    """Plug-in efficient variance for the carrier-weighted functional:
-    Var(h'(f(X)) f(X) + h(f(X))).  Coincides with :func:`sigma_eff_mu`
-    applied to z h(z) by the chain rule."""
-    wv = d.levels * _apply(h.hprime, d.levels) + _apply(h.h, d.levels)
-    w = d.piece_widths
-    m1 = float(np.dot(wv * wv * d.levels, w))
-    m2 = float(np.dot(wv * d.levels, w))
-    return max(m1 - m2 * m2, 0.0)
+def _efficient_variance(integral, G: SmoothFunctional) -> float:
+    """Var psi(X) with psi(x) = gdot(f(x), x) and X ~ f, where
+    ``integral(phi, x_free)`` integrates phi(f(x), x) dx: the centered
+    second moment, each moment divided by the integral of f, so that a
+    constant psi gets exactly 0."""
+    mass = integral(lambda z, x: z, True)
+    mean = integral(lambda z, x: G.gdot(z, x) * z, G.x_free) / mass
+    return integral(lambda z, x: (G.gdot(z, x) - mean) ** 2 * z, G.x_free) / mass
 
 
 def sigma_eff_tau(G: SmoothFunctional, s: Sample, d: StepDensity) -> float:
-    """Empirical variance of gdot(f(X_i), X_i) under the fitted density."""
+    """Plug-in estimate of the efficient variance Var(gdot(f(X), X)) at
+    the Grenander fit ``d`` of the sample ``s``.
+
+    For an x-free G it is the variance under ``d`` by exact step sums, the
+    arithmetic of the truths (:func:`_efficient_variance`); otherwise the
+    empirical variance of gdot(d(X_i), X_i) over the sample.  The two
+    agree for an x-free G by the carrier identity of the Grenander fit.
+    """
+    if G.x_free:
+        return _efficient_variance(lambda phi, _: _step_sum(phi, d, None), G)
     fitted = evaluate(d, s.values)
     vals = np.asarray(G.gdot(fitted, s.values), dtype=float)
     if vals.shape != s.values.shape:
@@ -141,32 +135,24 @@ def normal_interval(estimate: float, sigma_hat: float, n: int,
     )
 
 
-def efficient_interval(fn, s: Sample, level: float,
+def efficient_interval(G: SmoothFunctional, s: Sample, level: float,
                        d: StepDensity | None = None) -> ConfidenceInterval:
-    """Asymptotically valid interval for a functional of either kind: the
-    plug-in estimate +- z sigma_hat / sqrt(n), with sigma_hat^2 the
-    plug-in efficient variance (:func:`sigma_eff_mu` for a
-    :class:`ScalarFunctional`, :func:`sigma_eff_tau` otherwise).
+    """Asymptotically valid interval: the plug-in estimate
+    +- z sigma_hat / sqrt(n), with sigma_hat^2 from :func:`sigma_eff_tau`.
 
     ``d`` is the Grenander fit of ``s``; it is computed when not given.
     """
     if d is None:
         d = fit(s)
-    if isinstance(fn, ScalarFunctional):
-        return normal_interval(mu_plugin(fn, d), math.sqrt(sigma_eff_mu(fn, d)), s.n, level)
-    return normal_interval(tau_plugin(fn, d), math.sqrt(sigma_eff_tau(fn, s, d)), s.n, level)
+    return normal_interval(tau_plugin(G, d), math.sqrt(sigma_eff_tau(G, s, d)), s.n, level)
 
 
-#: the interval for the integral of h(f), a functional of the density alone
-ci_mu = efficient_interval
-
-
-def uniform_clt_statistic(h: ScalarFunctional, s: Sample) -> float:
+def uniform_clt_statistic(G: SmoothFunctional, s: Sample) -> float:
     """Standardized statistic for Uniform[0, 1] truth (caller asserts).
 
-    (n (mu_hat - h(1)) - b log n) / sqrt(3 b^2 log n) with b = h''(1)/2;
-    for h(z) = z^2 this is exactly (n * integral(fhat^2 - 1) - log n)
-    / sqrt(3 log n).
+    (n (mu_hat - h(1)) - b log n) / sqrt(3 b^2 log n) with h = g(., 0) of
+    an x-free functional and b = h''(1)/2; for h(z) = z^2 this is exactly
+    (n * integral(fhat^2 - 1) - log n) / sqrt(3 log n).
 
     The limit N(0, 1) holds in distribution only.  The first Grenander
     piece contributes a term distributed like the reciprocal of an Exp(1)
@@ -175,13 +161,14 @@ def uniform_clt_statistic(h: ScalarFunctional, s: Sample) -> float:
     statistics are spike-dominated, and quantiles are the measures to
     compare with the limit.
     """
-    b = 0.5 * float(h.hdoubleprime(1.0))
+    _require_x_free(G, "the uniform CLT statistic")
+    b = 0.5 * float(G.gddot(1.0, 0.0))
     if b == 0.0:
         raise NumericError("degenerate normalization: h''(1) = 0")
     d = fit(s)
     if d.support_end > 1.0:
         raise InputError("observations exceed 1; truth must be Uniform[0, 1]")
-    mu_hat = mu_plugin(h, d, domain=(0.0, 1.0))
+    mu_hat = tau_plugin(G, d, domain=(0.0, 1.0))
     n = s.n
     logn = math.log(n)
-    return (n * (mu_hat - float(h.h(1.0))) - b * logn) / math.sqrt(3.0 * b * b * logn)
+    return (n * (mu_hat - float(G.g(1.0, 0.0))) - b * logn) / math.sqrt(3.0 * b * b * logn)

@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError
-from .functionals import ScalarFunctional, SmoothFunctional
+from .functionals import SmoothFunctional, _require_x_free
 from .majorant import _hull_rows
 from .samples import ScenarioSpec, _load_column
 
@@ -251,6 +251,7 @@ def draw_y_samples(G: SmoothFunctional, model: TrueModel, grid_size: int,
         if tail_tv > 0.0:  # no tail, no bound to scale: skip the scan
             max_abs_g = max(max_abs_g, float(paths.max()), -float(paths.min()))
         ys[done:done + m] = plan.apply(paths)
+        del paths  # else it stays alive while the next batch is drawn
         done += m
     info = {
         "model": model.spec.to_json(),
@@ -264,13 +265,14 @@ def draw_y_samples(G: SmoothFunctional, model: TrueModel, grid_size: int,
     return ys, info
 
 
-def linear_y_samples(h: ScalarFunctional, model: TrueModel, draws: int, stream) -> np.ndarray:
+def linear_y_samples(G: SmoothFunctional, model: TrueModel, draws: int, stream) -> np.ndarray:
     """Draws from the linear breakpoint formula for x-free functionals
     under a piecewise-affine truth: minus the sum over breakpoints of the
-    bridge value times the jump of h'(f)."""
+    bridge value times the jump of h'(f), h = g(., 0)."""
+    _require_x_free(G, "the linear formula")
     if model.concavity_kind != PIECEWISE_AFFINE:
         raise InputError("linear formula requires a piecewise-affine truth")
-    ts, jumps = _jump_terms(h.as_smooth(), model)
+    ts, jumps = _jump_terms(G, model)
     u = np.concatenate(([0.0], np.asarray(model.spec.cdf(ts), dtype=float)))
     u[-1] = 1.0
     paths = _bridge_values(u, draws, stream)

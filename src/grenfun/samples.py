@@ -270,7 +270,7 @@ class ScenarioSpec:
     def from_json(obj: dict) -> "ScenarioSpec":
         if not isinstance(obj, dict) or "kind" not in obj:
             raise InputError("scenario JSON must be an object with a 'kind' field")
-        seed = None if obj.get("seed") is None else config_field("scenario", obj, "seed", int)
+        seed = None if obj.get("seed") is None else config_field("scenario", obj, "seed", _integer)
         return ScenarioSpec(obj["kind"], config_field("scenario", obj, "params", dict, {}), seed)
 
 
@@ -391,6 +391,19 @@ def _real(value) -> float:
     if isinstance(value, (str, bytes, bool)):
         raise TypeError(value)
     return float(value)
+
+
+def _integer(value) -> int:
+    """An integral number as an int (JSON 1e3 is 1000); a string, a bool
+    or a non-integral number is a TypeError or ValueError."""
+    if isinstance(value, (str, bytes, bool)):
+        raise TypeError(value)
+    if isinstance(value, int):
+        return value
+    number = float(value)
+    if not number.is_integer():
+        raise ValueError(value)
+    return int(number)
 
 
 def read_json_object(obj, what: str) -> dict:

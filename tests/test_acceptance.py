@@ -17,6 +17,7 @@ import pytest
 
 from grenfun import (
     ScenarioSpec,
+    SmoothFunctional,
     StudyConfig,
     TrueModel,
     by_name,
@@ -29,12 +30,12 @@ from grenfun import (
     fit,
     ks_distance,
     lcm,
-    mu_plugin,
     normal_quantile,
     nu_plugin,
     one_step_correction,
     run_study,
     run_uniform_study,
+    tau_plugin,
     true_sigma_eff,
     true_tau,
 )
@@ -110,11 +111,10 @@ def test_criterion_2_pava_equivalence():
 def test_criterion_3_carrier_identity():
     """Carrier-average identity to 1e-12 relative and a vanishing
     one-step correction (1e-10) on 1000 random triples, in under 60 s."""
-    import grenfun.functionals as fm
-
     scenarios = [EXP1, ScenarioSpec.uniform(2.0), PWA]
     hs = [by_name("identity"), Z2, by_name("power:3"),
-          fm.ScalarFunctional(h=np.expm1, hprime=np.exp, hdoubleprime=np.exp)]
+          SmoothFunctional(g=lambda z, x: np.expm1(z), gdot=lambda z, x: np.exp(z),
+                           gddot=lambda z, x: np.exp(z), x_free=True)]
     rng = default_stream(20260811)
     start = time.perf_counter()
     worst_identity = 0.0
@@ -134,7 +134,8 @@ def test_criterion_3_carrier_identity():
         rel = abs(lhs - rhs) / max(1.0, abs(lhs))
         corr = abs(one_step_correction(h, s, d))
         fitted = np.atleast_1d(evaluate(d, s.values))
-        wscale = max(1.0, float(np.max(np.abs(h.h(fitted) + fitted * h.hprime(fitted)))))
+        w = h.g(fitted, 0.0) + fitted * h.gdot(fitted, 0.0)
+        wscale = max(1.0, float(np.max(np.abs(w))))
         worst_identity = max(worst_identity, rel)
         worst_onestep = max(worst_onestep, corr / wscale)
         assert rel <= 1e-12
@@ -153,7 +154,7 @@ def test_criterion_4_benchmark_constants():
         ("exponential sigma2", true_sigma_eff(EXP1, "power:2"), 4.0 / 12.0),
         ("two-slope tau", true_tau(PWA, "power:2"), 1.828),
         ("two-slope sigma2", true_sigma_eff(PWA, "power:2"), 3.314),
-        ("plug-in at truth", mu_plugin(Z2, PWA.true_density()), 1.828),
+        ("plug-in at truth", tau_plugin(Z2, PWA.true_density()), 1.828),
     ]
     worst = max(abs(got - want) for _, got, want in checks)
     for name, got, want in checks:
@@ -248,13 +249,13 @@ def test_criterion_7_limit_sampler():
         se = math.sqrt((float(np.mean(centered ** 4)) - v * v) / ys.size)
         return v, se
 
-    ys_exp, _ = draw_y_samples(Z2.as_smooth(), exp_model, 8000, 100_000,
+    ys_exp, _ = draw_y_samples(Z2, exp_model, 8000, 100_000,
                                default_stream(derive_seed(ACCEPTANCE_SEED, 72)))
     v_exp, se_exp = var_with_se(ys_exp)
     dev_exp = abs(v_exp - 1.0 / 3.0)
     assert dev_exp < 3.0 * se_exp
 
-    ys_pwa, _ = draw_y_samples(Z2.as_smooth(), pwa_model, 2000, 100_000,
+    ys_pwa, _ = draw_y_samples(Z2, pwa_model, 2000, 100_000,
                                default_stream(derive_seed(ACCEPTANCE_SEED, 73)))
     v_pwa, se_pwa = var_with_se(ys_pwa)
     dev_pwa = abs(v_pwa - (8.0 * SQRT2 - 8.0))
@@ -328,7 +329,7 @@ def test_criterion_8a_uniform_mean_band_spec_defect(uniform_study):
     seed 0) and the band is about 10% conservative.
     """
     small, large = uniform_study
-    b = 0.5 * float(Z2.hdoubleprime(1.0))
+    b = 0.5 * float(Z2.gddot(1.0, 0.0))
     raw_small, raw_large = _raw_uniform(small, b), _raw_uniform(large, b)
     expected = b * math.log(large.n / small.n)
     growth = float(np.median(raw_large) - np.median(raw_small))

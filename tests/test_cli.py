@@ -238,6 +238,14 @@ class TestCoverage:
             assert record["coverage"] == hits / 12
             assert record["mean_width"] == widths / 12
 
+    def test_identity_intervals_are_points(self, tmp_path, capsys):
+        # h' = 1 has zero efficient variance, so every interval is a point
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps({"scenario": {"kind": "paper_pwa"}, "functional": "identity",
+                                    "n": [1000], "replications": 50, "seed": 0}))
+        assert main(["coverage", "--config", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["mean_width"] == 0.0
+
     @pytest.mark.parametrize("level", ["1.5", "0", "-0.2"])
     def test_level_outside_unit_interval_is_config_error(self, config, capsys, level):
         assert main(["coverage", "--config", str(config), "--level", level]) == 2
@@ -374,3 +382,20 @@ class TestReadmeCommands:
         config = getattr(_build_parser().parse_args(argv), "config", None)
         if config is not None and config.parts[0] == "configs":
             assert (ROOT / config).is_file()
+
+
+class TestReadmePython:
+    """The README's ``python`` blocks run as written, in order, in a
+    directory that holds the ``observations.txt`` they read."""
+
+    def test_blocks_run(self, tmp_path, monkeypatch):
+        blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), flags=re.S)
+        assert blocks
+        rng = np.random.default_rng(1)
+        (tmp_path / "observations.txt").write_text(
+            "\n".join(repr(float(v)) for v in rng.exponential(1.0, 500)) + "\n")
+        monkeypatch.chdir(tmp_path)
+        namespace = {}
+        for block in blocks:
+            exec(compile(block, "README.md", "exec"), namespace)
+        assert namespace["ci"].lower <= namespace["estimate"] <= namespace["ci"].upper

@@ -9,7 +9,6 @@ from grenfun import functionals
 from grenfun import (
     InputError,
     NumericError,
-    ScalarFunctional,
     ScenarioSpec,
     SmoothFunctional,
     StepDensity,
@@ -21,7 +20,6 @@ from grenfun import (
     evaluate,
     fit,
     ingest,
-    mu_plugin,
     nu_plugin,
     one_step_correction,
     tau_plugin,
@@ -33,8 +31,9 @@ Z2 = by_name("power:2")
 Z1 = by_name("identity")
 XZ2 = by_name("xz2")
 
-EXP_MINUS_1 = ScalarFunctional(
-    h=np.expm1, hprime=np.exp, hdoubleprime=np.exp, name="expm1")
+EXP_MINUS_1 = SmoothFunctional(
+    g=lambda z, x: np.expm1(z), gdot=lambda z, x: np.exp(z), gddot=lambda z, x: np.exp(z),
+    x_free=True, name="expm1")
 
 PWA_TRUTH = ScenarioSpec.paper_pwa().true_density()
 
@@ -43,32 +42,40 @@ def flat(level, width):
     return StepDensity(np.array([width]), np.array([level]))
 
 
+def _x_free(h, hprime, hdoubleprime):
+    """The x-free functional g(z, x) = h(z)."""
+    return SmoothFunctional(g=lambda z, x: h(z), gdot=lambda z, x: hprime(z),
+                            gddot=lambda z, x: hdoubleprime(z), x_free=True)
+
+
 class TestMuPlugin:
+    """mu(f) = integral of h(f(x)) dx: tau_plugin of an x-free functional."""
+
     def test_identity_gives_total_mass(self):
         d = fit(draw(ScenarioSpec.exponential(1.0), 500, default_stream(0)))
-        assert mu_plugin(Z1, d) == pytest.approx(1.0, abs=1e-10)
+        assert tau_plugin(Z1, d) == pytest.approx(1.0, abs=1e-10)
 
     def test_quadratic_on_flat_density(self):
-        assert mu_plugin(Z2, flat(1.0 / 3.0, 3.0)) == pytest.approx(1.0 / 3.0, abs=1e-15)
+        assert tau_plugin(Z2, flat(1.0 / 3.0, 3.0)) == pytest.approx(1.0 / 3.0, abs=1e-15)
 
     def test_paper_value_on_benchmark_truth(self):
-        val = mu_plugin(Z2, PWA_TRUTH)
+        val = tau_plugin(Z2, PWA_TRUTH)
         assert val == pytest.approx(1.828, abs=5e-4)
         assert val == pytest.approx(2.0 * math.sqrt(2.0) - 1.0, rel=1e-14)
 
     def test_divergent_tail_rejected(self):
-        bad = ScalarFunctional(h=lambda z: np.asarray(z) + 1.0,
-                               hprime=lambda z: np.ones_like(np.asarray(z, dtype=float)),
-                               hdoubleprime=lambda z: np.zeros_like(np.asarray(z, dtype=float)))
+        bad = _x_free(lambda z: np.asarray(z) + 1.0,
+                      lambda z: np.ones_like(np.asarray(z, dtype=float)),
+                      lambda z: np.zeros_like(np.asarray(z, dtype=float)))
         with pytest.raises(NumericError, match="divergent tail"):
-            mu_plugin(bad, PWA_TRUTH)
+            tau_plugin(bad, PWA_TRUTH)
         # a compact domain makes it integrable
-        got = mu_plugin(bad, PWA_TRUTH, domain=(0.0, 2.0))
-        assert got == pytest.approx(mu_plugin(Z1, PWA_TRUTH) + 2.0, abs=1e-12)
+        got = tau_plugin(bad, PWA_TRUTH, domain=(0.0, 2.0))
+        assert got == pytest.approx(tau_plugin(Z1, PWA_TRUTH) + 2.0, abs=1e-12)
 
     def test_domain_must_cover_support(self):
         with pytest.raises(InputError, match="inside the density's support"):
-            mu_plugin(Z2, PWA_TRUTH, domain=(0.0, 0.5))
+            tau_plugin(Z2, PWA_TRUTH, domain=(0.0, 0.5))
 
     def test_split_step_invariance(self):
         # splitting a piece into two equal-level halves cannot change the sum
@@ -76,13 +83,16 @@ class TestMuPlugin:
         split = StepDensity(np.array([0.5, 1.0, 3.0]), np.array([0.5, 0.5, 0.25]),
                             validate=False)
         for h in (Z1, Z2, EXP_MINUS_1):
-            assert mu_plugin(h, split) == pytest.approx(mu_plugin(h, d), rel=1e-15)
+            assert tau_plugin(h, split) == pytest.approx(tau_plugin(h, d), rel=1e-15)
 
 
 class TestTauPlugin:
     def test_x_free_reduces_to_mu(self):
+        # the step sum of an x-free g is the quadrature of the same g
+        # declared x-dependent
         d = fit(draw(ScenarioSpec.paper_pwa(), 2000, default_stream(3)))
-        assert tau_plugin(Z2.as_smooth(), d) == pytest.approx(mu_plugin(Z2, d), abs=1e-10)
+        z2 = SmoothFunctional(Z2.g, Z2.gdot, Z2.gddot, z_max=Z2.z_max, vanishes_at_zero=True)
+        assert tau_plugin(z2, d) == pytest.approx(tau_plugin(Z2, d), abs=1e-10)
 
     def test_xz2_on_unit_flat(self):
         assert tau_plugin(XZ2, flat(1.0, 1.0)) == pytest.approx(0.5, abs=1e-12)
@@ -219,19 +229,27 @@ class TestBatchedQuadrature:
 
 class TestNuPlugin:
     def test_constant_gives_total_mass(self):
-        one = ScalarFunctional(h=lambda z: np.ones_like(np.asarray(z, dtype=float)),
-                               hprime=lambda z: np.zeros_like(np.asarray(z, dtype=float)),
-                               hdoubleprime=lambda z: np.zeros_like(np.asarray(z, dtype=float)))
+        one = _x_free(lambda z: np.ones_like(np.asarray(z, dtype=float)),
+                      lambda z: np.zeros_like(np.asarray(z, dtype=float)),
+                      lambda z: np.zeros_like(np.asarray(z, dtype=float)))
         assert nu_plugin(one, PWA_TRUTH) == pytest.approx(1.0, abs=1e-12)
 
     def test_identity_on_flat(self):
         assert nu_plugin(Z1, flat(1.0 / 3.0, 3.0)) == pytest.approx(1.0 / 3.0, abs=1e-15)
 
     def test_no_vanishing_requirement(self):
-        shifted = ScalarFunctional(h=lambda z: np.asarray(z, dtype=float) + 2.0,
-                                   hprime=lambda z: np.ones_like(np.asarray(z, dtype=float)),
-                                   hdoubleprime=lambda z: np.zeros_like(np.asarray(z, dtype=float)))
+        shifted = _x_free(lambda z: np.asarray(z, dtype=float) + 2.0,
+                          lambda z: np.ones_like(np.asarray(z, dtype=float)),
+                          lambda z: np.zeros_like(np.asarray(z, dtype=float)))
         assert nu_plugin(shifted, PWA_TRUTH) > 0.0
+
+    def test_x_dependent_functional_rejected(self):
+        s = ingest([2.0, 3.0])
+        d = fit(s)
+        for call in (lambda: nu_plugin(XZ2, d), lambda: empirical_average(XZ2, s, d),
+                     lambda: one_step_correction(XZ2, s, d)):
+            with pytest.raises(InputError, match="density alone"):
+                call()
 
 
 class TestCarrierIdentity:
@@ -268,7 +286,7 @@ class TestCarrierIdentity:
         # are near 6.6e5, and one rounding step of them is 2^-33 ~ 1.2e-10
 
         def w(z):
-            return Z2.h(z) + z * Z2.hprime(z)
+            return Z2.g(z, 0.0) + z * Z2.gdot(z, 0.0)
 
         scale = (float(np.mean(np.abs(w(evaluate(d, s.values)))))
                  + abs(float(np.dot(w(d.levels) * d.levels, d.piece_widths))))
@@ -277,16 +295,16 @@ class TestCarrierIdentity:
 
 class TestFunctionalValidation:
     def test_wrong_derivative_rejected(self):
-        with pytest.raises(InputError, match="hprime"):
-            ScalarFunctional(h=lambda z: np.asarray(z, dtype=float) ** 2,
-                             hprime=lambda z: 3.0 * np.asarray(z, dtype=float),
-                             hdoubleprime=lambda z: 2.0 + 0.0 * np.asarray(z, dtype=float))
+        with pytest.raises(InputError, match="gdot"):
+            _x_free(lambda z: np.asarray(z, dtype=float) ** 2,
+                    lambda z: 3.0 * np.asarray(z, dtype=float),
+                    lambda z: 2.0 + 0.0 * np.asarray(z, dtype=float))
 
     def test_wrong_second_derivative_rejected(self):
-        with pytest.raises(InputError, match="hdoubleprime"):
-            ScalarFunctional(h=lambda z: np.asarray(z, dtype=float) ** 2,
-                             hprime=lambda z: 2.0 * np.asarray(z, dtype=float),
-                             hdoubleprime=lambda z: 7.0 + 0.0 * np.asarray(z, dtype=float))
+        with pytest.raises(InputError, match="gddot"):
+            _x_free(lambda z: np.asarray(z, dtype=float) ** 2,
+                    lambda z: 2.0 * np.asarray(z, dtype=float),
+                    lambda z: 7.0 + 0.0 * np.asarray(z, dtype=float))
 
     def test_wrong_gdot_rejected(self):
         with pytest.raises(InputError, match="gdot"):
@@ -305,10 +323,11 @@ class TestRegistry:
     def test_power_names(self):
         for p in (1, 2, 3, 5):
             fn = by_name(f"power:{p}")
-            assert fn.h(2.0) == pytest.approx(2.0 ** p)
+            assert isinstance(fn, SmoothFunctional) and fn.x_free and fn.vanishes_at_zero
+            assert fn.g(2.0, 5.0) == pytest.approx(2.0 ** p)
 
     def test_identity_alias(self):
-        assert by_name("identity").h(3.5) == pytest.approx(3.5)
+        assert by_name("identity").g(3.5, 0.0) == pytest.approx(3.5)
 
     def test_xz2_is_smooth_functional(self):
         assert isinstance(by_name("xz2"), SmoothFunctional)

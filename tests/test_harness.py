@@ -8,7 +8,6 @@ import pytest
 from grenfun import (
     InputError,
     NumericError,
-    ScalarFunctional,
     ScenarioSpec,
     SmoothFunctional,
     StudyConfig,
@@ -102,16 +101,15 @@ class TestTruthTable:
     @pytest.mark.parametrize("functional", sorted(TABLE_FUNCTIONALS))
     @pytest.mark.parametrize("truth", sorted(TABLE_TRUTHS))
     def test_matches_scipy_quad(self, truth, functional):
-        spec, fn = TABLE_TRUTHS[truth], TABLE_FUNCTIONALS[functional]
-        G = fn.as_smooth() if isinstance(fn, ScalarFunctional) else fn
+        spec, G = TABLE_TRUTHS[truth], TABLE_FUNCTIONALS[functional]
         tau = _quad_integral(spec, G.g)
         mass = _quad_integral(spec, lambda z, x: z)
         mean = _quad_integral(spec, lambda z, x: G.gdot(z, x) * z) / mass
         var = _quad_integral(spec, lambda z, x: (G.gdot(z, x) - mean) ** 2 * z) / mass
-        got_tau, got_var = _truth(spec, fn)
+        got_tau, got_var = _truth(spec, G)
         assert got_tau == pytest.approx(tau, rel=1e-12)
         assert got_var == pytest.approx(var, rel=1e-12, abs=1e-14)
-        if fn is not Z2_EXP_DECAY:
+        if G is not Z2_EXP_DECAY:
             assert (true_tau(spec, functional), true_sigma_eff(spec, functional)) == (got_tau, got_var)
 
     @pytest.mark.parametrize("truth", sorted(TABLE_TRUTHS))
@@ -176,6 +174,32 @@ class TestStudyConfig:
     def test_missing_field_reported(self):
         with pytest.raises(InputError, match="missing field"):
             StudyConfig.from_json({"functional": "power:2"})
+
+    @pytest.mark.parametrize("field,change", [
+        ("replications", {"replications": 2.7}),
+        ("replications", {"replications": True}),
+        ("seed", {"seed": 1.5}),
+        ("n", {"n": [1000.5]}),
+        ("grid_size", {"grid_size": 999.9}),
+        ("reference_draws", {"reference_draws": 10.5}),
+        ("seed", {"scenario": {"kind": "paper_pwa", "seed": 2.5}}),
+    ], ids=["replications=2.7", "replications=true", "seed=1.5", "n=[1000.5]",
+            "grid_size=999.9", "reference_draws=10.5", "scenario.seed=2.5"])
+    def test_non_integral_count_or_seed_reported(self, field, change):
+        # not truncated toward zero without a word
+        with pytest.raises(InputError, match=f"field {field!r} has an invalid value"):
+            StudyConfig.from_json({"scenario": {"kind": "paper_pwa"}, "functional": "power:2",
+                                   "n": [1000], "replications": 3, **change})
+
+    def test_integral_floats_accepted(self):
+        config = StudyConfig.from_json({
+            "scenario": {"kind": "paper_pwa", "seed": 7.0}, "functional": "power:2",
+            "n": 1e3, "replications": 3.0, "grid_size": 5e2, "reference_draws": 1e4})
+        assert (config.n_values, config.replications, config.seed) == ((1000,), 3, 7)
+        assert (config.grid_size, config.reference_draws) == (500, 10000)
+        assert all(type(v) is int for v in (config.n_values[0], config.replications,
+                                             config.seed, config.grid_size,
+                                             config.reference_draws))
 
     @pytest.mark.parametrize("n", [0, [], [0]])
     def test_no_positive_sample_size_reported(self, n):

@@ -9,24 +9,23 @@ from grenfun import (
     ConfidenceInterval,
     InputError,
     NumericError,
-    ScalarFunctional,
     ScenarioSpec,
+    SmoothFunctional,
     by_name,
-    ci_mu,
     default_stream,
     derive_seed,
     draw,
+    evaluate,
     fit,
     ingest,
-    mu_plugin,
     normal_cdf,
     normal_quantile,
-    sigma_eff_mu,
-    sigma_eff_nu,
     sigma_eff_tau,
+    tau_plugin,
     uniform_clt_statistic,
 )
 from grenfun.grenander import StepDensity
+from grenfun.inference import efficient_interval
 
 Z2 = by_name("power:2")
 Z1 = by_name("identity")
@@ -63,49 +62,63 @@ class TestNormalQuantile:
             assert normal_cdf(normal_quantile(p)) == pytest.approx(p, abs=1e-12)
 
 
+def _fit(spec, n, seed):
+    s = draw(spec, n, default_stream(seed))
+    return s, fit(s)
+
+
 class TestSigmaEffMu:
+    """sigma_eff_tau of a functional of the density alone: the plug-in
+    variance under the fitted step density."""
+
     def test_exponential_analytic_oracle(self):
         # closed form 4 (int f^3 - (int f^2)^2) evaluated analytically
         oracle = 4.0 * (1.0 / 3.0 - 0.25)
         assert oracle == pytest.approx(4.0 / 12.0, abs=1e-15)
         # the plug-in at a large fitted sample approaches it
-        d = fit(draw(EXP1, 100_000, default_stream(8)))
-        assert sigma_eff_mu(Z2, d) == pytest.approx(oracle, abs=0.03)
+        s, d = _fit(EXP1, 100_000, 8)
+        assert sigma_eff_tau(Z2, s, d) == pytest.approx(oracle, abs=0.03)
 
     def test_benchmark_truth_value(self):
-        got = sigma_eff_mu(Z2, PWA.true_density())
+        got = sigma_eff_tau(Z2, None, PWA.true_density())
         assert got == pytest.approx(3.314, abs=5e-4)
         assert got == pytest.approx(4.0 * (7.0 - 2.0 * math.sqrt(2.0)
                                            - (2.0 * math.sqrt(2.0) - 1.0) ** 2), rel=1e-12)
 
     def test_identity_functional_degenerate(self):
-        assert sigma_eff_mu(Z1, PWA.true_density()) == 0.0
+        assert sigma_eff_tau(Z1, None, PWA.true_density()) == 0.0
 
     def test_continuity_in_levels(self):
         d = PWA.true_density()
-        base = sigma_eff_mu(Z2, d)
+        base = sigma_eff_tau(Z2, None, d)
         for bump in (1e-8, -1e-8):
             levels = d.levels.copy()
             levels[0] += bump
-            moved = sigma_eff_mu(Z2, StepDensity(d.breakpoints, levels, validate=False))
+            moved = sigma_eff_tau(Z2, None, StepDensity(d.breakpoints, levels, validate=False))
             assert abs(moved - base) <= 1e-6
 
 
-class TestSigmaEffNu:
-    def test_chain_rule_identity(self):
-        # Var(h'(f) f + h(f)) equals sigma_eff_mu applied to z h(z)
-        zh = ScalarFunctional(
-            h=lambda z: np.asarray(z, dtype=float) ** 3,
-            hprime=lambda z: 3.0 * np.asarray(z, dtype=float) ** 2,
-            hdoubleprime=lambda z: 6.0 * np.asarray(z, dtype=float))
-        for d in (PWA.true_density(), fit(draw(EXP1, 5000, default_stream(2)))):
-            assert abs(sigma_eff_nu(Z2, d) - sigma_eff_mu(zh, d)) <= 1e-10
+EXP_MINUS_1 = SmoothFunctional(
+    g=lambda z, x: np.expm1(z), gdot=lambda z, x: np.exp(z), gddot=lambda z, x: np.exp(z),
+    x_free=True, vanishes_at_zero=True, name="expm1")
 
 
 class TestSigmaEffTau:
+    @pytest.mark.parametrize("fn", [Z1, Z2, Z3, by_name("power:4"), EXP_MINUS_1],
+                             ids=lambda fn: fn.name)
+    @pytest.mark.parametrize("spec", [EXP1, ScenarioSpec.uniform(2.0), PWA], ids=lambda s: s.kind)
+    def test_x_free_matches_the_empirical_variance(self, spec, fn):
+        # by the carrier identity of the Grenander fit, the variance under
+        # the fitted density is the variance of gdot(fhat(X_i)) over the
+        # sample, the form the benchmark's oracle takes
+        s, d = _fit(spec, 3000, 41)
+        vals = fn.gdot(evaluate(d, s.values), s.values)
+        empirical = float(np.mean(vals * vals)) - float(np.mean(vals)) ** 2
+        got = sigma_eff_tau(fn, s, d)
+        assert abs(got - empirical) <= 1e-12 * abs(empirical)
+
     def test_constant_gdot_gives_zero(self):
-        import grenfun.functionals as fm
-        g = fm.SmoothFunctional(
+        g = SmoothFunctional(
             g=lambda z, x: 5.0 * np.asarray(z, dtype=float),
             gdot=lambda z, x: 5.0 + 0.0 * np.asarray(z, dtype=float),
             gddot=lambda z, x: 0.0 * np.asarray(z, dtype=float),
@@ -117,7 +130,7 @@ class TestSigmaEffTau:
     def test_exponential_quadratic(self):
         s = draw(EXP1, 100_000, default_stream(21))
         d = fit(s)
-        assert sigma_eff_tau(Z2.as_smooth(), s, d) == pytest.approx(1.0 / 3.0, abs=0.03)
+        assert sigma_eff_tau(Z2, s, d) == pytest.approx(1.0 / 3.0, abs=0.03)
 
     def test_xz2_benchmark(self):
         # Var(2 X f(X)) with piecewise-polynomial closed form
@@ -135,9 +148,15 @@ class TestConfidenceIntervals:
     def test_degenerate_flagged(self):
         s = ingest([1.0, 1.0, 1.0, 2.0])
         # constant functional: h' constant so the variance is exactly 0
-        ci = ci_mu(Z1, s, 0.95)
+        ci = efficient_interval(Z1, s, 0.95)
         assert ci.degenerate
         assert ci.lower == ci.estimate == ci.upper
+
+    def test_identity_interval_is_degenerate(self):
+        # h' = 1 is constant, so the centered variance is exactly 0; the
+        # uncentered m1 - m2^2 left 1.1e-16 here and a 1.3e-9 wide interval
+        ci = efficient_interval(Z1, draw(EXP1, 1000, default_stream(2)), 0.95)
+        assert (ci.sigma_hat, ci.degenerate, ci.width) == (0.0, True, 0.0)
 
     def test_width_scales_as_inverse_root_n(self):
         z = normal_quantile(0.975)
@@ -149,7 +168,7 @@ class TestConfidenceIntervals:
 
     def test_json_fields(self):
         s = draw(EXP1, 100, default_stream(0))
-        blob = json.dumps(ci_mu(Z2, s, 0.9).to_json())
+        blob = json.dumps(efficient_interval(Z2, s, 0.9).to_json())
         back = json.loads(blob)
         assert set(back) == {"estimate", "lower", "upper", "level", "sigma_hat",
                              "n", "degenerate", "validity"}
@@ -158,7 +177,7 @@ class TestConfidenceIntervals:
     def test_bad_level_rejected(self):
         s = draw(EXP1, 100, default_stream(0))
         with pytest.raises(InputError):
-            ci_mu(Z2, s, 1.5)
+            efficient_interval(Z2, s, 1.5)
 
     @pytest.mark.slow
     def test_coverage_exponential(self):
@@ -167,7 +186,7 @@ class TestConfidenceIntervals:
         reps = 1000
         for rep in range(reps):
             s = draw(EXP1, 10_000, default_stream(derive_seed(314, rep)))
-            ci = ci_mu(Z2, s, 0.95)
+            ci = efficient_interval(Z2, s, 0.95)
             hits += int(ci.lower <= 0.5 <= ci.upper)
         assert 0.91 <= hits / reps <= 0.97
 
@@ -178,7 +197,7 @@ class TestConfidenceIntervals:
         reps = 1000
         for rep in range(reps):
             s = draw(PWA, 20_000, default_stream(derive_seed(2718, rep)))
-            ci = ci_mu(Z2, s, 0.95)
+            ci = efficient_interval(Z2, s, 0.95)
             hits += int(ci.lower <= truth <= ci.upper)
         assert 0.92 <= hits / reps <= 0.97
 
@@ -188,7 +207,7 @@ class TestUniformCltStatistic:
         s = draw(ScenarioSpec.uniform(1.0), 5000, default_stream(5))
         d = fit(s)
         n = s.n
-        raw = n * (mu_plugin(Z2, d, domain=(0.0, 1.0)) - 1.0)
+        raw = n * (tau_plugin(Z2, d, domain=(0.0, 1.0)) - 1.0)
         expected = (raw - math.log(n)) / math.sqrt(3.0 * math.log(n))
         assert uniform_clt_statistic(Z2, s) == pytest.approx(expected, rel=1e-12)
 
@@ -197,7 +216,7 @@ class TestUniformCltStatistic:
         d = fit(s)
         n = s.n
         b = 3.0  # h''(1)/2 for z^3
-        raw = n * (mu_plugin(Z3, d, domain=(0.0, 1.0)) - 1.0)
+        raw = n * (tau_plugin(Z3, d, domain=(0.0, 1.0)) - 1.0)
         expected = (raw - b * math.log(n)) / math.sqrt(3.0 * b * b * math.log(n))
         assert uniform_clt_statistic(Z3, s) == pytest.approx(expected, rel=1e-12)
 
@@ -205,6 +224,11 @@ class TestUniformCltStatistic:
         s = draw(ScenarioSpec.uniform(1.0), 100, default_stream(7))
         with pytest.raises(NumericError, match="degenerate normalization"):
             uniform_clt_statistic(Z1, s)
+
+    def test_x_dependent_functional_rejected(self):
+        s = draw(ScenarioSpec.uniform(1.0), 100, default_stream(7))
+        with pytest.raises(InputError, match="density alone"):
+            uniform_clt_statistic(XZ2, s)
 
     def test_out_of_range_observations_rejected(self):
         with pytest.raises(InputError, match="Uniform"):

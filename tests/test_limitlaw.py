@@ -249,11 +249,11 @@ class TestPlanRowHulls:
 
 class TestSampleY:
     def test_single_draw_is_finite_float(self):
-        ys, _ = draw_y_samples(Z2.as_smooth(), EXP_MODEL, 500, 1, default_stream(0))
+        ys, _ = draw_y_samples(Z2, EXP_MODEL, 500, 1, default_stream(0))
         assert ys.shape == (1,) and ys.dtype == float and math.isfinite(ys[0])
 
     def test_uniform_truth_quadratic_is_degenerate(self):
-        ys, _ = draw_y_samples(Z2.as_smooth(), UNIF_MODEL, 200, 50, default_stream(3))
+        ys, _ = draw_y_samples(Z2, UNIF_MODEL, 200, 50, default_stream(3))
         assert np.array_equal(ys, np.zeros(50))
 
     def test_y_from_path_matches_batch_logic(self):
@@ -270,7 +270,7 @@ class TestSampleY:
             assert one[0] == pytest.approx(batch[k], rel=1e-12, abs=1e-15)
 
     def test_metadata_reports_truncation_and_tail(self):
-        ys, info = draw_y_samples(Z2.as_smooth(), EXP_MODEL, 300, 20, default_stream(1))
+        ys, info = draw_y_samples(Z2, EXP_MODEL, 300, 20, default_stream(1))
         assert info["truncation"] == pytest.approx(-math.log(1e-6), rel=1e-9)
         assert 0.0 < info["tail_bound"] < 1e-4
         assert info["draws"] == 20
@@ -278,8 +278,12 @@ class TestSampleY:
         _, info = draw_y_samples(XZ2, PWA_MODEL, 300, 20, default_stream(1))
         assert info["truncation"] == 1.0 and info["tail_bound"] == 0.0
 
+    def test_linear_formula_needs_an_x_free_functional(self):
+        with pytest.raises(InputError, match="density alone"):
+            linear_y_samples(XZ2, PWA_MODEL, 10, default_stream(0))
+
     def test_emit_and_load_round_trip(self, tmp_path):
-        ys, info = draw_y_samples(Z2.as_smooth(), PWA_MODEL, 100, 10_000, default_stream(2))
+        ys, info = draw_y_samples(Z2, PWA_MODEL, 100, 10_000, default_stream(2))
         path = tmp_path / "y.csv"
         emit_y_csv(path, ys, info)
         back, meta = load_y_csv(path)
@@ -302,7 +306,7 @@ class TestDistributionalInvariants:
     def test_linear_formula_agrees_with_path_sampler(self):
         # x-free functional, piecewise-affine truth: the two samplers
         # share one law (KS < 0.01 at 1e5 draws)
-        ys_path, _ = draw_y_samples(Z2.as_smooth(), PWA_MODEL, 1000, 100_000,
+        ys_path, _ = draw_y_samples(Z2, PWA_MODEL, 1000, 100_000,
                                     default_stream(100))
         ys_lin = linear_y_samples(Z2, PWA_MODEL, 100_000, default_stream(200))
         assert ks_distance(ys_path, ys_lin) < 0.01
@@ -313,7 +317,7 @@ class TestDistributionalInvariants:
         # common random numbers: the coarse grid is the fine grid's
         # even-index subgrid, so the variance difference is pure
         # discretization effect
-        model, G = EXP_MODEL, Z2.as_smooth()
+        model, G = EXP_MODEL, Z2
         fine = build_grid(model, 4000)
         coarse = fine[::2]
         idx = np.arange(0, fine.size, 2)
