@@ -23,7 +23,7 @@ from .functionals import by_name, tau_plugin
 from .grenander import fit
 from .harness import StudyConfig, read_run_config, run_coverage, run_study, run_uniform_study
 from .inference import efficient_interval
-from .limitlaw import TrueModel, draw_y_samples, emit_y_csv
+from .limitlaw import draw_y_samples, emit_y_csv
 from .samples import default_stream, read_observations
 
 
@@ -126,8 +126,7 @@ def _cmd_limit_sample(args) -> int:
     spec, name, seed, grid_size = read_run_config(args.config)
     if args.seed is not None:
         seed = args.seed
-    model = TrueModel.from_scenario(spec)
-    ys, info = draw_y_samples(by_name(name), model, grid_size, args.draws, default_stream(seed))
+    ys, info = draw_y_samples(by_name(name), spec, grid_size, args.draws, default_stream(seed))
     info["seed"] = int(seed)
     args.out.mkdir(parents=True, exist_ok=True)
     slug = name.replace(":", "")

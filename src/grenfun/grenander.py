@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import io
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,30 +56,31 @@ class StepDensity:
     def support_end(self) -> float:
         return float(self.breakpoints[-1])
 
+    def _cumulative(self):
+        """Left edges of the pieces and the mass below each edge, the last
+        entry being the total mass."""
+        edges = np.concatenate(([0.0], self.breakpoints))
+        return edges, np.concatenate(([0.0], np.cumsum(self.levels * self.piece_widths)))
+
     def cdf(self, x):
         """Integral of the density from 0 to x."""
         x = np.asarray(x, dtype=float)
-        cum = np.concatenate(([0.0], np.cumsum(self.levels * self.piece_widths)))
-        edges = np.concatenate(([0.0], self.breakpoints))
+        edges, cum = self._cumulative()
         xc = np.clip(x, 0.0, self.support_end)
         i = np.searchsorted(self.breakpoints, xc, side="left")
         out = cum[i] + self.levels[np.minimum(i, self.levels.size - 1)] * (xc - edges[i])
         out = np.where(x >= self.support_end, cum[-1], out)
         return out if out.ndim else float(out)
 
+    def quantile(self, u):
+        """Inverse of :meth:`cdf` on [0, 1)."""
+        u = np.asarray(u, dtype=float)
+        edges, cum = self._cumulative()
+        i = np.clip(np.searchsorted(cum, u, side="right") - 1, 0, self.levels.size - 1)
+        out = edges[i] + (u - cum[i]) / self.levels[i]
+        return out if out.ndim else float(out)
+
     # -- serialization ----------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {"breakpoints": self.breakpoints.tolist(),
-                "levels": self.levels.tolist()}
-
-    @staticmethod
-    def from_json(obj: dict) -> "StepDensity":
-        try:
-            return StepDensity(np.asarray(obj["breakpoints"], dtype=float),
-                               np.asarray(obj["levels"], dtype=float))
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"bad StepDensity JSON: {exc}") from None
 
     def to_csv(self) -> str:
         buf = io.StringIO()

@@ -34,7 +34,7 @@ from .functionals import _quadrature, _require_x_free, _step_sum, by_name, tau_p
 from .grenander import fit
 from .inference import (_efficient_variance, efficient_interval, normal_cdf, normal_quantile,
                         uniform_clt_statistic)
-from .limitlaw import TrueModel, draw_y_samples, emit_y_csv
+from .limitlaw import draw_y_samples, emit_y_csv
 from .samples import (ScenarioSpec, _integer, config_field, default_stream, derive_seed, draw,
                       read_json_object)
 
@@ -276,7 +276,10 @@ def _coverage_draw(args) -> tuple:
     scenario_json, functional_name, n, seed, level, truth, rep = args
     s = draw(ScenarioSpec.from_json(scenario_json), n, default_stream(derive_seed(seed, rep)))
     ci = efficient_interval(by_name(functional_name), s, level)
-    return float(ci.lower <= truth <= ci.upper), ci.width
+    # a point interval misses the truth by the rounding of its estimate
+    hit = ci.lower <= truth <= ci.upper or (
+        ci.degenerate and abs(ci.estimate - truth) <= 4.0 * math.ulp(truth))
+    return float(hit), ci.width
 
 
 def _uniform_statistic(args) -> float:
@@ -315,18 +318,16 @@ def run_study(config: StudyConfig, threads: int = 1, out_dir=None) -> list:
     functional, or strictly concave truth); otherwise an empirical sample
     of the limit variable is generated and recorded.
     """
-    truth = true_tau(config.scenario, config.functional)
+    fn = by_name(config.functional)
+    truth, sigma2 = _truth(config.scenario, fn)
     scenario_json = config.scenario.to_json()
     ref_sample = None
     if reference_is_normal(config.scenario, config.functional):
-        reference = {"type": "normal", "mean": 0.0,
-                     "var": true_sigma_eff(config.scenario, config.functional)}
+        reference = {"type": "normal", "mean": 0.0, "var": sigma2}
     else:
-        fn = by_name(config.functional)
-        model = TrueModel.from_scenario(config.scenario)
         y_seed = derive_seed(config.seed, _Y_SEED_SALT)
         ref_sample, info = draw_y_samples(
-            fn, model, config.grid_size, config.reference_draws,
+            fn, config.scenario, config.grid_size, config.reference_draws,
             default_stream(y_seed))
         info["seed"] = y_seed
         reference = {"type": "empirical", "draws": int(config.reference_draws),
@@ -366,7 +367,7 @@ def run_coverage(config: StudyConfig, level: float, threads: int = 1) -> list:
     :func:`run_study`, so the records do not depend on ``threads``."""
     if not 0.0 < level < 1.0:
         raise InputError("confidence level must lie in (0, 1)")
-    truth = true_tau(config.scenario, config.functional)
+    truth, _ = _truth(config.scenario, by_name(config.functional))
     scenario_json = config.scenario.to_json()
     records = []
     for n in config.n_values:

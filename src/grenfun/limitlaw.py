@@ -4,7 +4,7 @@ The limit is minus the Stieltjes integral of the derivative-transformed
 Brownian bridge against d[gdot(f(x), x)].  Strictly concave truths leave
 the bridge untouched; piecewise-affine truths apply the least concave
 majorant interval by interval.  Unbounded supports are truncated where
-the CDF reaches 1 - truncation_mass, and the neglected tail's worst-case
+the CDF reaches 1 - 1e-6, and the neglected tail's worst-case
 contribution is reported alongside emitted samples.
 
 The integral is taken on a grid by the trapezoid rule: on each cell the
@@ -34,7 +34,6 @@ path is a one-row array.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -44,41 +43,18 @@ from .functionals import SmoothFunctional, _require_x_free
 from .majorant import _hull_rows
 from .samples import ScenarioSpec, _load_column
 
-DEFAULT_TRUNCATION_MASS = 1e-6
+#: tail mass cut from a truth of unbounded support
+_TAIL_MASS = 1e-6
+#: bridge rows drawn and summed at once
+_BATCH_ROWS = 4096
 
-STRICTLY_CONCAVE = "strictly_concave"
-PIECEWISE_AFFINE = "piecewise_affine"
 
-
-@dataclass(frozen=True)
-class TrueModel:
-    """A scenario CDF together with its concavity structure."""
-
-    spec: ScenarioSpec
-    concavity_kind: str
-    truncation: float
-    truncation_mass: float = 0.0
-
-    @staticmethod
-    def from_scenario(spec: ScenarioSpec,
-                      truncation_mass: float = DEFAULT_TRUNCATION_MASS) -> "TrueModel":
-        if spec.is_strictly_concave:
-            t_end = float(spec.quantile(1.0 - truncation_mass))
-            return TrueModel(spec, STRICTLY_CONCAVE, t_end, truncation_mass)
-        return TrueModel(spec, PIECEWISE_AFFINE, spec.support_end, 0.0)
-
-    @property
-    def breakpoints(self) -> np.ndarray:
-        ts, _ = self.spec._pw_arrays()
-        return ts
-
-    @property
-    def levels(self) -> np.ndarray:
-        _, vs = self.spec._pw_arrays()
-        return vs
-
-    def affine_intervals(self):
-        return self.spec.affine_intervals()
+def _truncation(spec: ScenarioSpec) -> float:
+    """Right end of the grid: the support's end, or the 1 - _TAIL_MASS
+    quantile of a strictly concave truth."""
+    if spec.is_strictly_concave:
+        return float(spec.quantile(1.0 - _TAIL_MASS))
+    return spec.support_end
 
 
 def _bridge_values(u: np.ndarray, draws: int, stream) -> np.ndarray:
@@ -96,27 +72,20 @@ def _bridge_values(u: np.ndarray, draws: int, stream) -> np.ndarray:
     return out
 
 
-def build_grid(model: TrueModel, grid_size: int) -> np.ndarray:
+def build_grid(spec: ScenarioSpec, grid_size: int) -> np.ndarray:
     """Uniform grid on [0, T] merged with all affine-interval endpoints."""
     if grid_size < 2:
         raise InputError("grid_size must be at least 2")
-    base = np.linspace(0.0, model.truncation, int(grid_size) + 1)
-    if model.concavity_kind == PIECEWISE_AFFINE:
-        base = np.union1d(base, model.breakpoints)
+    base = np.linspace(0.0, _truncation(spec), int(grid_size) + 1)
+    if not spec.is_strictly_concave:
+        base = np.union1d(base, spec.true_density().breakpoints)
     return base
 
 
-def _cell_levels(model: TrueModel, grid: np.ndarray) -> np.ndarray:
-    """Density level governing each grid cell (evaluated at the right
-    endpoint, which cannot cross a breakpoint because breakpoints are
-    grid members)."""
-    return np.asarray(model.spec.density(grid[1:]), dtype=float)
-
-
-def _jump_terms(G: SmoothFunctional, model: TrueModel):
+def _jump_terms(G: SmoothFunctional, spec: ScenarioSpec):
     """Breakpoint locations and jumps of psi(x) = gdot(f(x), x) there."""
-    ts = model.breakpoints
-    vs = model.levels
+    d = spec.true_density()
+    ts, vs = d.breakpoints, d.levels
     jumps = np.empty(ts.size)
     for i in range(ts.size):
         left = float(G.gdot(vs[i], ts[i]))
@@ -125,15 +94,17 @@ def _jump_terms(G: SmoothFunctional, model: TrueModel):
     return ts, jumps
 
 
-def _psi_increments(G: SmoothFunctional, model: TrueModel, grid: np.ndarray) -> np.ndarray:
+def _psi_increments(G: SmoothFunctional, spec: ScenarioSpec, grid: np.ndarray) -> np.ndarray:
     """Within-piece increments of psi over grid cells (jumps excluded)."""
-    if model.concavity_kind == STRICTLY_CONCAVE:
-        f = np.asarray(model.spec.density(grid), dtype=float)
+    if spec.is_strictly_concave:
+        f = np.asarray(spec.density(grid), dtype=float)
         psi = np.array([float(G.gdot(z, x)) for z, x in zip(f, grid)])
         return np.diff(psi)
     if G.x_free:
         return np.zeros(grid.size - 1)
-    lv = _cell_levels(model, grid)
+    # the level of each cell is the density at its right end, which
+    # cannot cross a breakpoint because breakpoints are grid members
+    lv = np.asarray(spec.density(grid[1:]), dtype=float)
     right = np.array([float(G.gdot(z, x)) for z, x in zip(lv, grid[1:])])
     left = np.array([float(G.gdot(z, x)) for z, x in zip(lv, grid[:-1])])
     return right - left
@@ -152,21 +123,20 @@ def _running_sum(terms: np.ndarray):
 
 
 class YPlan:
-    """Precomputed pieces of the Stieltjes sum for one (functional, model,
+    """Precomputed pieces of the Stieltjes sum for one (functional, truth,
     grid) combination, applicable to many bridge paths at once."""
 
-    def __init__(self, G: SmoothFunctional, model: TrueModel, grid: np.ndarray):
-        self.model = model
+    def __init__(self, G: SmoothFunctional, spec: ScenarioSpec, grid: np.ndarray):
         self.grid = np.asarray(grid, dtype=float)
-        self.dpsi = _psi_increments(G, model, self.grid)
+        self.dpsi = _psi_increments(G, spec, self.grid)
         # trapezoid weight of each grid value: half the psi increment of
         # each cell it ends
         self.weights = np.zeros(self.grid.size)
         self.weights[:-1] = 0.5 * self.dpsi
         self.weights[1:] += 0.5 * self.dpsi
-        self.needs_hull = (model.concavity_kind == PIECEWISE_AFFINE) and not G.x_free
-        if model.concavity_kind == PIECEWISE_AFFINE:
-            ts, self.jumps = _jump_terms(G, model)
+        self.needs_hull = not spec.is_strictly_concave and not G.x_free
+        if not spec.is_strictly_concave:
+            ts, self.jumps = _jump_terms(G, spec)
             self.t_idx = np.searchsorted(self.grid, ts)
             if np.any(self.t_idx >= self.grid.size) or np.any(self.grid[self.t_idx] != ts):
                 raise InputError("grid does not contain every affine-interval endpoint")
@@ -221,8 +191,8 @@ class YPlan:
         return paths[:, -1] * self.psi_total - by_parts
 
 
-def draw_y_samples(G: SmoothFunctional, model: TrueModel, grid_size: int,
-                   draws: int, stream, batch: int = 4096):
+def draw_y_samples(G: SmoothFunctional, spec: ScenarioSpec, grid_size: int,
+                   draws: int, stream):
     """Monte Carlo draws of the limit variable.
 
     Returns ``(ys, info)`` where info carries the truncation point, the
@@ -231,20 +201,20 @@ def draw_y_samples(G: SmoothFunctional, model: TrueModel, grid_size: int,
     """
     if draws < 1:
         raise InputError("need at least one draw")
-    grid = build_grid(model, grid_size)
-    u = np.asarray(model.spec.cdf(grid), dtype=float)
+    grid = build_grid(spec, grid_size)
+    u = np.asarray(spec.cdf(grid), dtype=float)
     truncated = u[-1] < 1.0
     if truncated:
         u_ext = np.concatenate((u, [1.0]))
     else:
         u_ext = u
-    plan = YPlan(G, model, grid)
-    tail_tv = _tail_total_variation(G, model)
+    plan = YPlan(G, spec, grid)
+    tail_tv = _tail_total_variation(G, spec)
     ys = np.empty(draws)
     max_abs_g = 0.0
     done = 0
     while done < draws:
-        m = min(batch, draws - done)
+        m = min(_BATCH_ROWS, draws - done)
         paths = _bridge_values(u_ext, m, stream)
         if truncated:
             paths = paths[:, :-1]
@@ -254,37 +224,36 @@ def draw_y_samples(G: SmoothFunctional, model: TrueModel, grid_size: int,
         del paths  # else it stays alive while the next batch is drawn
         done += m
     info = {
-        "model": model.spec.to_json(),
+        "model": spec.to_json(),
         "functional": G.name,
         "grid_size": int(grid_size),
         "grid_points": int(grid.size),
-        "truncation": float(model.truncation),
+        "truncation": _truncation(spec),
         "tail_bound": max_abs_g * tail_tv,
         "draws": int(draws),
     }
     return ys, info
 
 
-def linear_y_samples(G: SmoothFunctional, model: TrueModel, draws: int, stream) -> np.ndarray:
+def linear_y_samples(G: SmoothFunctional, spec: ScenarioSpec, draws: int, stream) -> np.ndarray:
     """Draws from the linear breakpoint formula for x-free functionals
     under a piecewise-affine truth: minus the sum over breakpoints of the
     bridge value times the jump of h'(f), h = g(., 0)."""
     _require_x_free(G, "the linear formula")
-    if model.concavity_kind != PIECEWISE_AFFINE:
+    if spec.is_strictly_concave:
         raise InputError("linear formula requires a piecewise-affine truth")
-    ts, jumps = _jump_terms(G, model)
-    u = np.concatenate(([0.0], np.asarray(model.spec.cdf(ts), dtype=float)))
+    ts, jumps = _jump_terms(G, spec)
+    u = np.concatenate(([0.0], np.asarray(spec.cdf(ts), dtype=float)))
     u[-1] = 1.0
     paths = _bridge_values(u, draws, stream)
     return -(paths[:, 1:] @ jumps)
 
 
-def _tail_total_variation(G: SmoothFunctional, model: TrueModel) -> float:
+def _tail_total_variation(G: SmoothFunctional, spec: ScenarioSpec) -> float:
     """Total variation of psi on the truncated tail, by fine sampling."""
-    if model.concavity_kind != STRICTLY_CONCAVE or model.truncation_mass <= 0.0:
+    if not spec.is_strictly_concave:
         return 0.0
-    spec = model.spec
-    tail_u = 1.0 - np.geomspace(model.truncation_mass, 1e-14, 200)
+    tail_u = 1.0 - np.geomspace(_TAIL_MASS, 1e-14, 200)
     xs = np.asarray(spec.quantile(tail_u), dtype=float)
     fs = np.asarray(spec.density(xs), dtype=float)
     psi = np.array([float(G.gdot(z, x)) for z, x in zip(fs, xs)])

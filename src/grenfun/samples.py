@@ -135,16 +135,11 @@ class ScenarioSpec:
             if not config_field("scenario params", self.params, "upper", _real, 0.0) > 0.0:
                 raise InputError("uniform scenario needs upper > 0")
         elif self.kind == "piecewise_constant":
-            ts, vs = (config_field("scenario params", self.params, key,
-                                   lambda v: np.asarray(v, dtype=float))
-                      for key in ("breakpoints", "levels"))
-            if ts.size == 0 or ts.size != vs.size:
-                raise InputError("breakpoints and levels must be equal-length and nonempty")
-            if np.any(ts <= 0.0) or np.any(np.diff(ts) <= 0.0):
-                raise InputError("breakpoints must be strictly increasing and positive")
-            if np.any(vs <= 0.0) or np.any(np.diff(vs) >= 0.0):
-                raise InputError("levels must be strictly decreasing and positive")
-            mass = float(np.sum(vs * np.diff(ts, prepend=0.0)))
+            # a value numpy cannot read is reported by its field name
+            for key in ("breakpoints", "levels"):
+                config_field("scenario params", self.params, key,
+                             lambda v: np.asarray(v, dtype=float))
+            mass = self.true_density().mass
             if abs(mass - 1.0) > 1e-12:
                 raise InputError(f"piecewise density mass {mass!r} differs from 1 by more than 1e-12")
 
@@ -171,20 +166,6 @@ class ScenarioSpec:
     def paper_pwa(seed: int | None = None) -> "ScenarioSpec":
         return ScenarioSpec("paper_pwa", {}, seed)
 
-    # -- internal piecewise representation ------------------------------
-
-    def _pw_arrays(self):
-        if self.kind == "paper_pwa":
-            return (np.array([PWA_KINK, 1.0]),
-                    np.array([SQRT2 + 1.0, SQRT2 - 1.0]))
-        if self.kind == "uniform":
-            c = float(self.params["upper"])
-            return np.array([c]), np.array([1.0 / c])
-        if self.kind == "piecewise_constant":
-            return (np.asarray(self.params["breakpoints"], dtype=float),
-                    np.asarray(self.params["levels"], dtype=float))
-        raise InputError(f"scenario kind {self.kind!r} has no piecewise form")
-
     # -- distribution functions -----------------------------------------
 
     @property
@@ -196,52 +177,40 @@ class ScenarioSpec:
         """Right endpoint of the support (inf for exponential)."""
         if self.kind == "exponential":
             return math.inf
-        ts, _ = self._pw_arrays()
-        return float(ts[-1])
+        return self.true_density().support_end
 
     def cdf(self, x):
+        """The CDF; for a piecewise kind exactly 1.0 at and past the end
+        of the support, where the float sum of the piece masses may round
+        to 1 +- 1 ulp."""
         x = np.asarray(x, dtype=float)
         if self.kind == "exponential":
             rate = self.params["rate"]
             out = -np.expm1(-rate * np.maximum(x, 0.0))
         else:
-            ts, vs = self._pw_arrays()
-            edges = np.concatenate(([0.0], ts))
-            cum = np.concatenate(([0.0], np.cumsum(vs * np.diff(edges))))
-            cum[-1] = 1.0
-            xc = np.clip(x, 0.0, ts[-1])
-            i = np.searchsorted(ts, xc, side="left")
-            out = cum[i] + vs[np.minimum(i, vs.size - 1)] * (xc - edges[i])
-            out = np.where(x >= ts[-1], 1.0, out)
+            d = self.true_density()
+            out = np.where(x >= d.support_end, 1.0, d.cdf(x))
         return out if out.ndim else float(out)
 
     def quantile(self, u):
         """Inverse CDF, defined on [0, 1)."""
+        if self.kind not in ("exponential", "uniform"):
+            return self.true_density().quantile(u)
         u = np.asarray(u, dtype=float)
         if self.kind == "exponential":
             rate = self.params["rate"]
             out = -np.log1p(-u) / rate
-        elif self.kind == "uniform":
-            out = u * self.params["upper"]
         else:
-            ts, vs = self._pw_arrays()
-            edges = np.concatenate(([0.0], ts))
-            cum = np.concatenate(([0.0], np.cumsum(vs * np.diff(edges))))
-            cum[-1] = 1.0
-            i = np.clip(np.searchsorted(cum, u, side="right") - 1, 0, vs.size - 1)
-            out = edges[i] + (u - cum[i]) / vs[i]
+            out = u * self.params["upper"]
         return out if out.ndim else float(out)
 
     def density(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.kind == "exponential":
-            rate = self.params["rate"]
-            out = rate * np.exp(-rate * x)
-        else:
-            ts, vs = self._pw_arrays()
-            i = np.searchsorted(ts, x, side="left")
-            out = np.where(i < vs.size, vs[np.minimum(i, vs.size - 1)], 0.0)
-            out = np.where(x > ts[-1], 0.0, out)
+        if self.kind != "exponential":
+            from .grenander import evaluate
+
+            return evaluate(self.true_density(), x)
+        rate = self.params["rate"]
+        out = rate * np.exp(-rate * np.asarray(x, dtype=float))
         return out if out.ndim else float(out)
 
     def true_density(self):
@@ -249,14 +218,19 @@ class ScenarioSpec:
         (piecewise kinds only)."""
         from .grenander import StepDensity
 
-        ts, vs = self._pw_arrays()
-        return StepDensity(ts, vs)
+        if self.kind == "paper_pwa":
+            return StepDensity([PWA_KINK, 1.0], [SQRT2 + 1.0, SQRT2 - 1.0])
+        if self.kind == "uniform":
+            c = float(self.params["upper"])
+            return StepDensity([c], [1.0 / c])
+        if self.kind == "piecewise_constant":
+            return StepDensity(self.params["breakpoints"], self.params["levels"])
+        raise InputError(f"scenario kind {self.kind!r} has no piecewise form")
 
     def affine_intervals(self):
         """Closed intervals on which the CDF is affine (piecewise kinds)."""
-        ts, _ = self._pw_arrays()
-        edges = np.concatenate(([0.0], ts))
-        return [(float(edges[i]), float(edges[i + 1])) for i in range(ts.size)]
+        edges = np.concatenate(([0.0], self.true_density().breakpoints))
+        return [(float(edges[i]), float(edges[i + 1])) for i in range(edges.size - 1)]
 
     # -- serialization ---------------------------------------------------
 

@@ -19,7 +19,6 @@ from grenfun import (
     ScenarioSpec,
     SmoothFunctional,
     StudyConfig,
-    TrueModel,
     by_name,
     default_stream,
     derive_seed,
@@ -213,10 +212,9 @@ def test_criterion_7_limit_sampler():
     # (a) strictly concave: the derivative is the identity, bit for bit:
     # the plan hulls nothing and sums the paths as they are, by the
     # trapezoid weights (dpsi_(j-1) + dpsi_j) / 2
-    exp_model = TrueModel.from_scenario(EXP1)
-    grid = build_grid(exp_model, 500)
+    grid = build_grid(EXP1, 500)
     paths = np.sin(np.outer([1.0, 0.5], grid))
-    plan = YPlan(XZ2, exp_model, grid)
+    plan = YPlan(XZ2, EXP1, grid)
     assert not plan.needs_hull and plan.fixed is None
     padded = np.concatenate(([0.0], plan.dpsi, [0.0]))
     weights = (padded[:-1] + padded[1:]) / 2
@@ -225,16 +223,15 @@ def test_criterion_7_limit_sampler():
     # (b) per-interval LCM against the oracle on 200-point grids, every
     # row hulled in one kernel call with the plan's interval ends fixed,
     # and filled from its vertices by the oracle's chord fill
-    pwa_model = TrueModel.from_scenario(PWA)
-    grid200 = build_grid(pwa_model, 200)
-    u200 = pwa_model.spec.cdf(grid200)
+    grid200 = build_grid(PWA, 200)
+    u200 = PWA.cdf(grid200)
     rng = default_stream(derive_seed(ACCEPTANCE_SEED, 71))
     paths = _bridge_values(u200, 20, rng)
     hat = paths.copy()
-    fill_chords(hat, grid200, _hull_rows(hat, grid200, YPlan(XZ2, pwa_model, grid200).fixed))
+    fill_chords(hat, grid200, _hull_rows(hat, grid200, YPlan(XZ2, PWA, grid200).fixed))
     for vals, out in zip(paths, hat):
         expected = vals.copy()
-        for a, b in pwa_model.affine_intervals():
+        for a, b in PWA.affine_intervals():
             ia, ib = int(np.searchsorted(grid200, a)), int(np.searchsorted(grid200, b))
             idx = brute_force_hull_indices(grid200[ia:ib + 1], vals[ia:ib + 1])
             seg = np.interp(grid200[ia:ib + 1], grid200[ia:ib + 1][idx],
@@ -249,13 +246,13 @@ def test_criterion_7_limit_sampler():
         se = math.sqrt((float(np.mean(centered ** 4)) - v * v) / ys.size)
         return v, se
 
-    ys_exp, _ = draw_y_samples(Z2, exp_model, 8000, 100_000,
+    ys_exp, _ = draw_y_samples(Z2, EXP1, 8000, 100_000,
                                default_stream(derive_seed(ACCEPTANCE_SEED, 72)))
     v_exp, se_exp = var_with_se(ys_exp)
     dev_exp = abs(v_exp - 1.0 / 3.0)
     assert dev_exp < 3.0 * se_exp
 
-    ys_pwa, _ = draw_y_samples(Z2, pwa_model, 2000, 100_000,
+    ys_pwa, _ = draw_y_samples(Z2, PWA, 2000, 100_000,
                                default_stream(derive_seed(ACCEPTANCE_SEED, 73)))
     v_pwa, se_pwa = var_with_se(ys_pwa)
     dev_pwa = abs(v_pwa - (8.0 * SQRT2 - 8.0))
@@ -271,8 +268,7 @@ def test_criterion_7_conjectured_non_normal_recorded():
     """Descriptive record for the x-weighted quadratic functional at the
     two-slope truth: the limit is conjectured non-normal; the KS distance
     to the mean-zero efficient normal is recorded, not asserted."""
-    pwa_model = TrueModel.from_scenario(PWA)
-    ys, info = draw_y_samples(XZ2, pwa_model, 1000, 100_000,
+    ys, info = draw_y_samples(XZ2, PWA, 1000, 100_000,
                               default_stream(derive_seed(ACCEPTANCE_SEED, 74)))
     sig2 = true_sigma_eff(PWA, "xz2")
     ks = ks_distance(ys, {"mean": 0.0, "var": sig2})

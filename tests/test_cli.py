@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import re
@@ -246,6 +247,21 @@ class TestCoverage:
         assert main(["coverage", "--config", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["mean_width"] == 0.0
 
+    @pytest.mark.parametrize("scenario", [
+        {"kind": "paper_pwa"},
+        {"kind": "exponential", "params": {"rate": 1.0}},
+        {"kind": "uniform", "params": {"upper": 1.0}},
+    ], ids=["paper_pwa", "exponential", "uniform"])
+    def test_point_intervals_cover_a_truth_they_miss_by_rounding(self, tmp_path, capsys,
+                                                                 scenario):
+        # the identity's estimate and truth are the total mass, 1 up to
+        # an ulp or two (paper_pwa's truth is 1.0000000000000002)
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps({"scenario": scenario, "functional": "identity",
+                                    "n": [1000], "replications": 50, "seed": 0}))
+        assert main(["coverage", "--config", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["coverage"] == 1.0
+
     @pytest.mark.parametrize("level", ["1.5", "0", "-0.2"])
     def test_level_outside_unit_interval_is_config_error(self, config, capsys, level):
         assert main(["coverage", "--config", str(config), "--level", level]) == 2
@@ -399,3 +415,20 @@ class TestReadmePython:
         for block in blocks:
             exec(compile(block, "README.md", "exec"), namespace)
         assert namespace["ci"].lower <= namespace["estimate"] <= namespace["ci"].upper
+
+
+class TestPublicNames:
+    def test_exports_are_listed(self):
+        # an export is added or dropped on purpose, with this list
+        names = sorted(name for name, value in vars(grenfun).items()
+                       if not name.startswith("_") and not inspect.ismodule(value))
+        assert names == [
+            "ConfidenceInterval", "GrenfunError", "InputError", "NumericError",
+            "PiecewiseLinearConcave", "Sample", "ScenarioSpec", "SimulationReport",
+            "SmoothFunctional", "StepDensity", "StudyConfig", "by_name", "default_stream",
+            "derive_seed", "draw", "draw_y_samples", "ecdf", "empirical_average", "evaluate",
+            "fit", "ingest", "ks_distance", "lcm", "linear_y_samples", "normal_cdf",
+            "normal_quantile", "nu_plugin", "one_step_correction", "read_observations",
+            "read_scenario", "run_study", "run_uniform_study", "sigma_eff_tau", "tau_plugin",
+            "true_sigma_eff", "true_tau", "uniform_clt_statistic",
+        ]

@@ -10,7 +10,6 @@ from grenfun import (
     InputError,
     ScenarioSpec,
     SmoothFunctional,
-    TrueModel,
     by_name,
     default_stream,
     draw_y_samples,
@@ -25,32 +24,32 @@ from oracles import brute_force_hull_indices, fill_chords, hull_rows_by_row
 
 Z2 = by_name("power:2")
 XZ2 = by_name("xz2")
-PWA_MODEL = TrueModel.from_scenario(ScenarioSpec.paper_pwa())
-EXP_MODEL = TrueModel.from_scenario(ScenarioSpec.exponential(1.0))
-UNIF_MODEL = TrueModel.from_scenario(ScenarioSpec.uniform(1.0))
-THREE_MODEL = TrueModel.from_scenario(ScenarioSpec.piecewise([0.5, 1.0, 2.0], [1.0, 0.6, 0.2]))
+PWA = ScenarioSpec.paper_pwa()
+EXP = ScenarioSpec.exponential(1.0)
+UNIF = ScenarioSpec.uniform(1.0)
+THREE = ScenarioSpec.piecewise([0.5, 1.0, 2.0], [1.0, 0.6, 0.2])
 # psi = 2 x^2 f(x) is not affine in x within a piece
 X2Z2 = SmoothFunctional(g=lambda z, x: x * x * z * z, gdot=lambda z, x: 2.0 * x * x * z,
                         gddot=lambda z, x: 2.0 * x * x + 0.0 * z, vanishes_at_zero=True,
                         name="x2z2")
 
 
-def lcm_derivative(model, grid, paths):
+def lcm_derivative(spec, grid, paths):
     """Rows of ``paths`` through the LCM derivative as YPlan.apply takes
     it: under a piecewise-affine truth, hulled over each affine interval
     on the kernel's vertices and filled by the oracle's chord fill; under
     a strictly concave one, left as they are."""
-    plan = YPlan(XZ2, model, grid)
+    plan = YPlan(XZ2, spec, grid)
     hat = np.array(paths, dtype=float, ndmin=2)
     if plan.needs_hull:
         fill_chords(hat, plan.grid, _hull_rows(hat, plan.grid, plan.fixed))
     return hat
 
 
-def interval_mask(model, grid):
+def interval_mask(spec, grid):
     """The columns a hull keeps: the ends of every affine interval, and
     every column past the last one, where nothing is hulled."""
-    ends = np.searchsorted(grid, np.ravel(model.affine_intervals()))
+    ends = np.searchsorted(grid, np.ravel(spec.affine_intervals()))
     fixed = np.zeros(grid.size, dtype=bool)
     fixed[ends] = True
     fixed[ends[-1]:] = True
@@ -122,40 +121,40 @@ class TestHadamardDerivative:
     def test_strictly_concave_identity_bit_exact(self):
         grid = np.linspace(0.0, 1.0, 101)
         paths = np.sin(7.0 * np.outer([1.0, 2.0, 3.0], grid))
-        plan = YPlan(XZ2, EXP_MODEL, grid)
+        plan = YPlan(XZ2, EXP, grid)
         assert not plan.needs_hull and plan.fixed is None
-        assert lcm_derivative(EXP_MODEL, grid, paths).tobytes() == paths.tobytes()
+        assert lcm_derivative(EXP, grid, paths).tobytes() == paths.tobytes()
         expected = -(paths @ trapezoid_weights(plan.dpsi) + 0.0)
         assert plan.apply(paths).tobytes() == expected.tobytes()
 
     def test_single_interval_affine_unchanged(self):
         grid = np.arange(33) / 32.0
-        out = lcm_derivative(UNIF_MODEL, grid, 2.0 * grid)
+        out = lcm_derivative(UNIF, grid, 2.0 * grid)
         assert np.array_equal(out[0], 2.0 * grid)
 
     def test_values_past_the_last_interval_stay_fixed(self):
         # the grid runs past the uniform truth's support [0, 1]
         grid = np.arange(65) / 32.0
         values = np.sin(5.0 * grid)  # not concave past 1: a hull would move it
-        out = lcm_derivative(UNIF_MODEL, grid, values)[0]
-        inside = lcm_derivative(UNIF_MODEL, grid[:33], values[:33])[0]
+        out = lcm_derivative(UNIF, grid, values)[0]
+        inside = lcm_derivative(UNIF, grid[:33], values[:33])[0]
         assert out[:33].tobytes() == inside.tobytes()
         assert np.array_equal(out[33:], values[33:])
 
     def test_misaligned_grid_rejected(self):
         grid = np.linspace(0.0, 1.0, 100)  # does not contain the kink
         with pytest.raises(InputError):
-            YPlan(XZ2, PWA_MODEL, grid)
+            YPlan(XZ2, PWA, grid)
 
     def test_per_interval_hulls_match_oracle(self):
-        grid = build_grid(PWA_MODEL, 200)
-        u = PWA_MODEL.spec.cdf(grid)
+        grid = build_grid(PWA, 200)
+        u = PWA.cdf(grid)
         rng = default_stream(42)
         paths = _bridge_values(u, 20, rng)
-        out = lcm_derivative(PWA_MODEL, grid, paths)
+        out = lcm_derivative(PWA, grid, paths)
         for vals, hulled in zip(paths, out):
             expected = vals.copy()
-            for a, b in PWA_MODEL.affine_intervals():
+            for a, b in PWA.affine_intervals():
                 ia = int(np.searchsorted(grid, a))
                 ib = int(np.searchsorted(grid, b))
                 idx = brute_force_hull_indices(grid[ia:ib + 1], vals[ia:ib + 1])
@@ -165,13 +164,13 @@ class TestHadamardDerivative:
             assert np.array_equal(hulled, expected)
 
     def test_majorizes_input_with_endpoint_equality(self):
-        grid = build_grid(PWA_MODEL, 300)
-        u = PWA_MODEL.spec.cdf(grid)
+        grid = build_grid(PWA, 300)
+        u = PWA.cdf(grid)
         rng = default_stream(9)
         paths = _bridge_values(u, 10, rng)
-        out = lcm_derivative(PWA_MODEL, grid, paths)
+        out = lcm_derivative(PWA, grid, paths)
         assert np.all(out >= paths)
-        for a, b in PWA_MODEL.affine_intervals():
+        for a, b in PWA.affine_intervals():
             for endpoint in (a, b):
                 i = int(np.searchsorted(grid, endpoint))
                 assert np.array_equal(out[:, i], paths[:, i])
@@ -183,47 +182,47 @@ class TestPlanRowHulls:
     of hulling each row one interval at a time, and the sum the grid
     trapezoid of the filled rows."""
 
-    @pytest.mark.parametrize("model", [PWA_MODEL, THREE_MODEL], ids=["paper_pwa", "three"])
+    @pytest.mark.parametrize("spec", [PWA, THREE], ids=["paper_pwa", "three"])
     @pytest.mark.parametrize("grid_size,rows", [(50, 400), (1000, 70), (3000, 25)])
-    def test_apply_matches_per_row_reference(self, model, grid_size, rows):
-        grid = build_grid(model, grid_size)
-        paths = _bridge_values(np.asarray(model.spec.cdf(grid), dtype=float), rows,
+    def test_apply_matches_per_row_reference(self, spec, grid_size, rows):
+        grid = build_grid(spec, grid_size)
+        paths = _bridge_values(np.asarray(spec.cdf(grid), dtype=float), rows,
                                default_stream(grid_size + rows))
         hat = paths.copy()
-        vertices = hull_rows_by_row(hat, grid, interval_mask(model, grid))
-        plan = YPlan(XZ2, model, grid)
+        vertices = hull_rows_by_row(hat, grid, interval_mask(spec, grid))
+        plan = YPlan(XZ2, spec, grid)
         assert _hull_rows(paths, plan.grid, plan.fixed).tobytes() == vertices.tobytes()
         expected, scale = trapezoid_reference(plan, hat, paths)
         assert np.all(np.abs(plan.apply(paths) - expected) <= 1e-12 * scale)
         # the last row hulled on its own: the same kernel, the same bytes
-        out = lcm_derivative(model, grid, paths[-1])
+        out = lcm_derivative(spec, grid, paths[-1])
         assert out.tobytes() == hat[-1].tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
-           model=st.sampled_from([PWA_MODEL, THREE_MODEL]),
+           spec=st.sampled_from([PWA, THREE]),
            G=st.sampled_from([XZ2, X2Z2]),
            grid_size=st.integers(2, 1500),
            uniform=st.booleans(),
            rows=st.integers(1, 12),
            rows_per_block=st.integers(1, 4),
            slack=st.floats(0.0, 0.99))
-    def test_vertex_sum_matches_filled_trapezoid(self, seed, model, G, grid_size, uniform,
+    def test_vertex_sum_matches_filled_trapezoid(self, seed, spec, G, grid_size, uniform,
                                                   rows, rows_per_block, slack):
         # summation by parts needs no psi affine within a piece (X2Z2) and
         # no uniform grid; the block size is cut so that rows cross blocks,
         # and each bridge row is shifted so that rows do not end at 0
         rng = np.random.default_rng(seed)
         if uniform:
-            grid = build_grid(model, grid_size)
+            grid = build_grid(spec, grid_size)
         else:
-            grid = np.union1d(rng.random(grid_size) * model.truncation,
-                              np.concatenate(([0.0], model.breakpoints)))
-        paths = _bridge_values(np.asarray(model.spec.cdf(grid), dtype=float), rows, rng)
+            grid = np.union1d(rng.random(grid_size) * spec.support_end,
+                              np.concatenate(([0.0], spec.true_density().breakpoints)))
+        paths = _bridge_values(np.asarray(spec.cdf(grid), dtype=float), rows, rng)
         paths += rng.standard_normal((rows, 1))
         hat = paths.copy()
-        vertices = hull_rows_by_row(hat, grid, interval_mask(model, grid))
-        plan = YPlan(G, model, grid)
+        vertices = hull_rows_by_row(hat, grid, interval_mask(spec, grid))
+        plan = YPlan(G, spec, grid)
         block = rows_per_block * grid.size + int(slack * grid.size)
         with mock.patch.object(majorant, "ROW_BLOCK_POINTS", block):
             assert _hull_rows(paths, plan.grid, plan.fixed).tobytes() == vertices.tobytes()
@@ -236,33 +235,33 @@ class TestPlanRowHulls:
         # point; plain running sums of psi and of its integral drift by
         # about 1e-12 of the sum over the 19602 cells, compensated ones
         # stay at rounding level
-        grid = build_grid(PWA_MODEL, 19601)
+        grid = build_grid(PWA, 19601)
         assert np.diff(grid).min() < 1e-9
-        paths = _bridge_values(np.asarray(PWA_MODEL.spec.cdf(grid), dtype=float), 20,
+        paths = _bridge_values(np.asarray(PWA.cdf(grid), dtype=float), 20,
                                default_stream(19601))
         hat = paths.copy()
-        hull_rows_by_row(hat, grid, interval_mask(PWA_MODEL, grid))
-        plan = YPlan(XZ2, PWA_MODEL, grid)
+        hull_rows_by_row(hat, grid, interval_mask(PWA, grid))
+        plan = YPlan(XZ2, PWA, grid)
         expected, scale = trapezoid_reference(plan, hat, paths)
         assert np.all(np.abs(plan.apply(paths) - expected) <= 1e-14 * scale)
 
 
 class TestSampleY:
     def test_single_draw_is_finite_float(self):
-        ys, _ = draw_y_samples(Z2, EXP_MODEL, 500, 1, default_stream(0))
+        ys, _ = draw_y_samples(Z2, EXP, 500, 1, default_stream(0))
         assert ys.shape == (1,) and ys.dtype == float and math.isfinite(ys[0])
 
     def test_uniform_truth_quadratic_is_degenerate(self):
-        ys, _ = draw_y_samples(Z2, UNIF_MODEL, 200, 50, default_stream(3))
+        ys, _ = draw_y_samples(Z2, UNIF, 200, 50, default_stream(3))
         assert np.array_equal(ys, np.zeros(50))
 
     def test_y_from_path_matches_batch_logic(self):
         # a 1-D path is a one-row batch; in a larger batch the matrix
         # product may sum in another order, so rows agree to rounding
-        grid = build_grid(PWA_MODEL, 100)
-        u = PWA_MODEL.spec.cdf(grid)
+        grid = build_grid(PWA, 100)
+        u = PWA.cdf(grid)
         paths = _bridge_values(u, 7, default_stream(5))
-        plan = YPlan(XZ2, PWA_MODEL, grid)
+        plan = YPlan(XZ2, PWA, grid)
         batch = plan.apply(paths)
         for k in (0, 3, 6):
             one = plan.apply(paths[k])
@@ -270,20 +269,20 @@ class TestSampleY:
             assert one[0] == pytest.approx(batch[k], rel=1e-12, abs=1e-15)
 
     def test_metadata_reports_truncation_and_tail(self):
-        ys, info = draw_y_samples(Z2, EXP_MODEL, 300, 20, default_stream(1))
+        ys, info = draw_y_samples(Z2, EXP, 300, 20, default_stream(1))
         assert info["truncation"] == pytest.approx(-math.log(1e-6), rel=1e-9)
         assert 0.0 < info["tail_bound"] < 1e-4
         assert info["draws"] == 20
         # no tail past a piecewise-affine truth's support
-        _, info = draw_y_samples(XZ2, PWA_MODEL, 300, 20, default_stream(1))
+        _, info = draw_y_samples(XZ2, PWA, 300, 20, default_stream(1))
         assert info["truncation"] == 1.0 and info["tail_bound"] == 0.0
 
     def test_linear_formula_needs_an_x_free_functional(self):
         with pytest.raises(InputError, match="density alone"):
-            linear_y_samples(XZ2, PWA_MODEL, 10, default_stream(0))
+            linear_y_samples(XZ2, PWA, 10, default_stream(0))
 
     def test_emit_and_load_round_trip(self, tmp_path):
-        ys, info = draw_y_samples(Z2, PWA_MODEL, 100, 10_000, default_stream(2))
+        ys, info = draw_y_samples(Z2, PWA, 100, 10_000, default_stream(2))
         path = tmp_path / "y.csv"
         emit_y_csv(path, ys, info)
         back, meta = load_y_csv(path)
@@ -299,16 +298,16 @@ class TestDistributionalInvariants:
         # is 0.046286 against the limit's 8/27 - 1/4 = 0.046296, well
         # inside 3 SEs (about 0.0006) at 1e5 draws; a left-endpoint sum
         # (0.044903) misses by about 7 SEs
-        ys, _ = draw_y_samples(XZ2, EXP_MODEL, 1000, 100_000, default_stream(500))
+        ys, _ = draw_y_samples(XZ2, EXP, 1000, 100_000, default_stream(500))
         v, se = var_with_se(ys)
         assert abs(v - (8.0 / 27.0 - 0.25)) < 3.0 * se
 
     def test_linear_formula_agrees_with_path_sampler(self):
         # x-free functional, piecewise-affine truth: the two samplers
         # share one law (KS < 0.01 at 1e5 draws)
-        ys_path, _ = draw_y_samples(Z2, PWA_MODEL, 1000, 100_000,
+        ys_path, _ = draw_y_samples(Z2, PWA, 1000, 100_000,
                                     default_stream(100))
-        ys_lin = linear_y_samples(Z2, PWA_MODEL, 100_000, default_stream(200))
+        ys_lin = linear_y_samples(Z2, PWA, 100_000, default_stream(200))
         assert ks_distance(ys_path, ys_lin) < 0.01
         target = 8.0 * math.sqrt(2.0) - 8.0
         assert float(np.var(ys_lin, ddof=1)) == pytest.approx(target, abs=0.05)
@@ -317,13 +316,13 @@ class TestDistributionalInvariants:
         # common random numbers: the coarse grid is the fine grid's
         # even-index subgrid, so the variance difference is pure
         # discretization effect
-        model, G = EXP_MODEL, Z2
-        fine = build_grid(model, 4000)
+        spec, G = EXP, Z2
+        fine = build_grid(spec, 4000)
         coarse = fine[::2]
         idx = np.arange(0, fine.size, 2)
-        u = np.concatenate((model.spec.cdf(fine), [1.0]))
-        plan_f = YPlan(G, model, fine)
-        plan_c = YPlan(G, model, coarse)
+        u = np.concatenate((spec.cdf(fine), [1.0]))
+        plan_f = YPlan(G, spec, fine)
+        plan_c = YPlan(G, spec, coarse)
         rng = default_stream(300)
         m = 100_000
         ys_f = np.empty(m)
@@ -339,14 +338,14 @@ class TestDistributionalInvariants:
         assert abs(vf - vc) / vf < 0.01
 
     def test_grid_refinement_stability_hull_case(self):
-        model, G = PWA_MODEL, XZ2
-        fine = build_grid(model, 2000)
-        coarse = build_grid(model, 1000)
+        spec, G = PWA, XZ2
+        fine = build_grid(spec, 2000)
+        coarse = build_grid(spec, 1000)
         idx = np.searchsorted(fine, coarse)
         assert np.array_equal(fine[idx], coarse)
-        u = model.spec.cdf(fine)
-        plan_f = YPlan(G, model, fine)
-        plan_c = YPlan(G, model, coarse)
+        u = spec.cdf(fine)
+        plan_f = YPlan(G, spec, fine)
+        plan_c = YPlan(G, spec, coarse)
         rng = default_stream(400)
         m = 100_000
         ys_f = np.empty(m)

@@ -125,10 +125,25 @@ class TestScenarioSpec:
     def test_paper_pwa_expansion(self):
         spec = ScenarioSpec.paper_pwa()
         assert spec.cdf(PWA_KINK) == pytest.approx(1.0 / SQRT2, abs=1e-15)
-        assert spec.cdf(1.0) == 1.0
         # slopes of the benchmark CDF
         assert spec.density(0.1) == pytest.approx(1.0 / (SQRT2 - 1.0), rel=1e-15)
         assert spec.density(0.9) == pytest.approx(SQRT2 - 1.0, rel=1e-15)
+
+    @pytest.mark.parametrize("spec", [
+        ScenarioSpec.paper_pwa(),
+        ScenarioSpec.uniform(3.0),
+        ScenarioSpec.piecewise([0.5, 1.0, 2.0], [1.0, 0.6, 0.2]),
+        # piece masses that sum to 0.9999999999999999 in floats
+        ScenarioSpec.piecewise([0.345, 0.674, 2.666],
+                               [0.5584537074625977, 0.5492598720095778, 0.31457177361157257]),
+    ], ids=["paper_pwa", "uniform", "three", "mass_below_one"])
+    def test_cdf_is_exactly_one_from_the_end_of_support(self, spec):
+        # the piece masses sum to 1 only up to rounding (paper_pwa's to
+        # 1.0000000000000002); the limit-law grid extends when cdf < 1
+        end = spec.support_end
+        xs = [end, np.nextafter(end, np.inf), end + 1.0, 1e300, np.inf]
+        assert all(spec.cdf(x) == 1.0 for x in xs)
+        assert np.all(spec.cdf(np.array(xs)) == 1.0)
 
     def test_quantile_inverts_cdf(self):
         for spec in (ScenarioSpec.exponential(2.0), ScenarioSpec.uniform(3.0),
@@ -136,6 +151,7 @@ class TestScenarioSpec:
             u = np.linspace(0.001, 0.999, 101)
             x = spec.quantile(u)
             assert np.allclose(spec.cdf(x), u, atol=1e-12)
+            assert spec.quantile(float(u[7])) == x[7]
 
     def test_json_round_trip(self, tmp_path):
         spec = ScenarioSpec.piecewise([0.5, 2.0], [1.5, 1.0 / 6.0], seed=11)
