@@ -29,6 +29,21 @@ Psi is the running sum of the psi increments and A the running
 trapezoid integral of Psi dx.  That is exact in real arithmetic for any
 psi, and costs one term per chord, not one per grid cell.  A single
 path is a one-row array.
+
+:func:`draw_y_samples` draws its paths in batches of four hull-kernel
+blocks, 4 * max(1, ROW_BLOCK_POINTS // grid points) rows: 260 rows at
+grid size 1000, 32 at 8000.  It allocates two buffers once, for the
+normals and the paths, and fills them in place for every batch; at
+grids of up to 2^16 points each holds about 2^18 points (2 MiB).  The
+draws do not depend on the batch: a batch of whole blocks keeps every
+hull block at the same row offset, and OpenBLAS's matrix-vector
+product sums every aligned group of four rows alike and the last
+(rows mod 4) rows of a product another way, so batches of a multiple
+of four rows give the bytes of one product over all rows.  At those
+grids they do not depend on the BLAS thread count either: a product of
+2^18 points runs on one thread, where OpenBLAS 0.3.31 splits products
+of about 5e5 points or more across its threads at a row that need not
+be a multiple of four.
 """
 
 from __future__ import annotations
@@ -40,13 +55,11 @@ import numpy as np
 
 from .errors import InputError
 from .functionals import SmoothFunctional, _require_x_free
-from .majorant import _hull_rows
+from .majorant import _hull_rows, _rows_per_block
 from .samples import ScenarioSpec, _load_column
 
 #: tail mass cut from a truth of unbounded support
 _TAIL_MASS = 1e-6
-#: bridge rows drawn and summed at once
-_BATCH_ROWS = 4096
 
 
 def _truncation(spec: ScenarioSpec) -> float:
@@ -57,18 +70,31 @@ def _truncation(spec: ScenarioSpec) -> float:
     return spec.support_end
 
 
-def _bridge_values(u: np.ndarray, draws: int, stream) -> np.ndarray:
-    """Rows of bridge values on the grid u (u[0] = 0); pinned to 0 at
-    u = 1 exactly when the grid ends at 1."""
-    # in place: two arrays of the result's size live at once, not five,
-    # so the heap is not left holding a freed one after the call
-    w = stream.standard_normal((draws, u.size - 1))
-    w *= np.sqrt(np.diff(u))
+def _batch_rows(width: int) -> int:
+    """Bridge rows that :func:`draw_y_samples` draws and sums at once on
+    a grid of ``width`` points: four hull-kernel blocks."""
+    return 4 * _rows_per_block(width)
+
+
+def _fill_bridge(u: np.ndarray, root_du: np.ndarray, w: np.ndarray,
+                 out: np.ndarray, stream) -> None:
+    """Fill the rows of ``out`` with bridge values on the grid u (u[0] = 0),
+    pinned to 0 at u = 1 exactly when the grid ends at 1.  ``root_du``
+    is sqrt(diff(u)) and ``w`` scratch space of one column fewer; both
+    arrays are filled in place, so no other array of their size is made."""
+    stream.standard_normal(out=w)
+    w *= root_du
     np.cumsum(w, axis=1, out=w)
-    out = np.empty((draws, u.size))
     out[:, 0] = 0.0
     np.multiply(w[:, -1:], u[1:], out=out[:, 1:])
     np.subtract(w, out[:, 1:], out=out[:, 1:])
+
+
+def _bridge_values(u: np.ndarray, draws: int, stream) -> np.ndarray:
+    """Rows of bridge values on the grid u (u[0] = 0); pinned to 0 at
+    u = 1 exactly when the grid ends at 1."""
+    out = np.empty((draws, u.size))
+    _fill_bridge(u, np.sqrt(np.diff(u)), np.empty((draws, u.size - 1)), out, stream)
     return out
 
 
@@ -203,26 +229,23 @@ def draw_y_samples(G: SmoothFunctional, spec: ScenarioSpec, grid_size: int,
         raise InputError("need at least one draw")
     grid = build_grid(spec, grid_size)
     u = np.asarray(spec.cdf(grid), dtype=float)
-    truncated = u[-1] < 1.0
-    if truncated:
-        u_ext = np.concatenate((u, [1.0]))
-    else:
-        u_ext = u
+    if u[-1] < 1.0:  # truncated: the bridge runs on to u = 1
+        u = np.concatenate((u, [1.0]))
     plan = YPlan(G, spec, grid)
     tail_tv = _tail_total_variation(G, spec)
     ys = np.empty(draws)
     max_abs_g = 0.0
-    done = 0
-    while done < draws:
-        m = min(_BATCH_ROWS, draws - done)
-        paths = _bridge_values(u_ext, m, stream)
-        if truncated:
-            paths = paths[:, :-1]
+    batch = min(draws, _batch_rows(grid.size))
+    root_du = np.sqrt(np.diff(u))
+    normals = np.empty((batch, u.size - 1))
+    bridge = np.empty((batch, u.size))
+    for done in range(0, draws, batch):
+        m = min(batch, draws - done)
+        _fill_bridge(u, root_du, normals[:m], bridge[:m], stream)
+        paths = bridge[:m, :grid.size]
         if tail_tv > 0.0:  # no tail, no bound to scale: skip the scan
             max_abs_g = max(max_abs_g, float(paths.max()), -float(paths.min()))
         ys[done:done + m] = plan.apply(paths)
-        del paths  # else it stays alive while the next batch is drawn
-        done += m
     info = {
         "model": spec.to_json(),
         "functional": G.name,

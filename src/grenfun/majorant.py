@@ -122,6 +122,12 @@ def _stack_scan(x: np.ndarray, y: np.ndarray, fixed: np.ndarray) -> list:
     return stack
 
 
+def _rows_per_block(width: int) -> int:
+    """Rows of ``width`` points that :func:`_hull_rows` hulls per kernel
+    call: as many as ``ROW_BLOCK_POINTS`` holds, and at least one."""
+    return max(1, ROW_BLOCK_POINTS // width)
+
+
 def _hull_rows(values: np.ndarray, xs: np.ndarray, fixed: np.ndarray) -> np.ndarray:
     """Flat indices into ``values.reshape(-1)`` of the upper-hull vertices
     of every row of ``values`` over each run of ``xs`` between fixed
@@ -130,14 +136,14 @@ def _hull_rows(values: np.ndarray, xs: np.ndarray, fixed: np.ndarray) -> np.ndar
     ``values`` is a C-contiguous 2-D array whose rows share the abscissae
     ``xs`` (strictly increasing) and the column mask ``fixed``, whose
     first and last entries must be set, so every row starts and ends with
-    a vertex.  Rows are hulled in blocks of about ``ROW_BLOCK_POINTS``
-    points, one kernel call per block.  ``values`` is only read: the hull
+    a vertex.  Rows are hulled in blocks of :func:`_rows_per_block` rows,
+    one kernel call per block.  ``values`` is only read: the hull
     between two consecutive vertices of a row is their chord.
     """
-    rows_per_block = min(values.shape[0], max(1, ROW_BLOCK_POINTS // xs.size))
-    step = rows_per_block * xs.size
-    block_x = np.tile(xs, rows_per_block)
-    block_fixed = np.tile(fixed, rows_per_block)
+    rows = min(values.shape[0], _rows_per_block(xs.size))
+    step = rows * xs.size
+    block_x = np.tile(xs, rows)
+    block_fixed = np.tile(fixed, rows)
     flat = values.reshape(-1)
     blocks = []
     for start in range(0, flat.size, step):

@@ -318,6 +318,18 @@ class TestFunctionalValidation:
                              gdot=lambda z, x: 2.0 * x * z,
                              gddot=lambda z, x: 3.0 * x)
 
+    @given(p=st.floats(1.5, 4.0), z_max=st.floats(1e-3, 0.05), x_free=st.booleans())
+    @example(p=1.5, z_max=1e-3, x_free=False)
+    def test_exact_power_accepted_near_zero(self, p, z_max, x_free):
+        # every probe lies in [1e-3, z_max], where the central difference
+        # steps by 6e-6 in z; exact derivatives of c z^p must pass there
+        c = (lambda x: 1.0) if x_free else (lambda x: 1.0 + x)
+        fn = SmoothFunctional(g=lambda z, x: c(x) * z ** p,
+                              gdot=lambda z, x: c(x) * p * z ** (p - 1.0),
+                              gddot=lambda z, x: c(x) * p * (p - 1.0) * z ** (p - 2.0),
+                              z_max=z_max, x_free=x_free, vanishes_at_zero=True)
+        assert fn.z_max == z_max
+
 
 class TestRegistry:
     def test_power_names(self):

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -6,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import grenfun
 from grenfun import (
     InputError,
     ScenarioSpec,
@@ -17,7 +22,8 @@ from grenfun import (
     linear_y_samples,
 )
 from grenfun import majorant
-from grenfun.limitlaw import YPlan, _bridge_values, build_grid, emit_y_csv, load_y_csv
+from grenfun.limitlaw import (YPlan, _batch_rows, _bridge_values, build_grid, emit_y_csv,
+                              load_y_csv)
 from grenfun.majorant import _hull_rows
 
 from oracles import brute_force_hull_indices, fill_chords, hull_rows_by_row
@@ -277,6 +283,46 @@ class TestSampleY:
         _, info = draw_y_samples(XZ2, PWA, 300, 20, default_stream(1))
         assert info["truncation"] == 1.0 and info["tail_bound"] == 0.0
 
+    @pytest.mark.parametrize("spec", [EXP, PWA], ids=["exponential", "paper_pwa"])
+    def test_draws_do_not_depend_on_the_batch(self, spec, monkeypatch):
+        # 4099 draws: not a multiple of 4, and past the 4096-row batch
+        # the sampler once drew
+        width = build_grid(spec, 1000).size
+        apply = YPlan.apply
+        digests = set()
+        for points in (1 << 12, 1 << 14, 1 << 16):
+            monkeypatch.setattr(majorant, "ROW_BLOCK_POINTS", points)
+            batch = _batch_rows(width)
+            assert batch % 4 == 0 and batch % majorant._rows_per_block(width) == 0
+            assert batch * width <= 4 * points
+            rows = []
+            monkeypatch.setattr(YPlan, "apply",
+                                lambda plan, paths: rows.append(len(paths)) or apply(plan, paths))
+            ys, _ = draw_y_samples(XZ2, spec, 1000, 4099, default_stream(7))
+            assert rows == [batch] * (4099 // batch) + [4099 % batch]
+            digests.add(ys.tobytes())
+        assert len(digests) == 1
+
+    @pytest.mark.parametrize("name,grid_size", [("xz2", 1000), ("power:2", 8000)])
+    def test_draws_do_not_depend_on_blas_threads(self, name, grid_size):
+        # the thread count is read when numpy loads, so each count gets a
+        # fresh interpreter; a product split across threads at a row that
+        # is not a multiple of four sums those rows another way
+        script = ("import hashlib, sys\n"
+                  "import grenfun as gf\n"
+                  "ys, _ = gf.draw_y_samples(gf.by_name(sys.argv[1]), gf.ScenarioSpec.exponential(1.0),"
+                  " int(sys.argv[2]), 1001, gf.default_stream(3))\n"
+                  "print(hashlib.sha1(ys.tobytes()).hexdigest())\n")
+        src = str(Path(grenfun.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+            run = subprocess.run([sys.executable, "-c", script, name, str(grid_size)],
+                                 env=env, capture_output=True, text=True, check=True)
+            digests.append(run.stdout)
+        assert digests[0] == digests[1]
+
     def test_linear_formula_needs_an_x_free_functional(self):
         with pytest.raises(InputError, match="density alone"):
             linear_y_samples(XZ2, PWA, 10, default_stream(0))
@@ -329,7 +375,7 @@ class TestDistributionalInvariants:
         ys_c = np.empty(m)
         done = 0
         while done < m:
-            b = min(4096, m - done)
+            b = min(_batch_rows(fine.size), m - done)
             paths = _bridge_values(u, b, rng)[:, :-1]
             ys_f[done:done + b] = plan_f.apply(paths)
             ys_c[done:done + b] = plan_c.apply(paths[:, idx])
@@ -352,7 +398,7 @@ class TestDistributionalInvariants:
         ys_c = np.empty(m)
         done = 0
         while done < m:
-            b = min(4096, m - done)
+            b = min(_batch_rows(fine.size), m - done)
             paths = _bridge_values(u, b, rng)
             ys_f[done:done + b] = plan_f.apply(paths)
             ys_c[done:done + b] = plan_c.apply(paths[:, idx])
