@@ -1,10 +1,16 @@
 import json
 import logging
 import math
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import grenfun
 from grenfun import (
     InputError,
     NumericError,
@@ -20,7 +26,8 @@ from grenfun import (
     true_tau,
     uniform_clt_statistic,
 )
-from grenfun.harness import _truth, _worker_count, reference_is_normal
+from grenfun.harness import (_map_replications, _study_statistic, _truth, _worker_count,
+                             reference_is_normal)
 
 
 class TestTruthOracles:
@@ -340,3 +347,43 @@ class TestWorkerCount:
         serial = run_study(config, threads=1)[0].statistics
         capped = run_study(config, threads=64)[0].statistics
         assert serial.tobytes() == capped.tobytes()
+
+
+_GLIBC = sys.platform.startswith("linux") and platform.libc_ver()[0] == "glibc"
+
+
+def _faults_of_a_replication(args):
+    # top level, so the pool can send it; minor faults of one replication
+    import resource
+
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    _study_statistic(args)
+    return os.getpid(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+
+@pytest.mark.skipif(not _GLIBC, reason="the pool workers' allocator settings are glibc's")
+class TestWorkersKeepFreedMemory:
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs a pool of two workers")
+    def test_later_replications_fault_few_pages(self):
+        # exponential/xz2 at n = 1e5 frees about 800 KB of arrays per
+        # replication; a worker that gives them back to the OS faults them in
+        # again on the next one (600 or more minor faults, against under 10)
+        spec = ScenarioSpec.exponential(1.0)
+        args = [(spec.to_json(), "xz2", 100_000, 11, 0.0, rep) for rep in range(12)]
+        per_worker = {}
+        for pid, faults in _map_replications(_faults_of_a_replication, args, threads=2):
+            per_worker.setdefault(int(pid), []).append(faults)
+        # a worker's first replications fault in its heap and copy-on-write pages
+        later = [faults[2:] for faults in per_worker.values() if len(faults) > 2]
+        assert later
+        for faults in later:
+            assert np.median(faults) < 100, faults
+
+    def test_both_thresholds_are_set(self):
+        # a fresh interpreter, so this process keeps its allocator settings
+        script = "from grenfun.harness import _keep_freed_memory; print(_keep_freed_memory())"
+        src = str(Path(grenfun.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
+                             capture_output=True, text=True, check=True)
+        assert run.stdout.strip() == "True"
