@@ -27,14 +27,17 @@ from .limitlaw import draw_y_samples, emit_y_csv
 from .samples import default_stream, read_observations
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_from(low: int):
+    """An argparse type: an integer >= ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -43,11 +46,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Grenander plug-in estimation of integrated functionals "
                     "of a nonincreasing density",
     )
-    parser.add_argument("--seed", type=int, default=None,
+    parser.add_argument("--seed", type=_int_from(0), default=None,
                         help="override the seed of any config or scenario")
     parser.add_argument("--out", type=Path, default=Path("."),
                         help="directory for output files")
-    parser.add_argument("--threads", type=_positive_int, default=1,
+    parser.add_argument("--threads", type=_int_from(1), default=1,
                         help="worker processes for replication studies "
                              "(at most the CPU count)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -73,14 +76,14 @@ def _build_parser() -> argparse.ArgumentParser:
     lim = sub.add_parser("limit-sample", help="sample the limiting variable")
     lim.add_argument("--config", required=True, type=Path,
                      help="JSON with scenario, functional, optional grid_size")
-    lim.add_argument("--draws", required=True, type=_positive_int)
+    lim.add_argument("--draws", required=True, type=_int_from(1))
 
     uni = sub.add_parser("uniform-clt", help="uniform-truth CLT study")
     uni.add_argument("--h", required=True, dest="functional",
                      help="functional of the density alone, e.g. power:2")
-    uni.add_argument("--n", required=True, type=_positive_int, nargs="+",
+    uni.add_argument("--n", required=True, type=_int_from(1), nargs="+",
                      help="one or more sample sizes")
-    uni.add_argument("--reps", required=True, type=_positive_int)
+    uni.add_argument("--reps", required=True, type=_int_from(1))
     return parser
 
 

@@ -3,18 +3,22 @@
 One type, :class:`SmoothFunctional`, describes every target, the
 integral of g(f(x), x) dx.  Its ``x_free`` case g(z, x) = h(z), a
 functional of the density alone, reduces to exact finite sums over the
-density pieces; only the x-dependent case needs quadrature.  That
-quadrature is batched: for each of two Gauss-Legendre orders, g is
-evaluated once on a (pieces x order) node matrix, and each row is
-reduced by its own ``np.dot`` (never one matrix-vector product, which
-sums in another order), so every piece gets the same float as when
+density pieces; only the x-dependent case needs quadrature.  Both go
+through one step-density integral (:func:`_step_integral`), which the
+plug-in value, the truths and the efficient variance share.
+
+The quadrature is adaptive Gauss-Legendre, batched: for each of two
+orders, g is evaluated once on a (pieces x order) node matrix, and each
+row is reduced by its own ``np.dot`` (never one matrix-vector product,
+which sums in another order).  Pieces whose two orders disagree are
+halved, all of them in one batch per round, and the halves summed back
+up left plus right, so every piece gets the same float as when
 integrated alone, provided g computes the same on arrays as on scalars
 (numpy's scalar ``**`` can differ from its array ``**`` in the last
-bit; ``*`` and ``+`` do not).  Only pieces whose two orders disagree
-are bisected, one at a time; a g that cannot take a matrix of nodes
-falls back to that one-piece path for all pieces.  A piece still
-unresolved after 10 bisections raises :class:`NumericError` instead of
-returning a value of unknown accuracy.
+bit; ``*`` and ``+`` do not).  A g that cannot take a matrix of nodes is
+evaluated one row at a time.  A piece still unresolved after 10
+bisections raises :class:`NumericError` instead of returning a value of
+unknown accuracy.
 
 The identity between the carrier-measure average and the empirical
 average of h(f(X_i)) is a structural property of the Grenander fit and
@@ -36,6 +40,8 @@ _VALIDATION_SEED = 0x5EED5
 _REL_TOL_DERIV = 1e-4
 _QUAD_REL_TOL = 1e-10
 _MAX_REFINE = 10
+#: validation probes x lie in [0, _X_PROBE_MAX)
+_X_PROBE_MAX = 10.0
 
 
 def _apply(fn, arr):
@@ -81,7 +87,6 @@ class SmoothFunctional:
     z_max: float = 8.0
     x_free: bool = False
     vanishes_at_zero: bool = False
-    x_probe_max: float = 10.0
     name: str = None
 
     def __post_init__(self):
@@ -89,7 +94,7 @@ class SmoothFunctional:
         hi = min(self.z_max, 8.0)
         lo = min(1e-3, hi / 10.0)
         zs = lo + (hi - lo) * rng.random(32)
-        xs = self.x_probe_max * rng.random(32)
+        xs = _X_PROBE_MAX * rng.random(32)
         for z, x in zip(zs, xs):
             _check_derivative(self.g, self.gdot, z, x, "gdot")
             _check_derivative(self.gdot, self.gddot, z, x, "gddot")
@@ -104,24 +109,57 @@ def _require_x_free(G: SmoothFunctional, what: str) -> None:
         raise InputError(f"{what} needs a functional of the density alone (x_free)")
 
 
-def _step_sum(phi, d: StepDensity, domain) -> float:
-    """Exact integral of phi(f(x), x) dx over [0, T] or [0, inf) for an
-    x-free phi, which is read as phi(z, 0)."""
-    tail = 0.0
-    at_zero = float(phi(0.0, 0.0))
-    if domain is None:
-        if at_zero != 0.0:
-            raise NumericError(
-                "divergent tail: the integrand does not vanish at density 0 "
-                "on an unbounded domain; declare a compact domain [0, T]"
-            )
-    else:
-        t_end = float(domain[1])
-        if t_end < d.support_end:
-            raise InputError("declared domain ends inside the density's support")
-        tail = at_zero * (t_end - d.support_end)
-    hv = _apply(lambda z: phi(z, 0.0), d.levels)
-    return float(np.dot(hv, d.piece_widths)) + tail
+def _step_integral(phi, d: StepDensity, x_free: bool, vanishes_at_zero: bool,
+                   domain=None, order: int = 16) -> float:
+    """Integral of phi(f(x), x) dx for the step density f = ``d``, over a
+    compact ``domain`` [0, T] or else over [0, inf).
+
+    An x-free phi, read as phi(z, 0), needs no quadrature: the integral is
+    the exact step sum of phi(f, 0) against the piece widths, plus the
+    tail phi(0, 0) (T - t_k) beyond the support.  Otherwise it is the
+    :func:`_quadrature` of phi over the pieces at ``order`` and
+    ``2 * order`` nodes, with the tail [t_k, T] as one more piece at level
+    0 unless ``vanishes_at_zero`` declares phi(0, x) = 0.  Without a
+    domain the tail must vanish (numerically when x-free, by declaration
+    otherwise), or it diverges."""
+    end = d.support_end if domain is None else float(domain[1])
+    if end < d.support_end:
+        raise InputError("declared domain ends inside the density's support")
+    if x_free:
+        at_zero = float(phi(0.0, 0.0))
+        vanishes_at_zero = at_zero == 0.0
+    if domain is None and not vanishes_at_zero:
+        raise NumericError(
+            "divergent tail: the integrand does not vanish (or is not declared "
+            "to vanish) at density 0 on an unbounded domain; declare a compact "
+            "domain [0, T]"
+        )
+    if x_free:
+        hv = _apply(lambda z: phi(z, 0.0), d.levels)
+        return float(np.dot(hv, d.piece_widths)) + at_zero * (end - d.support_end)
+    edges = np.concatenate(([0.0], d.breakpoints))
+    tail = None if vanishes_at_zero or end == d.support_end else (d.support_end, end)
+    return _quadrature(phi, d.levels, edges[:-1], edges[1:], order, tail)
+
+
+def tau_plugin(G: SmoothFunctional, d: StepDensity, domain=None, order: int = 16) -> float:
+    """Integral of g(f(x), x) dx for a step density f, the plug-in value.
+
+    An x-free g is integrated exactly, as a step sum of g(f, 0) against
+    the piece widths.  Otherwise g is integrated per piece (it is smooth
+    in x there) by the adaptive Gauss-Legendre of :func:`_quadrature`:
+    one evaluation of g per order and bisection round over all pieces,
+    each piece reduced on its own and the pieces summed left to right,
+    so the result is the same float as a loop over the pieces (see the
+    module docstring for the proviso on g).  A piece still unresolved
+    after 10 bisections raises :class:`NumericError` naming it.
+
+    Without a compact ``domain`` [0, T], g(0, .) must vanish (checked at
+    0 when x-free, declared by ``vanishes_at_zero`` otherwise), since the
+    tail beyond the support diverges; with one, the tail [t_k, T] counts
+    at density 0.
+    """
+    return _step_integral(G.g, d, G.x_free, G.vanishes_at_zero, domain, order)
 
 
 def nu_plugin(G: SmoothFunctional, d: StepDensity) -> float:
@@ -163,42 +201,13 @@ def _gl_nodes(order: int):
     return np.polynomial.legendre.leggauss(order)
 
 
-def _gl_integrate(fn, a, b, order):
-    nodes, weights = _gl_nodes(order)
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return half * float(np.dot(weights, _apply(fn, mid + half * nodes)))
-
-
-def _converged(coarse, fine):
-    return abs(fine - coarse) <= _QUAD_REL_TOL * np.maximum(1.0, abs(fine))
-
-
-def _integrate_piece(fn, a, b, order, depth=0):
-    """Adaptive Gauss-Legendre on [a, b]: accept when two successive
-    orders agree to 1e-10 relative, else bisect, at most 10 levels deep.
-
-    Returns the integral and the summed |fine - coarse| of the
-    sub-pieces that reached the depth cap without agreeing (0.0 when
-    every sub-piece agreed)."""
-    coarse = _gl_integrate(fn, a, b, order)
-    fine = _gl_integrate(fn, a, b, 2 * order)
-    if _converged(coarse, fine):
-        return fine, 0.0
-    if depth >= _MAX_REFINE:
-        return fine, abs(fine - coarse)
-    mid = 0.5 * (a + b)
-    left, left_err = _integrate_piece(fn, a, mid, order, depth + 1)
-    right, right_err = _integrate_piece(fn, mid, b, order, depth + 1)
-    return left + right, left_err + right_err
-
-
 def _gl_rows(g, levels, a, b, order):
     """One Gauss-Legendre pass over every piece at once: row i holds the
-    nodes of [a[i], b[i]] and g is evaluated at (levels[i], node).  Each
-    row is reduced by its own ``np.dot``, the arithmetic of
-    :func:`_gl_integrate`.  None when g does not broadcast over a node
-    matrix with a column of levels."""
+    nodes of [a[i], b[i]] and g is evaluated at (levels[i], node), on the
+    whole node matrix with a column of levels, or one row at a time
+    through :func:`_apply` when g does not broadcast that way.  Each row
+    is reduced by its own ``np.dot``, so a piece gets the same float
+    whichever batch it is in."""
     nodes, weights = _gl_nodes(order)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
@@ -206,80 +215,62 @@ def _gl_rows(g, levels, a, b, order):
     try:
         vals = np.asarray(g(levels[:, None], x), dtype=float)
     except (TypeError, ValueError):
-        return None
-    if vals.shape != x.shape:
-        return None
+        vals = None
+    if vals is None or vals.shape != x.shape:
+        vals = [_apply(lambda t, v=v: g(v, t), row) for v, row in zip(levels, x)]
     return half * np.fromiter(map(weights.dot, vals), float, len(vals))
 
 
-def tau_plugin(G: SmoothFunctional, d: StepDensity, domain=None, order: int = 16) -> float:
-    """Integral of g(f(x), x) dx for a step density f.
-
-    Gauss-Legendre quadrature per piece (the integrand is smooth in x on
-    each piece), at ``order`` and ``2 * order`` nodes, batched: g is
-    evaluated once per order on a (pieces x order) node matrix, each row
-    reduced by its own ``np.dot`` and the pieces summed left to right, so
-    the result is the same float as a loop over the pieces (see the
-    module docstring for the proviso on g).  A piece
-    whose two orders disagree beyond 1e-10 relative is bisected
-    adaptively, at most 10 levels deep; a piece still unresolved there
-    raises :class:`NumericError` naming it.  A g that does not broadcast
-    over a 2-D x with a column of z values (a scalar-only callable)
-    takes the same quadrature one piece at a time.
-
-    An x-free g needs no quadrature: the integral is the exact step sum
-    of g(f, 0) against the piece widths.  Without a compact ``domain``
-    [0, T], g(0, 0) = 0 is required there (otherwise the tail beyond the
-    support diverges); with one, the tail contributes g(0, 0) (T - t_k).
-    """
-    if G.x_free:
-        return _step_sum(G.g, d, domain)
-    if domain is None and not G.vanishes_at_zero:
-        raise NumericError(
-            "divergent tail: g(0, .) not declared zero on an unbounded domain; "
-            "declare a compact domain [0, T]"
-        )
-    if domain is not None and float(domain[1]) < d.support_end:
-        raise InputError("declared domain ends inside the density's support")
-    edges = np.concatenate(([0.0], d.breakpoints))
-    tail = None
-    if domain is not None and float(domain[1]) > d.support_end and not G.vanishes_at_zero:
-        tail = (d.support_end, float(domain[1]))
-    return _quadrature(G.g, d.levels, edges[:-1], edges[1:], order, tail)
+def _converged(coarse, fine):
+    return abs(fine - coarse) <= _QUAD_REL_TOL * np.maximum(1.0, abs(fine))
 
 
 def _quadrature(g, levels, a, b, order: int, tail=None) -> float:
-    """The quadrature of :func:`tau_plugin`: the sum over pieces i, left to
-    right, of the integral of g(levels[i], x) dx on [a[i], b[i]], plus
-    that of g(0, x) dx on the ``tail`` interval if one is given."""
-    coarse = _gl_rows(g, levels, a, b, order)
-    fine = None if coarse is None else _gl_rows(g, levels, a, b, 2 * order)
-    if fine is None:
-        fine = np.empty(levels.size)
-        redo = range(levels.size)
-    else:
-        redo = np.flatnonzero(~_converged(coarse, fine))
-    unresolved = []  # (error, where) of each piece left at the depth cap
-    for i in redo:
-        v = levels[i]
-        fine[i], err = _integrate_piece(lambda x, v=v: g(v, x), a[i], b[i], order)
-        if err:
-            unresolved.append((err, f"piece {i} on [{float(a[i])!r}, {float(b[i])!r}]"))
-    total = 0.0
-    for value in fine.tolist():
-        total += value
+    """Sum over pieces i, left to right, of the integral of g(levels[i], x)
+    dx on [a[i], b[i]], plus that of g(0, x) dx on the ``tail`` interval
+    if one is given (one more row, at level 0).
+
+    Adaptive Gauss-Legendre: a piece is accepted when ``order`` and
+    ``2 * order`` nodes agree to 1e-10 relative.  Each round halves every
+    piece that is not, and makes one :func:`_gl_rows` pass per order over
+    all the halves; after the last round the halves are summed back up,
+    deepest first, left half plus right half, the arithmetic of a
+    bisection that recurses one piece at a time.  A piece still
+    unresolved after 10 rounds raises :class:`NumericError` naming it."""
+    z, lo, hi = levels, a, b  # the rows of the current round
     if tail is not None:
-        value, err = _integrate_piece(lambda x: g(0.0, x), tail[0], tail[1], order)
-        if err:
-            unresolved.append((err, f"the tail on [{tail[0]!r}, {tail[1]!r}]"))
-        total += value
-    if unresolved:
-        err, where = max(unresolved, key=lambda item: item[0])
+        z, lo, hi = np.append(z, 0.0), np.append(lo, tail[0]), np.append(hi, tail[1])
+    origin = np.arange(z.size)  # the piece each row is a part of
+    rounds = []  # (values, rows halved) of each round before the last
+    for depth in range(_MAX_REFINE + 1):
+        coarse = _gl_rows(g, z, lo, hi, order)
+        fine = _gl_rows(g, z, lo, hi, 2 * order)
+        redo = np.flatnonzero(~_converged(coarse, fine))
+        if redo.size == 0 or depth == _MAX_REFINE:
+            break
+        rounds.append((fine, redo))
+        mid = 0.5 * (lo[redo] + hi[redo])
+        lo = np.column_stack((lo[redo], mid)).ravel()
+        hi = np.column_stack((mid, hi[redo])).ravel()
+        z, origin = np.repeat(z[redo], 2), np.repeat(origin[redo], 2)
+    if redo.size:
+        errors = {}  # summed |fine - coarse| of each unresolved piece
+        for i, err in zip(origin[redo].tolist(), abs(fine - coarse)[redo].tolist()):
+            errors[i] = errors.get(i, 0.0) + err
+        i, err = max(errors.items(), key=lambda item: item[1])
+        where = (f"the tail on [{tail[0]!r}, {tail[1]!r}]" if i == levels.size else
+                 f"piece {i} on [{float(a[i])!r}, {float(b[i])!r}]")
         raise NumericError(
-            f"quadrature unresolved on {len(unresolved)} piece(s) after "
+            f"quadrature unresolved on {len(errors)} piece(s) after "
             f"{_MAX_REFINE} bisections; the worst, {where}, has error {err:.3g} "
             f"between orders, above the relative tolerance {_QUAD_REL_TOL:g}"
         )
+    for parent, halved in reversed(rounds):
+        parent[halved] = fine[0::2] + fine[1::2]
+        fine = parent
+    total = 0.0
+    for value in fine.tolist():
+        total += value
     return float(total)
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,22 +78,6 @@ class StepDensity:
         i = np.clip(np.searchsorted(cum, u, side="right") - 1, 0, self.levels.size - 1)
         out = edges[i] + (u - cum[i]) / self.levels[i]
         return out if out.ndim else float(out)
-
-    # -- serialization ----------------------------------------------------
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("breakpoint,level\n")
-        for t, v in zip(self.breakpoints, self.levels):
-            buf.write(f"{float(t)!r},{float(v)!r}\n")
-        return buf.getvalue()
-
-    @staticmethod
-    def from_csv(text: str) -> "StepDensity":
-        rows = [line.split(",") for line in text.strip().splitlines()[1:]]
-        ts = np.array([float(r[0]) for r in rows])
-        vs = np.array([float(r[1]) for r in rows])
-        return StepDensity(ts, vs)
 
 
 def fit(s: Sample) -> StepDensity:

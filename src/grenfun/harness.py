@@ -36,13 +36,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError, NumericError
-from .functionals import _quadrature, _require_x_free, _step_sum, by_name, tau_plugin
+from .functionals import _quadrature, _require_x_free, _step_integral, by_name, tau_plugin
 from .grenander import fit
 from .inference import (_efficient_variance, efficient_interval, normal_cdf, normal_quantile,
                         uniform_clt_statistic)
 from .limitlaw import draw_y_samples, emit_y_csv
-from .samples import (ScenarioSpec, _integer, config_field, default_stream, derive_seed, draw,
-                      read_json_object)
+from .samples import (ScenarioSpec, _integer, _seed, config_field, default_stream, derive_seed,
+                      draw, read_json_object)
 
 log = logging.getLogger(__name__)
 
@@ -57,22 +57,17 @@ _EXP_CELLS = 64
 
 
 def _integral(spec: ScenarioSpec, phi, x_free: bool) -> float:
-    """Integral of phi(f(x), x) dx at the scenario's density f, by the
-    quadrature of :func:`tau_plugin` over the step pieces of a piecewise
-    truth (an exact step sum when phi is x-free), or over the cells
+    """Integral of phi(f(x), x) dx at the scenario's density f, with
+    phi(0, .) = 0: the step-density integral of :func:`tau_plugin` for a
+    piecewise truth, or its quadrature over the cells
     [(k-1) ln2 / rate, k ln2 / rate], k <= 64, of an exponential truth,
     which leave out the mass 2^-64."""
-    if spec.kind == "exponential":
-        edges = np.arange(_EXP_CELLS + 1) * (math.log(2.0) / spec.params["rate"])
-        # the levels are placeholders: f is evaluated at the nodes
-        levels, integrand = np.zeros(_EXP_CELLS), (lambda _, x: phi(spec.density(x), x))
-    else:
-        d = spec.true_density()
-        if x_free:
-            return _step_sum(phi, d, None)
-        edges = np.concatenate(([0.0], d.breakpoints))
-        levels, integrand = d.levels, phi
-    return _quadrature(integrand, levels, edges[:-1], edges[1:], 16)
+    if spec.kind != "exponential":
+        return _step_integral(phi, spec.true_density(), x_free, True)
+    edges = np.arange(_EXP_CELLS + 1) * (math.log(2.0) / spec.params["rate"])
+    # the levels are placeholders: f is evaluated at the nodes
+    return _quadrature(lambda _, x: phi(spec.density(x), x), np.zeros(_EXP_CELLS),
+                       edges[:-1], edges[1:], 16)
 
 
 def _truth(spec: ScenarioSpec, G) -> tuple:
@@ -128,6 +123,8 @@ def ks_distance(sample, reference) -> float:
         lo = np.max(ref_cdf_left - np.arange(0, n) / n)
         return float(max(hi, lo, 0.0))
     other = np.sort(np.asarray(reference, dtype=float))
+    if other.size == 0:
+        raise InputError("empty reference sample")
     both = np.concatenate((sample, other))
     f1 = np.searchsorted(sample, both, side="right") / n
     f2 = np.searchsorted(other, both, side="right") / other.size
@@ -164,8 +161,7 @@ class StudyConfig:
         what = "study config"
         obj = read_json_object(obj, what)
         scenario, functional, seed, grid_size = read_run_config(obj, what)
-        n_values = config_field(what, obj, "n" if "n" in obj else "n_values", _sizes)
-        return StudyConfig(scenario, functional, n_values,
+        return StudyConfig(scenario, functional, config_field(what, obj, "n", _sizes),
                            config_field(what, obj, "replications", _integer, 1000), seed, grid_size,
                            config_field(what, obj, "reference_draws", _integer, 10000))
 
@@ -182,7 +178,7 @@ def read_run_config(obj, what: str = "limit-sample config") -> tuple:
     scenario = ScenarioSpec.from_json(config_field(what, obj, "scenario", dict))
     functional = config_field(what, obj, "functional", str)
     by_name(functional)
-    seed = config_field(what, obj, "seed", _integer, scenario.seed or 0)
+    seed = config_field(what, obj, "seed", _seed, scenario.seed or 0)
     return scenario, functional, seed, config_field(what, obj, "grid_size", _integer, 1000)
 
 

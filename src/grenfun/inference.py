@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericError
-from .functionals import SmoothFunctional, _require_x_free, _step_sum, tau_plugin
+from .functionals import SmoothFunctional, _require_x_free, _step_integral, tau_plugin
 from .grenander import StepDensity, evaluate, fit
 from .samples import Sample
 
@@ -113,7 +113,7 @@ def sigma_eff_tau(G: SmoothFunctional, s: Sample, d: StepDensity) -> float:
     agree for an x-free G by the carrier identity of the Grenander fit.
     """
     if G.x_free:
-        return _efficient_variance(lambda phi, _: _step_sum(phi, d, None), G)
+        return _efficient_variance(lambda phi, _: _step_integral(phi, d, True, True), G)
     fitted = evaluate(d, s.values)
     vals = np.asarray(G.gdot(fitted, s.values), dtype=float)
     if vals.shape != s.values.shape:

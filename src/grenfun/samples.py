@@ -244,7 +244,7 @@ class ScenarioSpec:
     def from_json(obj: dict) -> "ScenarioSpec":
         if not isinstance(obj, dict) or "kind" not in obj:
             raise InputError("scenario JSON must be an object with a 'kind' field")
-        seed = None if obj.get("seed") is None else config_field("scenario", obj, "seed", _integer)
+        seed = None if obj.get("seed") is None else config_field("scenario", obj, "seed", _seed)
         return ScenarioSpec(obj["kind"], config_field("scenario", obj, "params", dict, {}), seed)
 
 
@@ -378,6 +378,14 @@ def _integer(value) -> int:
     if not number.is_integer():
         raise ValueError(value)
     return int(number)
+
+
+def _seed(value) -> int:
+    """A seed: an integral number >= 0, which numpy's generators need."""
+    seed = _integer(value)
+    if seed < 0:
+        raise ValueError(value)
+    return seed
 
 
 def read_json_object(obj, what: str) -> dict:

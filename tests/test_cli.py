@@ -152,6 +152,9 @@ class TestSimulate:
     @pytest.mark.parametrize("field,change", [
         ("replications", {"replications": "ten"}),
         ("rate", {"scenario": {"kind": "exponential", "params": {"rate": "fast"}}}),
+        # numpy's generators take no negative seed
+        ("seed", {"seed": -3}),
+        ("seed", {"scenario": {"kind": "exponential", "params": {"rate": 1.0}, "seed": -3}}),
     ])
     def test_malformed_value_is_config_error(self, tmp_path, capsys, field, change):
         config = tmp_path / "study.json"
@@ -187,6 +190,17 @@ class TestLimitSample:
         config = tmp_path / "limit.json"
         config.write_text(json.dumps({"functional": "power:2"}))
         assert main(["limit-sample", "--config", str(config), "--draws", "5"]) == 2
+
+    def test_negative_seed_is_config_error(self, tmp_path, capsys):
+        config = tmp_path / "limit.json"
+        config.write_text(json.dumps({
+            "scenario": {"kind": "paper_pwa", "params": {}},
+            "functional": "xz2", "grid_size": 50, "seed": -3,
+        }))
+        assert main(["--out", str(tmp_path), "limit-sample", "--config", str(config),
+                     "--draws", "5"]) == 2
+        err = capsys.readouterr().err
+        assert "field 'seed'" in err and "Traceback" not in err
 
     def test_malformed_grid_size_is_config_error(self, tmp_path, capsys):
         config = tmp_path / "limit.json"
@@ -315,10 +329,12 @@ class TestParsing:
         ("--n", ["uniform-clt", "--h", "power:2", "--n", "50", "-5", "--reps", "2"]),
         ("--reps", ["uniform-clt", "--h", "power:2", "--n", "50", "--reps", "0"]),
         ("--draws", ["limit-sample", "--config", "limit.json", "--draws", "0"]),
-    ], ids=["0", "-3", "two", "n=0", "n=50,-5", "reps=0", "draws=0"])
+        ("--seed", ["--seed", "-1", *_UNIFORM]),
+    ], ids=["0", "-3", "two", "n=0", "n=50,-5", "reps=0", "draws=0", "seed=-1"])
     def test_bad_threads_is_config_error(self, flag, argv, capsys):
         # --threads and the sample, replication and draw counts must all
-        # be positive integers; the parser rejects them before any work
+        # be positive integers, and --seed one >= 0 (numpy's generators
+        # take no negative seed); the parser rejects them before any work
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert flag in err and "Traceback" not in err

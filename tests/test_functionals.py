@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,6 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from grenfun import functionals
 from grenfun import (
     InputError,
     NumericError,
@@ -170,61 +170,99 @@ _TRUTHS = {"exponential": ScenarioSpec.exponential(1.0),
            "uniform": ScenarioSpec.uniform(1.0)}
 
 
-@pytest.fixture
-def piece_calls(monkeypatch):
-    """Depths of the calls tau_plugin makes to the one-piece quadrature."""
-    depths = []
-    one_piece = functionals._integrate_piece
+#: g(z, x) = (z^2 + 1) 1{x > 1.2}: a jump in the tail of PWA_TRUTH on [0, 2]
+TAIL_STEP = SmoothFunctional(
+    g=lambda z, x: (z * z + 1.0) * _step_at(x, 1.2),
+    gdot=lambda z, x: 2.0 * z * _step_at(x, 1.2),
+    gddot=lambda z, x: 2.0 * _step_at(x, 1.2) + 0.0 * z,
+)
 
-    def counted(fn, a, b, order, depth=0):
-        depths.append(depth)
-        return one_piece(fn, a, b, order, depth)
 
-    monkeypatch.setattr(functionals, "_integrate_piece", counted)
-    return depths
+def _counted(G):
+    """G with a g that records the shape of the x of every call, and that
+    record (emptied of the calls that validated the copy)."""
+    calls = []
+
+    def g(z, x):
+        calls.append(np.shape(x))
+        return G.g(z, x)
+
+    copy = dataclasses.replace(G, g=g)
+    calls.clear()
+    return copy, calls
 
 
 class TestBatchedQuadrature:
-    """tau_plugin evaluates all pieces in one batch per order; it must
-    return the same float as the one-piece-at-a-time loop."""
+    """tau_plugin evaluates g once per order and bisection round, on all
+    pieces at once; it must return the same float as the one-piece-at-a-
+    time recursion of the oracle."""
 
     @pytest.mark.parametrize("n", [1_000, 10_000, 100_000, 1_000_000])
     @pytest.mark.parametrize("truth", sorted(_TRUTHS))
-    def test_ecdf_fits_byte_equal(self, truth, n, piece_calls):
+    def test_ecdf_fits_byte_equal(self, truth, n):
         d = fit(draw(_TRUTHS[truth], n, default_stream(derive_seed(606, n))))
-        assert tau_plugin(XZ2, d) == tau_plugin_by_piece(XZ2, d)
-        assert piece_calls == []  # every piece took the batched path
+        xz2, calls = _counted(XZ2)
+        assert tau_plugin(xz2, d) == tau_plugin_by_piece(XZ2, d)
+        k = d.levels.size
+        assert calls == [(k, 16), (k, 32)]  # one batch per order, no bisection
 
     def test_split_step_density(self):
         d = StepDensity(np.array([0.25, 0.5, 1.0]), np.array([1.2, 1.2, 0.8]), validate=False)
         assert tau_plugin(XZ2, d) == tau_plugin_by_piece(XZ2, d)
 
     @pytest.mark.parametrize("density", ["paper_pwa", "fit"])
-    def test_compact_domain_with_tail(self, density, piece_calls):
+    def test_compact_domain_with_tail(self, density):
         d = (PWA_TRUTH if density == "paper_pwa"
              else fit(draw(ScenarioSpec.exponential(1.0), 5_000, default_stream(17))))
         domain = (0.0, d.support_end + 1.5)
-        got = tau_plugin(TAILED, d, domain=domain)
+        tailed, calls = _counted(TAILED)
+        got = tau_plugin(tailed, d, domain=domain)
         assert got == tau_plugin_by_piece(TAILED, d, domain=domain)
         assert got != tau_plugin(TAILED, d, domain=(0.0, d.support_end))
-        assert piece_calls == [0]  # the tail alone
+        k = d.levels.size + 1  # the tail is one more row of the batch
+        assert calls == [(k, 16), (k, 32)]
 
     @pytest.mark.parametrize("density", ["paper_pwa", "fit"])
-    def test_bisected_pieces(self, density, piece_calls):
+    def test_bisected_pieces(self, density):
         d = (PWA_TRUTH if density == "paper_pwa"
              else fit(draw(ScenarioSpec.exponential(1.0), 10_000, default_stream(23))))
-        assert tau_plugin(STEEP_IN_X, d) == tau_plugin_by_piece(STEEP_IN_X, d)
-        assert max(piece_calls) > 0
+        steep, calls = _counted(STEEP_IN_X)
+        assert tau_plugin(steep, d) == tau_plugin_by_piece(STEEP_IN_X, d)
+        # one pair of calls per round: all pieces, then the halves of the
+        # pieces the round before left unresolved
+        assert len(calls) > 2 and calls[0] == (d.levels.size, 16)
+        assert calls[0::2] == [(rows, 16) for rows, _ in calls[1::2]]
+        assert all(rows % 2 == 0 for rows, _ in calls[2:])
 
-    def test_scalar_only_integrand_falls_back(self, piece_calls):
+    def test_bisection_rounds_are_batched(self):
+        # the ramp at x = 0.5 lies in piece 1 of PWA_TRUTH, [0.29, 1.0];
+        # 16 and 32 nodes agree once it has been halved 4 times.  One
+        # round evaluates g once per order, however many halves it holds
+        steep, calls = _counted(STEEP_IN_X)
+        tau_plugin(steep, PWA_TRUTH)
+        rounds = 4
+        assert len(calls) == 2 * (rounds + 1)
+
+    def test_scalar_only_integrand_falls_back(self):
         d = fit(draw(ScenarioSpec.paper_pwa(), 1_000, default_stream(29)))
-        assert tau_plugin(SCALAR_ONLY, d) == tau_plugin_by_piece(SCALAR_ONLY, d)
-        assert piece_calls.count(0) == d.levels.size
+        scalar_only, calls = _counted(SCALAR_ONLY)
+        assert tau_plugin(scalar_only, d) == tau_plugin_by_piece(SCALAR_ONLY, d)
+        # the node matrix is refused once per order, then g is tried on
+        # each row and taken one node at a time
+        k = d.levels.size
+        assert [c for c in calls if len(c) == 2] == [(k, 16), (k, 32)]
+        assert (calls.count((16,)), calls.count((32,))) == (k, k)
+        assert calls.count(()) == 48 * k
 
     def test_unresolved_piece_raises(self):
         # the jump at x = 0.3 leaves an error of about 3e-7 at the depth cap
         with pytest.raises(NumericError, match=r"unresolved on 1 piece.*piece 1 on \[.*error 3"):
             tau_plugin(STEP_IN_X, PWA_TRUTH)
+
+    def test_unresolved_tail_raises(self):
+        with pytest.raises(NumericError,
+                           match=r"unresolved on 1 piece.*the tail on \[1\.0, 2\.0\]"):
+            tau_plugin(TAIL_STEP, PWA_TRUTH, domain=(0.0, 2.0))
 
 
 class TestNuPlugin:

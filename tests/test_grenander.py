@@ -193,12 +193,6 @@ class TestStepDensityType:
         with pytest.raises(InputError):
             StepDensity(np.array([-1.0, 1.0]), np.array([0.6, 0.4]))
 
-    def test_csv_round_trip(self):
-        d = StepDensity(np.array([1.0, 3.0]), np.array([0.5, 0.25]))
-        back = StepDensity.from_csv(d.to_csv())
-        assert np.array_equal(back.breakpoints, d.breakpoints)
-        assert np.array_equal(back.levels, d.levels)
-
     def test_cdf(self):
         d = StepDensity(np.array([1.0, 3.0]), np.array([0.5, 0.25]))
         assert d.cdf(0.0) == 0.0

@@ -155,6 +155,8 @@ class TestKsDistance:
     def test_empty_rejected(self):
         with pytest.raises(InputError):
             ks_distance([], {"mean": 0.0, "var": 1.0})
+        with pytest.raises(InputError, match="empty reference"):
+            ks_distance([1.0, 2.0], [])
 
 
 class TestStudyConfig:
@@ -181,6 +183,9 @@ class TestStudyConfig:
     def test_missing_field_reported(self):
         with pytest.raises(InputError, match="missing field"):
             StudyConfig.from_json({"functional": "power:2"})
+        with pytest.raises(InputError, match="missing field 'n'"):
+            StudyConfig.from_json({"scenario": {"kind": "paper_pwa"}, "functional": "power:2",
+                                   "n_values": [1000], "replications": 3})
 
     @pytest.mark.parametrize("field,change", [
         ("replications", {"replications": 2.7}),
@@ -210,7 +215,7 @@ class TestStudyConfig:
 
     @pytest.mark.parametrize("n", [0, [], [0]])
     def test_no_positive_sample_size_reported(self, n):
-        # not as a missing "n_values" field
+        # as an empty budget, not as a missing field
         with pytest.raises(InputError, match="must be positive"):
             StudyConfig.from_json({"scenario": {"kind": "paper_pwa"}, "functional": "power:2",
                                    "n": n, "replications": 3})
