@@ -21,10 +21,11 @@ from pathlib import Path
 from .errors import InputError, NumericError
 from .functionals import by_name, tau_plugin
 from .grenander import fit
-from .harness import StudyConfig, read_run_config, run_coverage, run_study, run_uniform_study
+from .harness import (StudyConfig, _file_stem, read_run_config, run_coverage, run_study,
+                      run_uniform_study)
 from .inference import efficient_interval
-from .limitlaw import draw_y_samples, emit_y_csv
-from .samples import default_stream, read_observations
+from .limitlaw import _seeded_y_samples
+from .samples import read_observations
 
 
 def _int_from(low: int):
@@ -129,15 +130,11 @@ def _cmd_limit_sample(args) -> int:
     spec, name, seed, grid_size = read_run_config(args.config)
     if args.seed is not None:
         seed = args.seed
-    ys, info = draw_y_samples(by_name(name), spec, grid_size, args.draws, default_stream(seed))
-    info["seed"] = int(seed)
-    args.out.mkdir(parents=True, exist_ok=True)
-    slug = name.replace(":", "")
-    path = args.out / f"{spec.kind}_{slug}_y.csv"
-    emit_y_csv(path, ys, info)
-    print(json.dumps({"file": str(path), "draws": len(ys),
-                      "mean": float(ys.mean()), "variance": float(ys.var(ddof=1)),
-                      "tail_bound": info["tail_bound"]}, sort_keys=True))
+    path = args.out / f"{_file_stem(spec.kind, name)}_y.csv"
+    ys, info = _seeded_y_samples(by_name(name), spec, grid_size, args.draws, seed, path)
+    variance = float(ys.var(ddof=1)) if ys.size > 1 else None
+    print(json.dumps({"file": str(path), "draws": len(ys), "mean": float(ys.mean()),
+                      "variance": variance, "tail_bound": info["tail_bound"]}, sort_keys=True))
     return 0
 
 

@@ -123,8 +123,9 @@ def _step_integral(phi, d: StepDensity, x_free: bool, vanishes_at_zero: bool,
     domain the tail must vanish (numerically when x-free, by declaration
     otherwise), or it diverges."""
     end = d.support_end if domain is None else float(domain[1])
-    if end < d.support_end:
-        raise InputError("declared domain ends inside the density's support")
+    if end < d.support_end or (domain is not None and float(domain[0]) != 0.0):
+        raise InputError(f"declared domain {domain!r} must start at 0 and not end inside "
+                         f"the density's support [0, {d.support_end!r}]")
     if x_free:
         at_zero = float(phi(0.0, 0.0))
         vanishes_at_zero = at_zero == 0.0

@@ -9,12 +9,12 @@ each is the functional's own g or gdot integrated against the scenario's
 density by the plug-in's quadrature (:func:`_truth`); no functional has
 a closed form of its own.
 
-Replication r draws from the stream seeded by ``derive_seed(seed, r)``,
-a SeedSequence hash of the study seed and the replication index alone.
-It involves neither the sample size nor the scheduling, so statistics
-arrays are byte-identical regardless of how replications are spread
-over workers, and adding a sample size to a study leaves the statistics
-at the other sizes unchanged.
+Every study runs one loop over its sample sizes (:func:`_replications`)
+and one worker (:func:`_replicate`), which hands the study's statistic
+n draws from the stream seeded by ``derive_seed(seed, r)`` for
+replication r: a SeedSequence hash of the study seed and r alone, so
+statistics are byte-identical however replications are spread over
+workers, and adding a sample size leaves the others' unchanged.
 
 On glibc, pool workers keep freed memory mapped (:func:`_keep_freed_memory`):
 a large-n replication frees arrays of about 800 KB that glibc would
@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -40,7 +41,7 @@ from .functionals import _quadrature, _require_x_free, _step_integral, by_name, 
 from .grenander import fit
 from .inference import (_efficient_variance, efficient_interval, normal_cdf, normal_quantile,
                         uniform_clt_statistic)
-from .limitlaw import draw_y_samples, emit_y_csv
+from .limitlaw import _seeded_y_samples
 from .samples import (ScenarioSpec, _integer, _seed, config_field, default_stream, derive_seed,
                       draw, read_json_object)
 
@@ -133,12 +134,6 @@ def ks_distance(sample, reference) -> float:
 
 # -- configuration and report records --------------------------------------
 
-def _check_budget(n_values, replications) -> None:
-    if replications < 1 or len(n_values) == 0 or any(n < 1 for n in n_values):
-        raise InputError("replications and sample sizes must be positive, "
-                         "with at least one sample size")
-
-
 @dataclass(frozen=True)
 class StudyConfig:
     """Scenario + functional + sample sizes + replication budget."""
@@ -153,7 +148,10 @@ class StudyConfig:
 
     def __post_init__(self):
         by_name(self.functional)
-        _check_budget(self.n_values, self.replications)
+        if self.replications < 1 or len(self.n_values) == 0 or any(n < 1 for n in self.n_values):
+            raise InputError("replications and sample sizes must be positive, "
+                             "with at least one sample size")
+        object.__setattr__(self, "seed", config_field("study config", vars(self), "seed", _seed))
         object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
 
     @staticmethod
@@ -164,6 +162,11 @@ class StudyConfig:
         return StudyConfig(scenario, functional, config_field(what, obj, "n", _sizes),
                            config_field(what, obj, "replications", _integer, 1000), seed, grid_size,
                            config_field(what, obj, "reference_draws", _integer, 10000))
+
+
+def _file_stem(kind: str, functional: str) -> str:
+    """Stem of a study's output file names: ``paper_pwa_power2``."""
+    return f"{kind}_{functional.replace(':', '')}"
 
 
 def _sizes(value) -> tuple:
@@ -197,8 +200,7 @@ class SimulationReport:
     wall_time: float
 
     def base_name(self) -> str:
-        slug = self.functional.replace(":", "")
-        return f"{self.scenario['kind']}_{slug}_n{self.n}"
+        return f"{_file_stem(self.scenario['kind'], self.functional)}_n{self.n}"
 
     def statistics_csv(self) -> str:
         lines = ["replication,statistic"]
@@ -264,39 +266,34 @@ def _bias_check(summaries: dict, size: int) -> dict:
     return check
 
 
-# -- replication workers (top level so they pickle) -------------------------
+# -- the replication worker (top level, with its statistics, so they pickle)
 
-def _study_statistic(args) -> float:
-    scenario_json, functional_name, n, seed, truth, rep = args
-    spec = ScenarioSpec.from_json(scenario_json)
-    fn = by_name(functional_name)
+def _replicate(args):
+    """Replication ``rep`` of a study: ``statistic(G, sample, *extra)`` on
+    n draws from the scenario's stream of ``derive_seed(seed, rep)``."""
+    statistic, spec, functional_name, n, seed, extra, rep = args
     s = draw(spec, n, default_stream(derive_seed(seed, rep)))
-    return math.sqrt(n) * (tau_plugin(fn, fit(s)) - truth)
+    return statistic(by_name(functional_name), s, *extra)
 
 
-def _coverage_draw(args) -> tuple:
-    scenario_json, functional_name, n, seed, level, truth, rep = args
-    s = draw(ScenarioSpec.from_json(scenario_json), n, default_stream(derive_seed(seed, rep)))
-    ci = efficient_interval(by_name(functional_name), s, level)
+def _centered(G, s, truth: float) -> float:
+    """sqrt(n) (tau_hat - tau)."""
+    return math.sqrt(s.n) * (tau_plugin(G, fit(s)) - truth)
+
+
+def _covers(G, s, level: float, truth: float) -> tuple:
+    """(whether the efficient interval at ``level`` holds the truth, its width)."""
+    ci = efficient_interval(G, s, level)
     # a point interval misses the truth by the rounding of its estimate
     hit = ci.lower <= truth <= ci.upper or (
         ci.degenerate and abs(ci.estimate - truth) <= 4.0 * math.ulp(truth))
     return float(hit), ci.width
 
 
-def _uniform_statistic(args) -> float:
-    functional_name, n, seed, rep = args
-    h = by_name(functional_name)
-    s = draw(ScenarioSpec.uniform(1.0), n, default_stream(derive_seed(seed, rep)))
-    return uniform_clt_statistic(h, s)
-
-
 def _worker_count(threads: int, jobs: int) -> int:
     """Worker processes for ``jobs`` replications: ``threads``, capped at
     the CPU count and the job count (a fork-context pool starts all its
     workers at once)."""
-    import os
-
     if threads < 1:
         raise InputError(f"threads must be >= 1, got {threads}")
     return min(threads, os.cpu_count() or 1, jobs)
@@ -332,6 +329,16 @@ def _map_replications(worker, arg_list, threads: int) -> np.ndarray:
         return np.array(list(pool.map(worker, arg_list, chunksize=chunk)))
 
 
+def _replications(config: StudyConfig, statistic, extra: tuple, threads: int):
+    """Per sample size of ``config``, (n, the statistic of every
+    replication by :func:`_replicate`, the seconds they took)."""
+    for n in config.n_values:
+        start = time.perf_counter()
+        args = [(statistic, config.scenario, config.functional, n, config.seed, extra, rep)
+                for rep in range(config.replications)]
+        yield n, _map_replications(_replicate, args, threads), time.perf_counter() - start
+
+
 # -- studies ----------------------------------------------------------------
 
 def run_study(config: StudyConfig, threads: int = 1, out_dir=None) -> list:
@@ -343,39 +350,27 @@ def run_study(config: StudyConfig, threads: int = 1, out_dir=None) -> list:
     """
     fn = by_name(config.functional)
     truth, sigma2 = _truth(config.scenario, fn)
-    scenario_json = config.scenario.to_json()
     ref_sample = None
     if reference_is_normal(config.scenario, config.functional):
         reference = {"type": "normal", "mean": 0.0, "var": sigma2}
     else:
-        y_seed = derive_seed(config.seed, _Y_SEED_SALT)
-        ref_sample, info = draw_y_samples(
-            fn, config.scenario, config.grid_size, config.reference_draws,
-            default_stream(y_seed))
-        info["seed"] = y_seed
+        y_file = None if out_dir is None else (
+            Path(out_dir) / f"{_file_stem(config.scenario.kind, config.functional)}_yref.csv")
+        ref_sample, info = _seeded_y_samples(fn, config.scenario, config.grid_size,
+                                             config.reference_draws,
+                                             derive_seed(config.seed, _Y_SEED_SALT), y_file)
         reference = {"type": "empirical", "draws": int(config.reference_draws),
-                     "grid_size": int(config.grid_size), "file": None,
+                     "grid_size": int(config.grid_size),
+                     "file": None if y_file is None else y_file.name,
                      "tail_bound": info["tail_bound"]}
-        if out_dir is not None:
-            slug = config.functional.replace(":", "")
-            y_path = Path(out_dir)
-            y_path.mkdir(parents=True, exist_ok=True)
-            y_file = y_path / f"{config.scenario.kind}_{slug}_yref.csv"
-            emit_y_csv(y_file, ref_sample, info)
-            reference["file"] = y_file.name
     reports = []
-    for n in config.n_values:
-        start = time.perf_counter()
-        args = [(scenario_json, config.functional, n, config.seed, truth, rep)
-                for rep in range(config.replications)]
-        stats = _map_replications(_study_statistic, args, threads)
+    for n, stats, seconds in _replications(config, _centered, (truth,), threads):
         summaries = _summarize(stats, reference, ref_sample)
         summaries["bias_check"] = _bias_check(summaries, stats.size)
         report = SimulationReport(
-            scenario=scenario_json, functional=config.functional, n=n,
+            scenario=config.scenario.to_json(), functional=config.functional, n=n,
             replications=config.replications, statistics=stats,
-            reference=reference, summaries=summaries, seed=config.seed,
-            wall_time=time.perf_counter() - start,
+            reference=reference, summaries=summaries, seed=config.seed, wall_time=seconds,
         )
         if out_dir is not None:
             report.write(out_dir)
@@ -391,14 +386,11 @@ def run_coverage(config: StudyConfig, level: float, threads: int = 1) -> list:
     if not 0.0 < level < 1.0:
         raise InputError("confidence level must lie in (0, 1)")
     truth, _ = _truth(config.scenario, by_name(config.functional))
-    scenario_json = config.scenario.to_json()
     records = []
-    for n in config.n_values:
-        args = [(scenario_json, config.functional, n, config.seed, level, truth, rep)
-                for rep in range(config.replications)]
-        hits, widths = _map_replications(_coverage_draw, args, threads).T
+    for n, outcomes, _ in _replications(config, _covers, (level, truth), threads):
+        hits, widths = outcomes.T
         records.append({
-            "scenario": scenario_json, "functional": config.functional, "n": n,
+            "scenario": config.scenario.to_json(), "functional": config.functional, "n": n,
             "replications": config.replications, "seed": config.seed,
             "level": level, "truth": truth,
             "coverage": int(hits.sum()) / config.replications,
@@ -419,23 +411,19 @@ def run_uniform_study(functional_name: str, n_values, replications: int,
     and the reports carry no ``bias_check``.  Judge a uniform study by its
     quantiles (the Q-Q pairs) and its KS distance instead.
     """
+    config = StudyConfig(ScenarioSpec.uniform(1.0), functional_name, n_values, replications, seed)
     h = by_name(functional_name)
-    _check_budget(n_values, replications)
     _require_x_free(h, "uniform study")
     if float(h.gddot(1.0, 0.0)) == 0.0:
         raise NumericError("degenerate normalization: h''(1) = 0")
     reference = {"type": "normal", "mean": 0.0, "var": 1.0}
     reports = []
-    for n in n_values:
-        start = time.perf_counter()
-        args = [(functional_name, int(n), seed, rep) for rep in range(replications)]
-        stats = _map_replications(_uniform_statistic, args, threads)
-        summaries = _summarize(stats, reference)
+    for n, stats, seconds in _replications(config, uniform_clt_statistic, (), threads):
         report = SimulationReport(
             scenario={"kind": "uniform_clt", "params": {"upper": 1.0}},
-            functional=functional_name, n=int(n), replications=replications,
-            statistics=stats, reference=reference, summaries=summaries,
-            seed=seed, wall_time=time.perf_counter() - start,
+            functional=functional_name, n=n, replications=replications,
+            statistics=stats, reference=reference, summaries=_summarize(stats, reference),
+            seed=seed, wall_time=seconds,
         )
         if out_dir is not None:
             report.write(out_dir)

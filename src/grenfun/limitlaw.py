@@ -56,7 +56,7 @@ import numpy as np
 from .errors import InputError
 from .functionals import SmoothFunctional, _require_x_free
 from .majorant import _hull_rows, _rows_per_block
-from .samples import ScenarioSpec, _load_column
+from .samples import ScenarioSpec, _load_column, default_stream
 
 #: tail mass cut from a truth of unbounded support
 _TAIL_MASS = 1e-6
@@ -290,6 +290,18 @@ def emit_y_csv(path, ys: np.ndarray, info: dict) -> None:
     lines = ["# " + json.dumps(info, sort_keys=True)]
     lines.extend(repr(float(y)) for y in ys)
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _seeded_y_samples(G: SmoothFunctional, spec: ScenarioSpec, grid_size: int, draws: int,
+                      seed: int, path=None):
+    """:func:`draw_y_samples` from ``seed``, which joins the info, written by
+    :func:`emit_y_csv` to ``path`` (its directory made) unless that is None."""
+    ys, info = draw_y_samples(G, spec, grid_size, draws, default_stream(seed))
+    info["seed"] = int(seed)
+    if path is not None:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        emit_y_csv(path, ys, info)
+    return ys, info
 
 
 def load_y_csv(path):

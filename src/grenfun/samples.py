@@ -123,6 +123,8 @@ class ScenarioSpec:
     seed: int | None = None
 
     def __post_init__(self):
+        if self.seed is not None:
+            object.__setattr__(self, "seed", config_field("scenario", vars(self), "seed", _seed))
         if self.kind not in SCENARIO_KINDS:
             raise InputError(
                 f"unknown scenario kind {self.kind!r}; valid kinds: "
@@ -244,8 +246,8 @@ class ScenarioSpec:
     def from_json(obj: dict) -> "ScenarioSpec":
         if not isinstance(obj, dict) or "kind" not in obj:
             raise InputError("scenario JSON must be an object with a 'kind' field")
-        seed = None if obj.get("seed") is None else config_field("scenario", obj, "seed", _seed)
-        return ScenarioSpec(obj["kind"], config_field("scenario", obj, "params", dict, {}), seed)
+        return ScenarioSpec(obj["kind"], config_field("scenario", obj, "params", dict, {}),
+                            obj.get("seed"))
 
 
 def draw(spec: ScenarioSpec, n: int, stream=None) -> Sample:

@@ -186,6 +186,20 @@ class TestLimitSample:
         assert len(lines) == 51
         assert info["draws"] == 50
 
+    def test_one_draw_prints_valid_json(self, tmp_path, capsys):
+        # one draw has no sample variance: null, as JSON has no NaN
+        def reject(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["--out", str(tmp_path), "limit-sample",
+                         "--config", str(CONFIGS / "limit_paper_pwa_xz2.json"), "--draws", "1"])
+        assert code == 0
+        info = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert info["draws"] == 1 and info["variance"] is None
+        assert np.isfinite(info["mean"])
+
     def test_missing_fields_config_error(self, tmp_path):
         config = tmp_path / "limit.json"
         config.write_text(json.dumps({"functional": "power:2"}))

@@ -77,6 +77,13 @@ class TestMuPlugin:
         with pytest.raises(InputError, match="inside the density's support"):
             tau_plugin(Z2, PWA_TRUTH, domain=(0.0, 0.5))
 
+    @pytest.mark.parametrize("start", [0.5, -7.0])
+    @pytest.mark.parametrize("G", [Z2, XZ2], ids=["x-free", "x-dependent"])
+    def test_domain_must_start_at_zero(self, G, start):
+        # the integral runs over [0, T]; another left end is not silently ignored
+        with pytest.raises(InputError, match="must start at 0"):
+            tau_plugin(G, PWA_TRUTH, domain=(start, 3.0))
+
     def test_split_step_invariance(self):
         # splitting a piece into two equal-level halves cannot change the sum
         d = StepDensity(np.array([1.0, 3.0]), np.array([0.5, 0.25]))

@@ -26,7 +26,7 @@ from grenfun import (
     true_tau,
     uniform_clt_statistic,
 )
-from grenfun.harness import (_map_replications, _study_statistic, _truth, _worker_count,
+from grenfun.harness import (_centered, _map_replications, _replicate, _truth, _worker_count,
                              reference_is_normal)
 
 
@@ -213,6 +213,11 @@ class TestStudyConfig:
                                              config.seed, config.grid_size,
                                              config.reference_draws))
 
+    def test_negative_seed_rejected(self):
+        # by the config itself, so run_study never hands it to numpy
+        with pytest.raises(InputError, match="field 'seed' has an invalid value: -1"):
+            StudyConfig(ScenarioSpec.exponential(1.0), "xz2", [100], 2, seed=-1)
+
     @pytest.mark.parametrize("n", [0, [], [0]])
     def test_no_positive_sample_size_reported(self, n):
         # as an empty budget, not as a missing field
@@ -324,6 +329,11 @@ class TestRunUniformStudy:
         with pytest.raises(InputError, match="must be positive"):
             run_uniform_study("power:2", n_values, reps, seed=0)
 
+    def test_negative_seed_rejected(self):
+        # reported as a bad seed before numpy's generator sees it
+        with pytest.raises(InputError, match="field 'seed' has an invalid value: -1"):
+            run_uniform_study("power:2", [50], 2, seed=-1)
+
 
 class TestWorkerCount:
     # the count is checked directly: no test starts a large pool
@@ -362,7 +372,7 @@ def _faults_of_a_replication(args):
     import resource
 
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    _study_statistic(args)
+    _replicate(args)
     return os.getpid(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 
 
@@ -374,7 +384,7 @@ class TestWorkersKeepFreedMemory:
         # replication; a worker that gives them back to the OS faults them in
         # again on the next one (600 or more minor faults, against under 10)
         spec = ScenarioSpec.exponential(1.0)
-        args = [(spec.to_json(), "xz2", 100_000, 11, 0.0, rep) for rep in range(12)]
+        args = [(_centered, spec, "xz2", 100_000, 11, (0.0,), rep) for rep in range(12)]
         per_worker = {}
         for pid, faults in _map_replications(_faults_of_a_replication, args, threads=2):
             per_worker.setdefault(int(pid), []).append(faults)

@@ -194,6 +194,11 @@ class TestDraw:
         with pytest.raises(InputError, match="pass a stream or set spec.seed"):
             draw(ScenarioSpec.exponential(1.0), 10)
 
+    def test_negative_scenario_seed_rejected(self):
+        # by the spec itself, so draw never hands it to numpy
+        with pytest.raises(InputError, match="field 'seed' has an invalid value: -4"):
+            draw(ScenarioSpec("paper_pwa", {}, -4), 10)
+
     def test_derive_seed_decorrelates_studies(self):
         kits = [derive_seed(seed, rep) for seed in (0, 1) for rep in range(100)]
         assert len(set(kits)) == len(kits)
