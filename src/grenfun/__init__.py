@@ -27,7 +27,7 @@ from .inference import (
     sigma_eff_tau,
     uniform_clt_statistic,
 )
-from .limitlaw import draw_y_samples, linear_y_samples
+from .limitlaw import draw_y_samples
 from .majorant import PiecewiseLinearConcave, lcm
 from .samples import (
     Sample,

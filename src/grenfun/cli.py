@@ -76,7 +76,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     lim = sub.add_parser("limit-sample", help="sample the limiting variable")
     lim.add_argument("--config", required=True, type=Path,
-                     help="JSON with scenario, functional, optional grid_size")
+                     help="JSON with scenario, functional, optional seed and grid_size "
+                          "(grid_size is checked but changes no draw)")
     lim.add_argument("--draws", required=True, type=_int_from(1))
 
     uni = sub.add_parser("uniform-clt", help="uniform-truth CLT study")

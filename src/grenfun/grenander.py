@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericError
-from .majorant import _upper_hull
+from .majorant import _hull_indices
 from .samples import Sample, ecdf
 
 MASS_TOL = 1e-10
@@ -101,7 +101,7 @@ def fit(s: Sample) -> StepDensity:
     ys[0] = 0.0
     # the ECDF points are sorted, tie-pooled and finite, so the hull
     # kernel takes them as they are; StepDensity checks its output
-    idx = _upper_hull(xs, ys)
+    idx = _hull_indices(xs, ys)
     # the first level is the largest; past the float range it is inf
     # (a subnormal smallest observation), which no density can carry
     with np.errstate(over="ignore"):

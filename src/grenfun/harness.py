@@ -2,12 +2,10 @@
 comparisons, and reports.
 
 Standardization of scenario studies uses the known truth (the functional
-value and efficient variance of the data-generating density), matching
-the convention of limiting-distribution figures; coverage studies use
-the estimated variance instead.  Truths follow the plug-in principle:
-each is the functional's own g or gdot integrated against the scenario's
-density by the plug-in's quadrature (:func:`_truth`); no functional has
-a closed form of its own.
+value and efficient variance of the data-generating density, by
+:func:`grenfun.inference._truth`), matching the convention of
+limiting-distribution figures; coverage studies use the estimated
+variance instead.
 
 Every study runs one loop over its sample sizes (:func:`_replications`)
 and one worker (:func:`_replicate`), which hands the study's statistic
@@ -36,12 +34,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError, NumericError
-from .functionals import _quadrature, _require_x_free, _step_integral, by_name, tau_plugin
+from .errors import InputError
+from .functionals import by_name, tau_plugin
 from .grenander import fit
-from .inference import (_efficient_variance, efficient_interval, normal_cdf, normal_quantile,
-                        uniform_clt_statistic)
-from .limitlaw import _seeded_y_samples
+from .inference import (_truth, _uniform_clt_scale, efficient_interval, normal_cdf,
+                        normal_quantile, uniform_clt_statistic)
+from .limitlaw import _limit_is_normal, _seeded_y_samples
 from .samples import (ScenarioSpec, _integer, _seed, config_field, default_stream, derive_seed,
                       draw, read_json_object)
 
@@ -52,35 +50,6 @@ _Y_SEED_SALT = 0x9E3779B9
 
 
 # -- truths: the functional evaluated at the scenario's density ------------
-
-#: cells of an exponential truth, cut at the quantiles 1 - 2^-k
-_EXP_CELLS = 64
-
-
-def _integral(spec: ScenarioSpec, phi, x_free: bool) -> float:
-    """Integral of phi(f(x), x) dx at the scenario's density f, with
-    phi(0, .) = 0: the step-density integral of :func:`tau_plugin` for a
-    piecewise truth, or its quadrature over the cells
-    [(k-1) ln2 / rate, k ln2 / rate], k <= 64, of an exponential truth,
-    which leave out the mass 2^-64."""
-    if spec.kind != "exponential":
-        return _step_integral(phi, spec.true_density(), x_free, True)
-    edges = np.arange(_EXP_CELLS + 1) * (math.log(2.0) / spec.params["rate"])
-    # the levels are placeholders: f is evaluated at the nodes
-    return _quadrature(lambda _, x: phi(spec.density(x), x), np.zeros(_EXP_CELLS),
-                       edges[:-1], edges[1:], 16)
-
-
-def _truth(spec: ScenarioSpec, G) -> tuple:
-    """(tau, sigma^2) of a functional at the scenario's density f:
-    tau = integral of g(f(x), x) dx, and sigma^2 = Var psi(X) with
-    psi(x) = gdot(f(x), x) and X ~ f, by the arithmetic of the plug-in
-    estimate (:func:`grenfun.inference._efficient_variance`)."""
-    if not G.vanishes_at_zero:
-        raise NumericError("divergent tail: g(0, .) not declared zero beyond the support")
-    return (_integral(spec, G.g, G.x_free),
-            _efficient_variance(lambda phi, x_free: _integral(spec, phi, x_free), G))
-
 
 def true_tau(spec: ScenarioSpec, functional_name: str) -> float:
     """Value of the functional at the scenario truth."""
@@ -96,7 +65,7 @@ def reference_is_normal(spec: ScenarioSpec, functional_name: str) -> bool:
     """Whether the limiting law is normal with the efficient variance:
     always for x-free functionals, and for any functional when the truth
     is strictly concave."""
-    return by_name(functional_name).x_free or spec.is_strictly_concave
+    return _limit_is_normal(by_name(functional_name), spec)
 
 
 # -- Kolmogorov-Smirnov distance ------------------------------------------
@@ -176,7 +145,8 @@ def _sizes(value) -> tuple:
 def read_run_config(obj, what: str = "limit-sample config") -> tuple:
     """(scenario, functional name, seed, grid size) of a config, the
     fields a study config shares with a limit-sample config; ``seed``
-    defaults to the scenario's, else 0, and ``grid_size`` to 1000."""
+    defaults to the scenario's, else 0, and ``grid_size`` to 1000 (the
+    limit-law sampler checks it but draws no grid)."""
     obj = read_json_object(obj, what)
     scenario = ScenarioSpec.from_json(config_field(what, obj, "scenario", dict))
     functional = config_field(what, obj, "functional", str)
@@ -255,14 +225,24 @@ def _summarize(statistics: np.ndarray, reference: dict, ref_sample=None) -> dict
     }
 
 
-def _bias_check(summaries: dict, size: int) -> dict:
-    """Whether the mean statistic is more than 5 standard errors from 0
-    (meaningful only for a statistic with a finite variance)."""
+def _bias_check(summaries: dict, size: int, ref_sample=None) -> dict:
+    """Whether the mean statistic is more than 5 standard errors from the
+    reference's mean (meaningful only for a statistic with a finite
+    variance).  The center is 0 for the efficient normal; for an empirical
+    reference it is the mean of its draws, whose own standard error joins
+    the statistic's in the threshold."""
     mean = summaries["mean"]
-    threshold = 5.0 * math.sqrt(summaries["variance"] / size) if size else 0.0
-    check = {"mean": mean, "threshold": threshold, "exceeds": bool(abs(mean) > threshold)}
-    log.info("study bias check: mean %.6g, 5*SE threshold %.6g, exceeds=%s",
-             mean, threshold, check["exceeds"])
+    center = 0.0
+    var_of_gap = summaries["variance"] / size
+    if ref_sample is not None:
+        center = float(np.mean(ref_sample))
+        if ref_sample.size > 1:
+            var_of_gap += float(np.var(ref_sample, ddof=1)) / ref_sample.size
+    threshold = 5.0 * math.sqrt(var_of_gap)
+    check = {"center": center, "mean": mean, "threshold": threshold,
+             "exceeds": bool(abs(mean - center) > threshold)}
+    log.info("study bias check: mean %.6g against center %.6g, 5*SE threshold %.6g, "
+             "exceeds=%s", mean, center, threshold, check["exceeds"])
     return check
 
 
@@ -366,7 +346,7 @@ def run_study(config: StudyConfig, threads: int = 1, out_dir=None) -> list:
     reports = []
     for n, stats, seconds in _replications(config, _centered, (truth,), threads):
         summaries = _summarize(stats, reference, ref_sample)
-        summaries["bias_check"] = _bias_check(summaries, stats.size)
+        summaries["bias_check"] = _bias_check(summaries, stats.size, ref_sample)
         report = SimulationReport(
             scenario=config.scenario.to_json(), functional=config.functional, n=n,
             replications=config.replications, statistics=stats,
@@ -412,10 +392,8 @@ def run_uniform_study(functional_name: str, n_values, replications: int,
     quantiles (the Q-Q pairs) and its KS distance instead.
     """
     config = StudyConfig(ScenarioSpec.uniform(1.0), functional_name, n_values, replications, seed)
-    h = by_name(functional_name)
-    _require_x_free(h, "uniform study")
-    if float(h.gddot(1.0, 0.0)) == 0.0:
-        raise NumericError("degenerate normalization: h''(1) = 0")
+    for n in config.n_values:
+        _uniform_clt_scale(by_name(functional_name), n)
     reference = {"type": "normal", "mean": 0.0, "var": 1.0}
     reports = []
     for n, stats, seconds in _replications(config, uniform_clt_statistic, (), threads):

@@ -1,5 +1,10 @@
-"""Efficient-variance estimation, confidence intervals, and the
-uniform-density standardized statistic."""
+"""Efficient-variance estimation, confidence intervals, the truths, and
+the uniform-density standardized statistic.
+
+Truths follow the plug-in principle: each is the functional's own g or
+gdot integrated against the scenario's density by the plug-in's
+quadrature (:func:`_truth`); no functional has a closed form of its own.
+"""
 
 from __future__ import annotations
 
@@ -9,9 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericError
-from .functionals import SmoothFunctional, _require_x_free, _step_integral, tau_plugin
+from .functionals import (SmoothFunctional, _quadrature, _require_x_free, _step_integral,
+                          tau_plugin)
 from .grenander import StepDensity, evaluate, fit
-from .samples import Sample
+from .samples import Sample, ScenarioSpec
 
 # Acklam's rational approximation to the standard normal quantile.
 _A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
@@ -103,6 +109,39 @@ def _efficient_variance(integral, G: SmoothFunctional) -> float:
     return integral(lambda z, x: (G.gdot(z, x) - mean) ** 2 * z, G.x_free) / mass
 
 
+#: cells of an exponential truth, cut at the quantiles 1 - 2^-k
+_EXP_CELLS = 64
+
+
+def _true_integral(spec: ScenarioSpec, phi, x_free: bool) -> float:
+    """Integral of phi(f(x), x) dx at the scenario's density f, with
+    phi(0, .) = 0: the step-density integral of :func:`tau_plugin` for a
+    piecewise truth, or its quadrature over the cells
+    [(k-1) ln2 / rate, k ln2 / rate], k <= 64, of an exponential truth,
+    which leave out the mass 2^-64."""
+    if spec.kind != "exponential":
+        return _step_integral(phi, spec.true_density(), x_free, True)
+    edges = np.arange(_EXP_CELLS + 1) * (math.log(2.0) / spec.params["rate"])
+    # the levels are placeholders: f is evaluated at the nodes
+    return _quadrature(lambda _, x: phi(spec.density(x), x), np.zeros(_EXP_CELLS),
+                       edges[:-1], edges[1:], 16)
+
+
+def _true_variance(spec: ScenarioSpec, G: SmoothFunctional) -> float:
+    """sigma^2 = Var psi(X) with psi(x) = gdot(f(x), x) and X ~ f at the
+    scenario's density f, by the arithmetic of the plug-in estimate."""
+    return _efficient_variance(lambda phi, x_free: _true_integral(spec, phi, x_free), G)
+
+
+def _truth(spec: ScenarioSpec, G: SmoothFunctional) -> tuple:
+    """(tau, sigma^2) of a functional at the scenario's density f:
+    tau = integral of g(f(x), x) dx, and sigma^2 of
+    :func:`_true_variance`."""
+    if not G.vanishes_at_zero:
+        raise NumericError("divergent tail: g(0, .) not declared zero beyond the support")
+    return _true_integral(spec, G.g, G.x_free), _true_variance(spec, G)
+
+
 def sigma_eff_tau(G: SmoothFunctional, s: Sample, d: StepDensity) -> float:
     """Plug-in estimate of the efficient variance Var(gdot(f(X), X)) at
     the Grenander fit ``d`` of the sample ``s``.
@@ -148,6 +187,19 @@ def efficient_interval(G: SmoothFunctional, s: Sample, level: float,
     )
 
 
+def _uniform_clt_scale(G: SmoothFunctional, n: int) -> float:
+    """b = h''(1)/2 of the uniform CLT statistic at sample size n, once
+    the statistic is known to be defined there: h = g(., 0) of an x-free
+    functional with h''(1) != 0, and n >= 2, so that log n > 0."""
+    _require_x_free(G, "the uniform CLT statistic")
+    b = 0.5 * float(G.gddot(1.0, 0.0))
+    if b == 0.0:
+        raise NumericError("degenerate normalization: h''(1) = 0")
+    if n < 2:
+        raise InputError(f"the uniform CLT statistic needs n >= 2 (log n > 0), got n = {n}")
+    return b
+
+
 def uniform_clt_statistic(G: SmoothFunctional, s: Sample) -> float:
     """Standardized statistic for Uniform[0, 1] truth (caller asserts).
 
@@ -162,10 +214,7 @@ def uniform_clt_statistic(G: SmoothFunctional, s: Sample) -> float:
     statistics are spike-dominated, and quantiles are the measures to
     compare with the limit.
     """
-    _require_x_free(G, "the uniform CLT statistic")
-    b = 0.5 * float(G.gddot(1.0, 0.0))
-    if b == 0.0:
-        raise NumericError("degenerate normalization: h''(1) = 0")
+    b = _uniform_clt_scale(G, s.n)
     d = fit(s)
     if d.support_end > 1.0:
         raise InputError("observations exceed 1; truth must be Uniform[0, 1]")

@@ -1,288 +1,288 @@
 """Sampling the limiting random variable of the plug-in estimator.
 
-The limit is minus the Stieltjes integral of the derivative-transformed
-Brownian bridge against d[gdot(f(x), x)].  Strictly concave truths leave
-the bridge untouched; piecewise-affine truths apply the least concave
-majorant interval by interval.  Unbounded supports are truncated where
-the CDF reaches 1 - 1e-6, and the neglected tail's worst-case
-contribution is reported alongside emitted samples.
+The limit of sqrt(n) (tau_hat - tau) is Y = integral of psi dh, with
+psi(x) = gdot(f(x), x) and h the directional derivative of the least
+concave majorant at F applied to a Brownian bridge B: h = B(F) where F
+is strictly concave, and on each affine piece of a piecewise-affine F
+the concave majorant of B(F) over that piece, its end values kept.
+Since h vanishes at both ends this is minus the Stieltjes integral of h
+against dpsi, the jumps of psi included.  Both regimes are drawn
+exactly, with no grid.
 
-The integral is taken on a grid by the trapezoid rule: on each cell the
-path contributes the mean of its two end values times the increment of
-psi(x) = gdot(f(x), x) there, which is the exact Stieltjes integral of
-the polygonal path against the polygonal psi; the jumps of psi at the
-breakpoints are added at the path's values there.  The draws follow the
-grid's law, whose variance is within O(1/grid^2) of the limit's: for
-exponential data and ``xz2`` it is 0.046286 at grid size 1000 and
-0.046294 at 2000, against 8/27 - 1/4 = 0.046296 (quadratic forms of the
-bridge covariance on each grid; a left-endpoint sum gives 0.044903 and
-0.045596).
+*Normal regime* (:func:`_limit_is_normal`: an x-free g, or a strictly
+concave truth).  There Y is linear in B, so Y ~ N(0, sigma^2_eff) with
+sigma^2_eff = Var psi(X) computed as the truths are
+(:func:`grenfun.inference._true_variance`): one normal per draw.
 
-Under a piecewise-affine truth every row is hulled over every affine
-interval at once: :meth:`YPlan.apply` lays blocks of rows end to end
-with the interval endpoints fixed, one call of the segmented hull
-kernel per block (see :mod:`grenfun.majorant`), and sums each row on
-its hull vertices alone.  Between two vertices a < b the hulled path
-is a chord of slope s, so summation by parts turns the grid trapezoid
-of a row into h_N Psi_N - sum over its chords of s (A_b - A_a), where
-Psi is the running sum of the psi increments and A the running
-trapezoid integral of Psi dx.  That is exact in real arithmetic for any
-psi, and costs one term per chord, not one per grid cell.  A single
-path is a one-row array.
+*Hull regime* (a piecewise-affine truth and an x-dependent g).  The
+bridge is drawn at the truth's breakpoints u_k = F(t_k) alone.  Given
+those values, the bridge on piece k (length du_k in u) is the chord plus
+sqrt(du_k) times an independent standard bridge, so h there is the chord
+plus sqrt(du_k) times the concave majorant C_k of that bridge on [0, 1].
+C_k is drawn by uniform stick-breaking (Pitman & Uribe Bravo 2012,
+Ann. Probab. 40; the discrete analogue is Abramson & Pitman 2011,
+Combin. Probab. Comput. 20): sticks L_i = U_i (1 - U_1)...(1 - U_(i-1))
+for i <= STICKS = 48, plus the remainder R = 1 - sum L_i as one more
+stick; on each, the bridge increment d_i = xi_i - L_i sum(xi) with
+xi_i ~ N(0, L_i) independent; the faces of C_k are these sticks laid in
+decreasing order of slope d_i / L_i.  With infinitely many sticks this
+is the law of the majorant exactly; the remainder stands in for all the
+sticks after the 48th as one face.  The bridge values, the stick
+uniforms and the face normals each come from a stream of their own (the
+last two spawned from the caller's), every one read row after row, so
+the draws do not depend on how many rows a batch holds.
 
-:func:`draw_y_samples` draws its paths in batches of four hull-kernel
-blocks, 4 * max(1, ROW_BLOCK_POINTS // grid points) rows: 260 rows at
-grid size 1000, 32 at 8000.  It allocates two buffers once, for the
-normals and the paths, and fills them in place for every batch; at
-grids of up to 2^16 points each holds about 2^18 points (2 MiB).  The
-draws do not depend on the batch: a batch of whole blocks keeps every
-hull block at the same row offset, and OpenBLAS's matrix-vector
-product sums every aligned group of four rows alike and the last
-(rows mod 4) rows of a product another way, so batches of a multiple
-of four rows give the bytes of one product over all rows.  At those
-grids they do not depend on the BLAS thread count either: a product of
-2^18 points runs on one thread, where OpenBLAS 0.3.31 splits products
-of about 5e5 points or more across its threads at a row that need not
-be a multiple of four.
+By parts, with s the position along a piece and Psi_k(s) the mean of
+psi over the first s of piece k (so Psi_k(1) is its mean over the whole
+piece),
+
+    Y = sum_k [ (B(u_k) - B(u_(k-1))) Psi_k(1)
+                + sqrt(du_k) sum_i sigma_i (Psi_k(s_i) - Psi_k(s_(i-1))) ],
+
+where face i of C_k ends at s_i and has slope sigma_i.  Psi_k is read
+from one table per piece, built once per call: the integral of psi over
+each cell of a uniform cut of the piece by :func:`_gl_rows` at two
+orders, and the table read by cubic Hermite interpolation, which also
+takes psi itself at the cell ends (Psi' = psi).  That is exact when psi
+is affine on each piece, as for ``xz2``.  A table is accepted when its
+two orders agree, and its Hermite value at each cell's midpoint agrees
+with the integral to there, both to 1e-10; cells are doubled until they
+do, and a table that still does not converge raises
+:class:`NumericError`.
+
+``tail_bound`` bounds what the remainder leaves out.  Replacing the
+faces inside the remainder by their chord moves C_k by at most the sum
+of |d'_j - L'_j d_R| over them, whose mean given R is at most
+2 sqrt(2/pi) sqrt(R) (the d'_j - L'_j d_R are the increments of a
+bridge over R on the sticks L'_j of a further uniform stick-breaking,
+and the mean of sum sqrt(L'_j) is 2); by parts again, a move of C_k by
+at most c moves Y by at most sqrt(du_k) c TV_k(psi).  ``tail_bound`` is
+the largest over the draws of sum_k 2 sqrt(2/pi) sqrt(du_k R_k)
+TV_k(psi), TV_k taken on the table's nodes: a bound on the mean error
+of a draw given its remainders.  R is about e^-48 for a typical draw.
+It is 0 in the normal regime.
+
+``grid_size`` is accepted and validated (at least 2), and recorded in
+the metadata, so configs written for the earlier grid sampler run
+unchanged; it changes no draw.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InputError
-from .functionals import SmoothFunctional, _require_x_free
-from .majorant import _hull_rows, _rows_per_block
+from .errors import InputError, NumericError
+from .functionals import SmoothFunctional, _apply, _converged, _gl_rows
+from .inference import _true_variance
 from .samples import ScenarioSpec, _load_column, default_stream
 
-#: tail mass cut from a truth of unbounded support
-_TAIL_MASS = 1e-6
+#: sticks drawn for each concave majorant before its remainder
+STICKS = 48
+#: cells of a piece's psi table before any doubling
+_TABLE_CELLS = 16
+#: times a piece's table cells may be doubled
+_TABLE_DOUBLINGS = 8
+#: Gauss-Legendre orders of the table's cell integrals: this and twice it
+_TABLE_ORDER = 16
+#: faces (draws x pieces x (STICKS + 1)) laid out per batch of draws: each
+#: array of a batch stays under 128 KiB, glibc's default mmap threshold,
+#: so batches reuse heap memory instead of faulting fresh pages in
+_BATCH_FACES = 1 << 14
 
 
-def _truncation(spec: ScenarioSpec) -> float:
-    """Right end of the grid: the support's end, or the 1 - _TAIL_MASS
-    quantile of a strictly concave truth."""
-    if spec.is_strictly_concave:
-        return float(spec.quantile(1.0 - _TAIL_MASS))
-    return spec.support_end
-
-
-def _batch_rows(width: int) -> int:
-    """Bridge rows that :func:`draw_y_samples` draws and sums at once on
-    a grid of ``width`` points: four hull-kernel blocks."""
-    return 4 * _rows_per_block(width)
-
-
-def _fill_bridge(u: np.ndarray, root_du: np.ndarray, w: np.ndarray,
-                 out: np.ndarray, stream) -> None:
-    """Fill the rows of ``out`` with bridge values on the grid u (u[0] = 0),
-    pinned to 0 at u = 1 exactly when the grid ends at 1.  ``root_du``
-    is sqrt(diff(u)) and ``w`` scratch space of one column fewer; both
-    arrays are filled in place, so no other array of their size is made."""
-    stream.standard_normal(out=w)
-    w *= root_du
-    np.cumsum(w, axis=1, out=w)
-    out[:, 0] = 0.0
-    np.multiply(w[:, -1:], u[1:], out=out[:, 1:])
-    np.subtract(w, out[:, 1:], out=out[:, 1:])
+def _limit_is_normal(G: SmoothFunctional, spec: ScenarioSpec) -> bool:
+    """Whether the limit is N(0, sigma^2_eff): for an x-free functional,
+    and for any functional when the truth is strictly concave."""
+    return G.x_free or spec.is_strictly_concave
 
 
 def _bridge_values(u: np.ndarray, draws: int, stream) -> np.ndarray:
     """Rows of bridge values on the grid u (u[0] = 0); pinned to 0 at
     u = 1 exactly when the grid ends at 1."""
+    w = np.cumsum(stream.standard_normal((draws, u.size - 1)) * np.sqrt(np.diff(u)), axis=1)
     out = np.empty((draws, u.size))
-    _fill_bridge(u, np.sqrt(np.diff(u)), np.empty((draws, u.size - 1)), out, stream)
+    out[:, 0] = 0.0
+    out[:, 1:] = w - np.outer(w[:, -1], u[1:])
     return out
 
 
-def build_grid(spec: ScenarioSpec, grid_size: int) -> np.ndarray:
-    """Uniform grid on [0, T] merged with all affine-interval endpoints."""
-    if grid_size < 2:
-        raise InputError("grid_size must be at least 2")
-    base = np.linspace(0.0, _truncation(spec), int(grid_size) + 1)
-    if not spec.is_strictly_concave:
-        base = np.union1d(base, spec.true_density().breakpoints)
-    return base
+class _PsiTable(NamedTuple):
+    """Hermite tables of Psi_k(s), the mean of psi = gdot(f, .) over the
+    first s of piece k, for every piece of a step density."""
+
+    #: the cubic coefficients, in t in [0, 1] within its cell, of every
+    #: cell of every piece: shape (4, cells of all pieces)
+    coef: np.ndarray
+    #: piece k's first cell in ``coef``
+    first: np.ndarray
+    #: piece k's cell count
+    cells: np.ndarray
+    #: the total variation of psi on piece k, over its table's nodes
+    tv: np.ndarray
 
 
-def _jump_terms(G: SmoothFunctional, spec: ScenarioSpec):
-    """Breakpoint locations and jumps of psi(x) = gdot(f(x), x) there."""
+def _psi_table(G: SmoothFunctional, d) -> _PsiTable:
+    """The :class:`_PsiTable` of psi = gdot(f, .) for the step density
+    ``d``.  A piece's cell count doubles until its table converges (see
+    the module docstring); past ``_TABLE_DOUBLINGS`` doublings this
+    raises :class:`NumericError` naming the piece."""
+    edges = np.concatenate(([0.0], d.breakpoints))
+    coefs, cells, tv = [], [], []
+    for k, (a, b, z) in enumerate(zip(edges[:-1], edges[1:], d.levels)):
+        for doubling in range(_TABLE_DOUBLINGS + 1):
+            m = _TABLE_CELLS << doubling
+            x = a + (b - a) * (np.arange(m + 1) / m)
+            lo, hi, level = x[:-1], x[1:], np.full(m, z)
+            # the increments of Psi_k over each cell, at two orders, and
+            # over its left half
+            coarse = _gl_rows(G.gdot, level, lo, hi, _TABLE_ORDER) / (b - a)
+            fine = _gl_rows(G.gdot, level, lo, hi, 2 * _TABLE_ORDER) / (b - a)
+            half = _gl_rows(G.gdot, level, lo, 0.5 * (lo + hi), 2 * _TABLE_ORDER) / (b - a)
+            psi = _apply(lambda t: G.gdot(z, t), x)
+            slope = psi / m  # dPsi_k/dt, t the position within a cell
+            mid = 0.5 * fine + (slope[:-1] - slope[1:]) / 8.0
+            if np.all(_converged(coarse, fine) & _converged(mid, half)):
+                break
+        else:
+            raise NumericError(
+                f"psi table of piece {k} on [{float(a)!r}, {float(b)!r}] unresolved with "
+                f"{m} cells: Gauss-Legendre orders or the Hermite midpoint disagree beyond "
+                f"the relative tolerance 1e-10")
+        start = np.concatenate(([0.0], np.cumsum(fine[:-1])))
+        coefs.append((start, slope[:-1], 3.0 * fine - 2.0 * slope[:-1] - slope[1:],
+                      slope[:-1] + slope[1:] - 2.0 * fine))
+        cells.append(m)
+        tv.append(float(np.sum(np.abs(np.diff(psi)))))
+    cells = np.array(cells)
+    first = np.concatenate(([0], np.cumsum(cells[:-1])))
+    return _PsiTable(np.hstack([np.array(c) for c in coefs]), first, cells, np.array(tv))
+
+
+def _cells(table: _PsiTable, s: np.ndarray):
+    """For positions ``s`` of shape (..., pieces, faces) in [0, 1], piece k
+    along the second-to-last axis: the table cell of each (a flat index
+    into the coefficients), the position t in [0, 1] within it, and the
+    cell's four cubic coefficients."""
+    t = s * table.cells[:, None]
+    j = np.minimum(t.astype(np.intp), table.cells[:, None] - 1)
+    t -= j
+    j += table.first[:, None]
+    return j, t, [np.take(c, j) for c in table.coef]
+
+
+def _psi_at(table: _PsiTable, s: np.ndarray) -> np.ndarray:
+    """Psi_k(s), positions laid out as for :func:`_cells`."""
+    _, t, (c0, c1, c2, c3) = _cells(table, s)
+    return c0 + t * (c1 + t * (c2 + t * c3))
+
+
+def _face_means(table: _PsiTable, ends: np.ndarray, widths: np.ndarray):
+    """The mean of psi over each face of piece k, faces laid end to end
+    along the last axis from s = 0, face i ending at ``ends[..., i]``
+    with width ``widths[..., i]``; and Psi_k at the last end.
+
+    A face within one table cell takes the divided difference of the
+    cell's cubic, which keeps its digits for a face too short for its
+    ends to be told apart near s = 1 (a stick of 1e-17, say); a face
+    across cells takes the increment of Psi_k over its width."""
+    j, t, (c0, c1, c2, c3) = _cells(table, ends)
+    psi = c0 + t * (c1 + t * (c2 + t * c3))
+    t0 = np.zeros_like(t)
+    t0[..., 1:] = t[..., :-1]
+    across = np.empty(j.shape, dtype=bool)
+    np.not_equal(j[..., 1:], j[..., :-1], out=across[..., 1:])
+    np.not_equal(j[..., 0], table.first, out=across[..., 0])
+    means = c1 + c2 * (t0 + t) + c3 * (t0 * (t0 + t) + t * t)
+    means *= table.cells[:, None]
+    np.divide(np.diff(psi, axis=-1, prepend=0.0), widths, out=means, where=across)
+    return means, psi[..., -1]
+
+
+def _majorant_sums(table: _PsiTable, rows: int, uniforms, normals):
+    """For each of ``rows`` draws and each piece, the sum over the faces
+    of an independent standard bridge's concave majorant, drawn by
+    stick-breaking, of slope times the increment of Psi_k over the face,
+    which is its rise times the mean of psi over it; and the remainder
+    stick of each.  Both have shape (rows, pieces).  The stick uniforms
+    are read from the stream ``uniforms``, the face normals from
+    ``normals``."""
+    pieces = table.cells.size
+    u = uniforms.random((rows, pieces, STICKS))
+    z = normals.standard_normal((rows, pieces, STICKS + 1))
+    sticks = np.empty_like(z)
+    rest = np.cumprod(1.0 - u, axis=2)
+    sticks[..., 0] = u[..., 0]
+    np.multiply(u[..., 1:], rest[..., :-1], out=sticks[..., 1:-1])
+    sticks[..., -1] = rest[..., -1]
+    xi = np.sqrt(sticks) * z
+    # faces by decreasing slope: d_i / L_i = xi_i / L_i - sum(xi), the
+    # last term the same for every face of a row; a stick of length 0
+    # (U = 0, probability 2^-53) gets a finite slope, and adds no width
+    # and no rise wherever it falls
+    order = np.argsort(z / np.sqrt(np.maximum(sticks, np.finfo(float).tiny)), axis=2)[..., ::-1]
+    widths = np.take_along_axis(sticks, order, 2)
+    means, psi_end = _face_means(table, np.cumsum(widths, axis=2), widths)
+    sums = np.einsum("rpi,rpi->rp", np.take_along_axis(xi, order, 2), means)
+    return sums - xi.sum(axis=2) * psi_end, sticks[..., -1]
+
+
+def _hull_draws(G: SmoothFunctional, spec: ScenarioSpec, draws: int, stream):
+    """Draws of the limit under a piecewise-affine truth by stick-breaking
+    (see the module docstring), and their ``tail_bound``."""
     d = spec.true_density()
-    ts, vs = d.breakpoints, d.levels
-    jumps = np.empty(ts.size)
-    for i in range(ts.size):
-        left = float(G.gdot(vs[i], ts[i]))
-        right = float(G.gdot(vs[i + 1], ts[i])) if i + 1 < vs.size else float(G.gdot(0.0, ts[i]))
-        jumps[i] = right - left
-    return ts, jumps
-
-
-def _psi_increments(G: SmoothFunctional, spec: ScenarioSpec, grid: np.ndarray) -> np.ndarray:
-    """Within-piece increments of psi over grid cells (jumps excluded)."""
-    if spec.is_strictly_concave:
-        f = np.asarray(spec.density(grid), dtype=float)
-        psi = np.array([float(G.gdot(z, x)) for z, x in zip(f, grid)])
-        return np.diff(psi)
-    if G.x_free:
-        return np.zeros(grid.size - 1)
-    # the level of each cell is the density at its right end, which
-    # cannot cross a breakpoint because breakpoints are grid members
-    lv = np.asarray(spec.density(grid[1:]), dtype=float)
-    right = np.array([float(G.gdot(z, x)) for z, x in zip(lv, grid[1:])])
-    left = np.array([float(G.gdot(z, x)) for z, x in zip(lv, grid[:-1])])
-    return right - left
-
-
-def _running_sum(terms: np.ndarray):
-    """Prefix sums [0, t0, t0 + t1, ...] of ``terms`` as hi + lo: hi by
-    ``np.cumsum``, lo the running total of the rounding error of each of
-    its steps (Knuth's TwoSum).  A difference of two prefixes then keeps
-    its digits however many steps lie between them, where the plain
-    cumsum drifts by about one rounding per step."""
-    hi = np.concatenate(([0.0], np.cumsum(terms)))
-    step = hi[1:] - hi[:-1]
-    err = (hi[:-1] - (hi[1:] - step)) + (terms - step)
-    return hi, np.concatenate(([0.0], np.cumsum(err)))
-
-
-class YPlan:
-    """Precomputed pieces of the Stieltjes sum for one (functional, truth,
-    grid) combination, applicable to many bridge paths at once."""
-
-    def __init__(self, G: SmoothFunctional, spec: ScenarioSpec, grid: np.ndarray):
-        self.grid = np.asarray(grid, dtype=float)
-        self.dpsi = _psi_increments(G, spec, self.grid)
-        # trapezoid weight of each grid value: half the psi increment of
-        # each cell it ends
-        self.weights = np.zeros(self.grid.size)
-        self.weights[:-1] = 0.5 * self.dpsi
-        self.weights[1:] += 0.5 * self.dpsi
-        self.needs_hull = not spec.is_strictly_concave and not G.x_free
-        if not spec.is_strictly_concave:
-            ts, self.jumps = _jump_terms(G, spec)
-            self.t_idx = np.searchsorted(self.grid, ts)
-            if np.any(self.t_idx >= self.grid.size) or np.any(self.grid[self.t_idx] != ts):
-                raise InputError("grid does not contain every affine-interval endpoint")
-            # the affine intervals run from 0 through the breakpoints: the
-            # hull runs end at the first grid point and at t_idx, and
-            # nothing past the last breakpoint is hulled
-            self.fixed = np.zeros(self.grid.size, dtype=bool)
-            self.fixed[0] = True
-            self.fixed[self.t_idx] = True
-            self.fixed[self.t_idx[-1]:] = True
-            # Psi_N and the running trapezoid integral A of Psi dx, both
-            # as compensated running sums (see _running_sum)
-            psi_hi, psi_lo = _running_sum(self.dpsi)
-            psi = psi_hi + psi_lo
-            self.psi_total = psi[-1]
-            self.area, self.area_lo = _running_sum(0.5 * (psi[:-1] + psi[1:]) * np.diff(self.grid))
-        else:
-            self.jumps = None
-            self.t_idx = None
-            self.fixed = None
-
-    def apply(self, paths: np.ndarray) -> np.ndarray:
-        """Limit-variable realizations for rows of bridge-composed values
-        on this plan's grid."""
-        paths = np.atleast_2d(np.asarray(paths, dtype=float))
-        if self.jumps is not None:
-            jump_part = paths[:, self.t_idx] @ self.jumps
-        else:
-            jump_part = 0.0
-        if self.needs_hull:
-            cont_part = self._hulled_sum(np.ascontiguousarray(paths))
-        else:
-            cont_part = paths @ self.weights
-        return -(cont_part + jump_part)
-
-    def _hulled_sum(self, paths: np.ndarray) -> np.ndarray:
-        """Trapezoid sum of every row's hull against psi, by parts on the
-        row's hull vertices (see the module docstring)."""
-        n = self.grid.size
-        vi = _hull_rows(paths, self.grid, self.fixed)
-        row, col = np.divmod(vi, n)
-        vy = paths.reshape(-1)[vi]
-        # consecutive vertices a < b of one row; a row's last column pairs
-        # with the next row's first and is dropped
-        chord = col[:-1] != n - 1
-        a = col[:-1][chord]
-        b = col[1:][chord]
-        slope = np.diff(vy)[chord] / (self.grid[b] - self.grid[a])
-        d_area = (self.area[b] - self.area[a]) + (self.area_lo[b] - self.area_lo[a])
-        by_parts = np.bincount(row[:-1][chord], weights=slope * d_area,
-                               minlength=paths.shape[0])
-        return paths[:, -1] * self.psi_total - by_parts
+    u = np.concatenate(([0.0], np.asarray(spec.cdf(d.breakpoints), dtype=float)))
+    root_du = np.sqrt(np.diff(u))
+    table = _psi_table(G, d)
+    whole = _psi_at(table, np.ones((root_du.size, 1)))[:, 0]  # Psi_k(1)
+    remainder_cost = 2.0 * math.sqrt(2.0 / math.pi) * root_du * table.tv
+    ys = np.empty(draws)
+    tail_bound = 0.0
+    uniforms, normals = stream.spawn(2)
+    batch = max(1, _BATCH_FACES // (root_du.size * (STICKS + 1)))
+    for done in range(0, draws, batch):
+        rows = min(batch, draws - done)
+        bridge = _bridge_values(u, rows, stream)
+        sums, remainder = _majorant_sums(table, rows, uniforms, normals)
+        ys[done:done + rows] = (np.diff(bridge, axis=1) * whole + sums * root_du).sum(axis=1)
+        tail_bound = max(tail_bound, float(np.max(np.sqrt(remainder) @ remainder_cost)))
+    return ys, tail_bound
 
 
 def draw_y_samples(G: SmoothFunctional, spec: ScenarioSpec, grid_size: int,
                    draws: int, stream):
-    """Monte Carlo draws of the limit variable.
+    """Exact draws of the limit variable, with no grid (see the module
+    docstring).
 
-    Returns ``(ys, info)`` where info carries the truncation point, the
-    neglected tail's total-variation bound times the largest observed
-    path magnitude, and the grid actually used.
+    Returns ``(ys, info)``.  info names the method (``normal`` or
+    ``stick_breaking``), the sticks per majorant (0 for ``normal``) and
+    the ``tail_bound`` of what the remainder stick leaves out (0 for
+    ``normal``).  ``grid_size`` must be at least 2 and changes no draw.
     """
     if draws < 1:
         raise InputError("need at least one draw")
-    grid = build_grid(spec, grid_size)
-    u = np.asarray(spec.cdf(grid), dtype=float)
-    if u[-1] < 1.0:  # truncated: the bridge runs on to u = 1
-        u = np.concatenate((u, [1.0]))
-    plan = YPlan(G, spec, grid)
-    tail_tv = _tail_total_variation(G, spec)
-    ys = np.empty(draws)
-    max_abs_g = 0.0
-    batch = min(draws, _batch_rows(grid.size))
-    root_du = np.sqrt(np.diff(u))
-    normals = np.empty((batch, u.size - 1))
-    bridge = np.empty((batch, u.size))
-    for done in range(0, draws, batch):
-        m = min(batch, draws - done)
-        _fill_bridge(u, root_du, normals[:m], bridge[:m], stream)
-        paths = bridge[:m, :grid.size]
-        if tail_tv > 0.0:  # no tail, no bound to scale: skip the scan
-            max_abs_g = max(max_abs_g, float(paths.max()), -float(paths.min()))
-        ys[done:done + m] = plan.apply(paths)
+    if grid_size < 2:
+        raise InputError("grid_size must be at least 2")
+    if _limit_is_normal(G, spec):
+        ys = math.sqrt(_true_variance(spec, G)) * stream.standard_normal(draws)
+        method, sticks, tail_bound = "normal", 0, 0.0
+    else:
+        ys, tail_bound = _hull_draws(G, spec, draws, stream)
+        method, sticks = "stick_breaking", STICKS
     info = {
         "model": spec.to_json(),
         "functional": G.name,
         "grid_size": int(grid_size),
-        "grid_points": int(grid.size),
-        "truncation": _truncation(spec),
-        "tail_bound": max_abs_g * tail_tv,
+        "method": method,
+        "sticks": sticks,
+        "tail_bound": tail_bound,
         "draws": int(draws),
     }
     return ys, info
-
-
-def linear_y_samples(G: SmoothFunctional, spec: ScenarioSpec, draws: int, stream) -> np.ndarray:
-    """Draws from the linear breakpoint formula for x-free functionals
-    under a piecewise-affine truth: minus the sum over breakpoints of the
-    bridge value times the jump of h'(f), h = g(., 0)."""
-    _require_x_free(G, "the linear formula")
-    if spec.is_strictly_concave:
-        raise InputError("linear formula requires a piecewise-affine truth")
-    ts, jumps = _jump_terms(G, spec)
-    u = np.concatenate(([0.0], np.asarray(spec.cdf(ts), dtype=float)))
-    u[-1] = 1.0
-    paths = _bridge_values(u, draws, stream)
-    return -(paths[:, 1:] @ jumps)
-
-
-def _tail_total_variation(G: SmoothFunctional, spec: ScenarioSpec) -> float:
-    """Total variation of psi on the truncated tail, by fine sampling."""
-    if not spec.is_strictly_concave:
-        return 0.0
-    tail_u = 1.0 - np.geomspace(_TAIL_MASS, 1e-14, 200)
-    xs = np.asarray(spec.quantile(tail_u), dtype=float)
-    fs = np.asarray(spec.density(xs), dtype=float)
-    psi = np.array([float(G.gdot(z, x)) for z, x in zip(fs, xs)])
-    tv = float(np.sum(np.abs(np.diff(psi))))
-    tv += abs(float(G.gdot(0.0, xs[-1])) - psi[-1])
-    return tv
 
 
 def emit_y_csv(path, ys: np.ndarray, info: dict) -> None:

@@ -4,7 +4,10 @@ algorithms so they can arbitrate correctness.
 The hull oracle decides vertex membership by checking every chord, which
 is the definition of the upper concave envelope; the row-hull reference
 hulls one row and one interval at a time, and the chord fill turns the
-kernel's vertex indices into hull values; the isotonic oracle is a
+kernel's vertex indices into hull values; the limit-law oracles draw the
+limit variable on a grid, by the definition of the LCM derivative, and
+by the linear breakpoint formula, and draw grid-hull areas through the
+cycle law of a random permutation; the isotonic oracle is a
 plain pool-adjacent-violators pass over weighted block means; the data
 file oracle parses one line at a time with Python's ``float``; the
 quadrature oracle integrates one Grenander piece at a time.
@@ -99,6 +102,108 @@ def fill_chords(values, xs, vertices):
     k -= 1
     chord = slope[k] * (x - vx[k]) + vy[k]
     np.maximum(flat, chord, out=flat, where=~vertex)
+
+
+def walk_bridge(u, draws, rng):
+    """Rows of Brownian-bridge values at the points u (u[0] = 0,
+    u[-1] = 1): a Gaussian walk with step variances diff(u), less u times
+    its last value."""
+    u = np.asarray(u, dtype=float)
+    w = np.cumsum(rng.standard_normal((draws, u.size - 1)) * np.sqrt(np.diff(u)), axis=1)
+    out = np.zeros((draws, u.size))
+    out[:, 1:] = w - np.outer(w[:, -1], u[1:])
+    return out
+
+
+def affine_piece_mask(spec, grid):
+    """The grid columns a per-piece hull keeps: the ends of every affine
+    piece of a piecewise-affine truth, and every column past the last."""
+    edges = np.concatenate(([0.0], spec.true_density().breakpoints))
+    ends = np.searchsorted(grid, edges)
+    if np.any(ends >= grid.size) or np.any(grid[np.minimum(ends, grid.size - 1)] != edges):
+        raise ValueError("the grid must hold 0 and every breakpoint of the truth")
+    fixed = np.zeros(grid.size, dtype=bool)
+    fixed[ends] = True
+    fixed[ends[-1]:] = True
+    return fixed
+
+
+def grid_lcm_derivative(spec, grid, paths):
+    """Rows of ``paths`` (values on ``grid``, which holds every breakpoint
+    of the piecewise-affine truth ``spec``) through the LCM derivative:
+    each row replaced by its concave majorant over each affine piece,
+    one row and one piece at a time (:func:`hull_rows_by_row`)."""
+    hat = np.array(paths, dtype=float, ndmin=2)
+    hull_rows_by_row(hat, grid, affine_piece_mask(spec, grid))
+    return hat
+
+
+def psi_jumps(G, d):
+    """Jumps of psi(x) = gdot(f(x), x) at the breakpoints of the step
+    density ``d`` (f = 0 past the last)."""
+    right = np.append(d.levels[1:], 0.0)
+    return np.array([float(G.gdot(r, t)) - float(G.gdot(v, t))
+                     for t, v, r in zip(d.breakpoints, d.levels, right)])
+
+
+def grid_y_samples(G, spec, grid_size, draws, rng):
+    """The limit variable drawn on a grid, under a piecewise-affine truth:
+    bridge values on the uniform grid of the support merged with the
+    breakpoints, each row through :func:`grid_lcm_derivative`, and minus
+    the trapezoid sum of the hulled row against the increments of
+    psi(x) = gdot(f(x), x) within each piece, less the row's values at
+    the breakpoints times the jumps of psi there.  Its law is the
+    limit's but for a mean bias of order grid_size^(-1/2)."""
+    d = spec.true_density()
+    grid = np.union1d(np.linspace(0.0, d.support_end, grid_size + 1), d.breakpoints)
+    paths = walk_bridge(np.minimum(spec.cdf(grid), 1.0), draws, rng)
+    hat = grid_lcm_derivative(spec, grid, paths)
+    # the level of a cell is the density at its right end
+    level = np.array([d.levels[min(i, d.levels.size - 1)]
+                      for i in np.searchsorted(d.breakpoints, grid[1:])])
+    dpsi = np.array([float(G.gdot(z, b)) - float(G.gdot(z, a))
+                     for z, a, b in zip(level, grid[:-1], grid[1:])])
+    cont = ((hat[:, :-1] + hat[:, 1:]) / 2.0) @ dpsi
+    jumps = paths[:, np.searchsorted(grid, d.breakpoints)] @ psi_jumps(G, d)
+    return -(cont + jumps)
+
+
+def linear_y_samples(G, spec, draws, rng):
+    """Draws of the limit variable for an x-free functional under a
+    piecewise-affine truth, by the linear breakpoint formula: minus the
+    sum over breakpoints t of B(F(t)) times the jump of h'(f) there,
+    h = g(., 0)."""
+    if not G.x_free:
+        raise ValueError("the linear formula needs a functional of the density alone (x_free)")
+    d = spec.true_density()
+    u = np.concatenate(([0.0], np.minimum(spec.cdf(d.breakpoints), 1.0)))
+    u[-1] = 1.0
+    return -(walk_bridge(u, draws, rng)[:, 1:] @ psi_jumps(G, d))
+
+
+def cycle_law_hull_areas(steps, draws, rng):
+    """Areas under the concave majorant of a Gaussian walk bridge of
+    ``steps`` steps on [0, 1] (step variance 1/steps), drawn through the
+    law of its faces (Abramson & Pitman 2011): their lengths are the
+    cycle lengths of a uniform random permutation of ``steps``, each
+    cycle a uniform share of the steps left (Feller's coupling); each
+    face rises by the walk's increment over as many fresh steps less its
+    share of the total; the faces are laid by decreasing slope."""
+    areas = np.empty(draws)
+    for r in range(draws):
+        lengths = []
+        left = steps
+        while left:
+            lengths.append(int(rng.integers(1, left + 1)))
+            left -= lengths[-1]
+        width = np.array(lengths) / steps
+        rise = rng.standard_normal(width.size) * np.sqrt(width)
+        rise -= width * rise.sum()
+        order = np.argsort(-rise / width)
+        width, rise = width[order], rise[order]
+        top = np.cumsum(rise)
+        areas[r] = float(np.sum(width * (top - rise / 2.0)))
+    return areas
 
 
 def brute_force_hull_values(xs, ys):

@@ -38,10 +38,11 @@ from grenfun import (
     true_sigma_eff,
     true_tau,
 )
-from grenfun.limitlaw import YPlan, _bridge_values, build_grid
-from grenfun.majorant import _hull_rows
+from grenfun.limitlaw import _bridge_values
+from grenfun.majorant import _hull_indices
 
-from oracles import brute_force_hull_indices, fill_chords, grenander_levels_by_pava
+from oracles import (brute_force_hull_indices, cycle_law_hull_areas, grenander_levels_by_pava,
+                     grid_y_samples)
 
 ACCEPTANCE_SEED = 0
 Z2 = by_name("power:2")
@@ -205,39 +206,50 @@ def test_criterion_6_exponential_qq(exponential_study):
 
 @pytest.mark.slow
 def test_criterion_7_limit_sampler():
-    """Limit-law sampler soundness: exact identity under strict
-    concavity, variances within 3 Monte Carlo standard errors of the
-    efficient values at 1e5 draws, and per-interval hulls equal to the
-    brute-force oracle on 200-point grids."""
-    # (a) strictly concave: the derivative is the identity, bit for bit:
-    # the plan hulls nothing and sums the paths as they are, by the
-    # trapezoid weights (dpsi_(j-1) + dpsi_j) / 2
-    grid = build_grid(EXP1, 500)
-    paths = np.sin(np.outer([1.0, 0.5], grid))
-    plan = YPlan(XZ2, EXP1, grid)
-    assert not plan.needs_hull and plan.fixed is None
-    padded = np.concatenate(([0.0], plan.dpsi, [0.0]))
-    weights = (padded[:-1] + padded[1:]) / 2
-    assert plan.apply(paths).tobytes() == (-(paths @ weights + 0.0)).tobytes()
+    """Limit-law sampler soundness: exact normal draws under strict
+    concavity; per-interval hulls equal to the brute-force oracle on
+    200-point grids, grid hulls whose faces follow the cycle law of a
+    random permutation, and stick-breaking draws whose mean is the
+    closed form; variances within 3 Monte Carlo standard errors of the
+    efficient values at 1e5 draws."""
+    # (a) strictly concave: the derivative is the identity, so the draws
+    # are sigma_eff times standard normals, bit for bit
+    ys, info = draw_y_samples(XZ2, EXP1, 500, 1000, default_stream(70))
+    sigma = math.sqrt(true_sigma_eff(EXP1, "xz2"))
+    assert info["method"] == "normal"
+    assert ys.tobytes() == (sigma * default_stream(70).standard_normal(1000)).tobytes()
 
-    # (b) per-interval LCM against the oracle on 200-point grids, every
-    # row hulled in one kernel call with the plan's interval ends fixed,
-    # and filled from its vertices by the oracle's chord fill
-    grid200 = build_grid(PWA, 200)
-    u200 = PWA.cdf(grid200)
+    # (b) per-interval LCM: the hull kernel on each affine interval of
+    # bridge paths on a 200-point grid, against the brute-force oracle
+    grid200 = np.union1d(np.linspace(0.0, 1.0, 201), PWA.true_density().breakpoints)
     rng = default_stream(derive_seed(ACCEPTANCE_SEED, 71))
-    paths = _bridge_values(u200, 20, rng)
-    hat = paths.copy()
-    fill_chords(hat, grid200, _hull_rows(hat, grid200, YPlan(XZ2, PWA, grid200).fixed))
-    for vals, out in zip(paths, hat):
-        expected = vals.copy()
+    paths = _bridge_values(PWA.cdf(grid200), 20, rng)
+    for vals in paths:
         for a, b in PWA.affine_intervals():
             ia, ib = int(np.searchsorted(grid200, a)), int(np.searchsorted(grid200, b))
-            idx = brute_force_hull_indices(grid200[ia:ib + 1], vals[ia:ib + 1])
-            seg = np.interp(grid200[ia:ib + 1], grid200[ia:ib + 1][idx],
-                            vals[ia:ib + 1][idx])
-            expected[ia:ib + 1] = np.maximum(vals[ia:ib + 1], seg)
-        assert np.array_equal(out, expected)
+            got = _hull_indices(grid200[ia:ib + 1], vals[ia:ib + 1])
+            assert np.array_equal(got, brute_force_hull_indices(grid200[ia:ib + 1],
+                                                                vals[ia:ib + 1]))
+    # the faces of the hull of a 64-step walk bridge follow the cycle law
+    # of a random permutation of 64 (two-sample KS under its 1% critical
+    # value), whose continuum limit is the stick-breaking law drawn for
+    # the limit; under the uniform truth Y is -2 times the hull's area
+    draws = 10_000
+    grid_ys = grid_y_samples(XZ2, ScenarioSpec.uniform(1.0), 64, draws,
+                             default_stream(derive_seed(ACCEPTANCE_SEED, 75)))
+    cycle_ys = -2.0 * cycle_law_hull_areas(64, draws,
+                                           default_stream(derive_seed(ACCEPTANCE_SEED, 76)))
+    ks_cycle = ks_distance(grid_ys, cycle_ys)
+    assert ks_cycle < 1.628 * math.sqrt(2.0 / draws)
+    # stick-breaking draws against the closed-form mean
+    # -(sqrt(2 pi)/3) (u1^(3/2) + (1 - u1)^(3/2)), u1 = 1/sqrt2
+    u1 = 1.0 / SQRT2
+    target = -(math.sqrt(2.0 * math.pi) / 3.0) * (u1 ** 1.5 + (1.0 - u1) ** 1.5)
+    ys_hull, _ = draw_y_samples(XZ2, PWA, 1000, 100_000,
+                                default_stream(derive_seed(ACCEPTANCE_SEED, 77)))
+    mean_hull = float(np.mean(ys_hull))
+    se_hull = float(np.std(ys_hull, ddof=1)) / math.sqrt(ys_hull.size)
+    assert abs(mean_hull - target) < 3.0 * se_hull
 
     # (c) efficient variances at 1e5 draws, 3 empirical-SE bands
     def var_with_se(ys):
@@ -259,6 +271,8 @@ def test_criterion_7_limit_sampler():
     assert dev_pwa < 3.0 * se_pwa
 
     record(7, "limit-law sampler soundness", True,
+           f"cycle-law KS {ks_cycle:.4f}, two-slope xz2 mean {mean_hull:+.4f} "
+           f"(closed form {target:+.5f}, 3 SE {3 * se_hull:.4f}), "
            f"exp var {v_exp:.5f} (dev {dev_exp:.5f} < {3 * se_exp:.5f}), "
            f"two-slope var {v_pwa:.4f} (dev {dev_pwa:.4f} < {3 * se_pwa:.4f})")
 

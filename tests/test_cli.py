@@ -13,7 +13,8 @@ import pytest
 
 import grenfun
 import grenfun.inference
-from grenfun import ScenarioSpec, StudyConfig, by_name, default_stream, derive_seed, draw
+from grenfun import (InputError, ScenarioSpec, StudyConfig, by_name, default_stream, derive_seed,
+                     draw, ingest, uniform_clt_statistic)
 from grenfun.cli import _COMMANDS, _build_parser, main
 from grenfun.harness import read_run_config, true_tau
 from grenfun.inference import efficient_interval
@@ -324,6 +325,20 @@ class TestUniformClt:
     def test_unknown_functional_config_error(self):
         assert main(["uniform-clt", "--h", "nope", "--n", "100", "--reps", "2"]) == 2
 
+    def test_one_observation_is_config_error(self, capsys):
+        # log 1 = 0 leaves the statistic undefined at n = 1
+        assert main(["uniform-clt", "--h", "power:2", "--n", "1", "--reps", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "n = 1" in err and "Traceback" not in err
+
+    def test_x_dependent_functional_is_config_error(self, capsys):
+        # the study and the statistic reject it with one message
+        assert main(["uniform-clt", "--h", "xz2", "--n", "100", "--reps", "2"]) == 2
+        err = capsys.readouterr().err
+        with pytest.raises(InputError) as statistic:
+            uniform_clt_statistic(by_name("xz2"), ingest([0.25, 0.5]))
+        assert err == f"error: {statistic.value}\n"
+
 
 _UNIFORM = ["uniform-clt", "--h", "power:2", "--n", "50", "--reps", "2"]
 
@@ -457,7 +472,7 @@ class TestPublicNames:
             "PiecewiseLinearConcave", "Sample", "ScenarioSpec", "SimulationReport",
             "SmoothFunctional", "StepDensity", "StudyConfig", "by_name", "default_stream",
             "derive_seed", "draw", "draw_y_samples", "ecdf", "empirical_average", "evaluate",
-            "fit", "ingest", "ks_distance", "lcm", "linear_y_samples", "normal_cdf",
+            "fit", "ingest", "ks_distance", "lcm", "normal_cdf",
             "normal_quantile", "nu_plugin", "one_step_correction", "read_observations",
             "read_scenario", "run_study", "run_uniform_study", "sigma_eff_tau", "tau_plugin",
             "true_sigma_eff", "true_tau", "uniform_clt_statistic",

@@ -28,6 +28,7 @@ from grenfun import (
 )
 from grenfun.harness import (_centered, _map_replications, _replicate, _truth, _worker_count,
                              reference_is_normal)
+from grenfun.limitlaw import load_y_csv
 
 
 class TestTruthOracles:
@@ -283,6 +284,25 @@ class TestRunStudy:
         meta = json.loads(header[1:])
         assert meta["model"]["kind"] == "paper_pwa"
 
+    def test_bias_check_centers_on_the_reference(self, tmp_path, small_study):
+        # paper_pwa/xz2 has a limit of mean -0.629: the study's mean is
+        # checked against the reference draws' mean, with their SE, and a
+        # correct study does not exceed (against 0 it would)
+        config = StudyConfig(ScenarioSpec.paper_pwa(), "xz2", (20_000,), 200,
+                             seed=3, reference_draws=4000)
+        (report,) = run_study(config, threads=1, out_dir=tmp_path)
+        ys, _ = load_y_csv(tmp_path / report.reference["file"])
+        check = report.summaries["bias_check"]
+        var = report.summaries["variance"]
+        assert check["center"] == float(np.mean(ys))
+        assert check["threshold"] == 5.0 * math.sqrt(var / 200 + float(np.var(ys, ddof=1)) / 4000)
+        assert not check["exceeds"] and abs(check["mean"]) > check["threshold"]
+        # the efficient normal is centered at 0
+        (normal,), _ = small_study
+        check = normal.summaries["bias_check"]
+        assert check["center"] == 0.0
+        assert check["threshold"] == 5.0 * math.sqrt(normal.summaries["variance"] / 60)
+
 
 class TestRunUniformStudy:
     def test_statistics_match_direct_computation(self):
@@ -323,6 +343,11 @@ class TestRunUniformStudy:
     def test_smooth_functional_rejected(self):
         with pytest.raises(InputError, match="density alone"):
             run_uniform_study("xz2", [100], 5, seed=0)
+
+    def test_one_observation_rejected(self):
+        # log 1 = 0: the statistic is undefined at n = 1
+        with pytest.raises(InputError, match="n >= 2.*got n = 1"):
+            run_uniform_study("power:2", [100, 1], 5, seed=0)
 
     @pytest.mark.parametrize("n_values,reps", [([100], 0), ([100, 0], 5), ([-3], 5)])
     def test_empty_budget_rejected(self, n_values, reps):

@@ -1,8 +1,6 @@
-from unittest import mock
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from grenfun import (
@@ -15,15 +13,9 @@ from grenfun import (
     lcm,
 )
 from grenfun.limitlaw import _bridge_values
-from grenfun import majorant
-from grenfun.majorant import PRUNE_FLOOR, _hull_indices, _hull_rows
+from grenfun.majorant import PRUNE_FLOOR, _hull_indices
 
-from oracles import (
-    brute_force_hull_indices,
-    fill_chords,
-    hull_rows_by_row,
-    stack_scan_hull_indices,
-)
+from oracles import brute_force_hull_indices, fill_chords, stack_scan_hull_indices
 
 
 def random_point_set(rng, max_n=200, dyadic=False):
@@ -91,28 +83,6 @@ class TestOracleAgreement:
             assert np.array_equal(hull.values, ys_u[idx])
 
 
-def _per_run_reference(values, xs, fixed):
-    """Each row hulled one run at a time by the oracle, and the flat
-    indices of its vertices."""
-    ref = values.copy()
-    return ref, hull_rows_by_row(ref, xs, fixed)
-
-
-def _hull_in_place(values, xs, fixed):
-    """The kernel's vertices of every row, with the rows filled to their
-    hull by the oracle's chord fill; returns the vertices."""
-    vertices = _hull_rows(values, xs, fixed)
-    fill_chords(values, xs, vertices)
-    return vertices
-
-
-def _ends(n):
-    """The fixed mask of a single run: only its end points."""
-    fixed = np.zeros(n, dtype=bool)
-    fixed[0] = fixed[-1] = True
-    return fixed
-
-
 def _concave_chain(n):
     # integer coordinates: every cross product is exact
     xs = np.arange(n, dtype=float)
@@ -139,7 +109,7 @@ class TestPrunedKernel:
             else:
                 xs = np.linspace(0.0, 1.0, n)
                 ys = _bridge_values(xs, 1, rng)[0]
-            idx = _hull_indices(xs, ys, _ends(xs.size))
+            idx = _hull_indices(xs, ys)
             assert np.array_equal(idx, brute_force_hull_indices(xs, ys))
 
     @pytest.mark.parametrize("spec", [ScenarioSpec.exponential(1.0), ScenarioSpec.paper_pwa(),
@@ -148,7 +118,7 @@ class TestPrunedKernel:
     def test_ecdf_hulls_match_full_scan(self, spec, n):
         xs, ys = ecdf(draw(spec, n, default_stream(n)))
         expected = stack_scan_hull_indices(xs, ys)
-        assert np.array_equal(_hull_indices(xs, ys, _ends(xs.size)), expected)
+        assert np.array_equal(_hull_indices(xs, ys), expected)
         assert np.array_equal(lcm(xs, ys).knots, xs[expected])
 
     def test_concave_chain_with_raised_end(self):
@@ -156,168 +126,30 @@ class TestPrunedKernel:
         # rest to the scan
         xs, ys = _concave_chain(5000)
         ys[-1] = 1e9
-        idx = _hull_indices(xs, ys, _ends(xs.size))
+        idx = _hull_indices(xs, ys)
         assert np.array_equal(idx, stack_scan_hull_indices(xs, ys))
         assert idx[0] == 0 and idx[-1] == xs.size - 1
 
     def test_strictly_concave_chain_keeps_every_point(self):
         xs, ys = _concave_chain(1000)
-        assert np.array_equal(_hull_indices(xs, ys, _ends(xs.size)), np.arange(xs.size))
+        assert np.array_equal(_hull_indices(xs, ys), np.arange(xs.size))
 
     def test_strictly_convex_chain_keeps_endpoints(self):
         xs, ys = _concave_chain(1000)
-        assert np.array_equal(_hull_indices(xs, -ys, _ends(xs.size)), [0, xs.size - 1])
+        assert np.array_equal(_hull_indices(xs, -ys), [0, xs.size - 1])
 
     def test_collinear_keeps_endpoints(self):
         xs = np.arange(1000, dtype=float)
-        assert np.array_equal(_hull_indices(xs, 3.0 * xs - 7.0, _ends(xs.size)), [0, xs.size - 1])
+        assert np.array_equal(_hull_indices(xs, 3.0 * xs - 7.0), [0, xs.size - 1])
 
     def test_constant_keeps_endpoints(self):
         xs = np.arange(1000, dtype=float)
-        assert np.array_equal(_hull_indices(xs, np.full(xs.size, 2.5), _ends(xs.size)),
+        assert np.array_equal(_hull_indices(xs, np.full(xs.size, 2.5)),
                               [0, xs.size - 1])
 
     def test_two_points(self):
-        assert np.array_equal(_hull_indices(np.array([0.0, 1.0]), np.array([5.0, -1.0]), _ends(2)),
+        assert np.array_equal(_hull_indices(np.array([0.0, 1.0]), np.array([5.0, -1.0])),
                               [0, 1])
-
-
-class TestSegmentedKernel:
-    """One kernel call hulls many runs, cut by fixed points; every run
-    must come out as if hulled on its own."""
-
-    @pytest.mark.parametrize("seed", [300, 301, 302])
-    def test_runs_match_per_run_oracle(self, seed):
-        # runs of 2 to 150 points, many at or under PRUNE_FLOOR; each
-        # run has its own abscissae, so xs falls back between runs
-        rng = np.random.default_rng(seed)
-        xs, ys, fixed, offsets = [], [], [], []
-        start = 0
-        for _ in range(60):
-            m = int(rng.integers(2, 151))
-            run_x = np.unique(rng.random(m + 5))[:m] * 10.0
-            m = run_x.size
-            run_y = (_bridge_values(np.linspace(0.0, 1.0, m), 1, rng)[0]
-                     if rng.random() < 0.5 else rng.random(m))
-            xs.append(run_x)
-            ys.append(run_y)
-            fixed.append(_ends(m))
-            offsets.append(start)
-            start += m
-        got = _hull_indices(np.concatenate(xs), np.concatenate(ys), np.concatenate(fixed))
-        expected = np.concatenate([off + np.asarray(brute_force_hull_indices(x, y))
-                                   for off, x, y in zip(offsets, xs, ys)])
-        assert np.array_equal(got, expected)
-
-    def test_shared_fixed_point_splits_one_row(self):
-        # a dip at the fixed point: the whole row's hull would drop it
-        xs = np.arange(200, dtype=float)
-        ys = -np.abs(xs - 100.0)
-        ys[100] = -50.0
-        fixed = np.zeros(200, dtype=bool)
-        fixed[[0, 100, 199]] = True
-        got = _hull_indices(xs, ys, fixed)
-        assert 100 in got
-        expected = list(brute_force_hull_indices(xs[:101], ys[:101]))
-        expected += [100 + i for i in brute_force_hull_indices(xs[100:], ys[100:])[1:]]
-        assert np.array_equal(got, expected)
-
-    def test_rows_that_drop_nothing_are_left_alone(self):
-        xs, ys = _concave_chain(300)
-        values = np.tile(ys, (40, 1))
-        fixed = np.zeros(xs.size, dtype=bool)
-        fixed[[0, 120, xs.size - 1]] = True
-        flat_x = np.tile(xs, 40)
-        flat_fixed = np.tile(fixed, 40)
-        assert np.array_equal(_hull_indices(flat_x, values.reshape(-1), flat_fixed),
-                              np.arange(values.size))
-        before = values.copy()
-        vertices = _hull_in_place(values, xs, fixed)
-        assert vertices.tobytes() == np.arange(values.size).tobytes()
-        assert values.tobytes() == before.tobytes()
-
-    def test_stall_scans_only_runs_that_dropped(self, monkeypatch):
-        # bridge rows, one concave chain with a raised last point (drops one
-        # point per pass, so the prune stalls), and strictly concave rows
-        # lifted to 9e6..1e7 that never drop a point
-        n = 2000
-        xs, chain = _concave_chain(n)
-        chain[-1] = 1e9
-        concave = -((xs - n // 2) ** 2) + 1e7
-        rng = np.random.default_rng(303)
-        rows = [_bridge_values(np.linspace(0.0, 1.0, n), 1, rng)[0] for _ in range(8)]
-        values = np.array(rows + [chain] + [concave] * 8)
-        fixed = _ends(n)
-        scanned = []
-        scan = majorant._stack_scan
-
-        def recording_scan(x, y, fx):
-            scanned.append(y[~fx].copy())
-            return scan(x, y, fx)
-
-        monkeypatch.setattr(majorant, "_stack_scan", recording_scan)
-        expected, expected_vertices = _per_run_reference(values, xs, fixed)
-        assert _hull_in_place(values, xs, fixed).tobytes() == expected_vertices.tobytes()
-        assert values.tobytes() == expected.tobytes()
-        (interior,) = scanned
-        assert np.any(interior < -1e5)      # the chain is scanned
-        assert not np.any(interior > 1e6)   # the concave rows are not
-
-    @pytest.mark.parametrize("rows", [1, 3, 4, 100])
-    def test_block_edges(self, rows, monkeypatch):
-        # three rows per block: the last column of each block's last row,
-        # a partial last block, a single row
-        monkeypatch.setattr(majorant, "ROW_BLOCK_POINTS", 3 * 257 + 7)
-        # not a dyadic grid: chords through its points round, so a chord
-        # evaluated at a vertex need not return the vertex's value
-        xs = np.linspace(0.0, 1.0, 257) ** 1.1
-        fixed = np.zeros(xs.size, dtype=bool)
-        fixed[[0, 100, 256]] = True
-        values = _bridge_values(xs, rows, np.random.default_rng(304 + rows))
-        values[:, -1] += np.linspace(-0.5, 0.5, rows)   # end values off zero
-        expected, expected_vertices = _per_run_reference(values, xs, fixed)
-        assert _hull_in_place(values, xs, fixed).tobytes() == expected_vertices.tobytes()
-        assert values.tobytes() == expected.tobytes()
-        last_rows = np.append(np.arange(2, rows, 3), rows - 1)
-        assert values[last_rows, -1].tobytes() == expected[last_rows, -1].tobytes()
-
-    @settings(max_examples=200, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1),
-           runs=st.lists(st.integers(2, 300), min_size=1, max_size=6),
-           dyadic=st.booleans(),
-           rows_per_block=st.integers(1, 4),
-           rows=st.integers(1, 13),
-           slack=st.floats(0.0, 0.99))
-    def test_random_layouts_match_per_row_oracle(self, seed, runs, dyadic,
-                                                 rows_per_block, rows, slack):
-        # runs of the drawn lengths (a fixed point ends one and starts the
-        # next); each row is bridge-like, affine or coarse dyadic; the block
-        # size is cut so that the rows cross block boundaries.  Affine rows
-        # are exact (dyadic grid, slope and intercept): on a grid whose
-        # chords round, an affine row is only nearly collinear, and there
-        # the pruned kernel's vertices depend on how many prune passes its
-        # block ran (a defect recorded in CHANGES.md), so no per-row oracle
-        # can match it.
-        cols = sum(runs) - len(runs) + 1
-        fixed = np.zeros(cols, dtype=bool)
-        fixed[np.cumsum([0] + [m - 1 for m in runs])] = True
-        xs = np.arange(cols) / 64.0 if dyadic else np.linspace(0.0, 1.0, cols) ** 1.1
-        rng = np.random.default_rng(seed)
-        values = np.empty((rows, cols))
-        for row in values:
-            kind = rng.integers(3 if dyadic else 2)
-            if kind == 0:
-                row[:] = _bridge_values(np.linspace(0.0, 1.0, cols), 1, rng)[0]
-            elif kind == 1:
-                row[:] = rng.integers(0, 9, cols) / 8.0
-            else:
-                row[:] = rng.integers(-8, 9) / 4.0 + rng.integers(-8, 9) / 4.0 * xs
-        expected, expected_vertices = _per_run_reference(values, xs, fixed)
-        block = rows_per_block * cols + int(slack * cols)
-        with mock.patch.object(majorant, "ROW_BLOCK_POINTS", block):
-            vertices = _hull_in_place(values, xs, fixed)
-        assert vertices.tobytes() == expected_vertices.tobytes()
-        assert values.tobytes() == expected.tobytes()
 
 
 class TestHullInvariants:
@@ -372,17 +204,17 @@ class TestPiecewiseLinearConcaveType:
 
 
 class TestRestrictedLcm:
-    """The LCM of a path over one span of its grid: ``_hull_rows`` on one
-    row, with the span's interior free and every other point fixed, and
-    the row filled to its hull by the oracle's chord fill."""
+    """The LCM of a path over one span of its grid: the kernel on the
+    span's points, and the span filled to its hull by the oracle's chord
+    fill; the rest of the path is left as it is."""
 
     @staticmethod
     def _restricted(values, grid, ia, ib):
-        fixed = np.ones(grid.size, dtype=bool)
-        fixed[ia + 1:ib] = False
-        row = np.array(values, dtype=float, ndmin=2)
-        _hull_in_place(row, grid, fixed)
-        return row[0]
+        row = np.array(values, dtype=float)
+        span = row[None, ia:ib + 1].copy()
+        fill_chords(span, grid[ia:ib + 1], _hull_indices(grid[ia:ib + 1], span[0]))
+        row[ia:ib + 1] = span[0]
+        return row
 
     def test_affine_path_unchanged(self):
         # dyadic slope and grid: every value is exactly representable,
