@@ -76,8 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     lim = sub.add_parser("limit-sample", help="sample the limiting variable")
     lim.add_argument("--config", required=True, type=Path,
-                     help="JSON with scenario, functional, optional seed and grid_size "
-                          "(grid_size is checked but changes no draw)")
+                     help="JSON with scenario, functional and optional seed")
     lim.add_argument("--draws", required=True, type=_int_from(1))
 
     uni = sub.add_parser("uniform-clt", help="uniform-truth CLT study")
@@ -128,11 +127,11 @@ def _cmd_coverage(args) -> int:
 
 
 def _cmd_limit_sample(args) -> int:
-    spec, name, seed, grid_size = read_run_config(args.config)
+    spec, name, seed = read_run_config(args.config)
     if args.seed is not None:
         seed = args.seed
     path = args.out / f"{_file_stem(spec.kind, name)}_y.csv"
-    ys, info = _seeded_y_samples(by_name(name), spec, grid_size, args.draws, seed, path)
+    ys, info = _seeded_y_samples(by_name(name), spec, args.draws, seed, path)
     variance = float(ys.var(ddof=1)) if ys.size > 1 else None
     print(json.dumps({"file": str(path), "draws": len(ys), "mean": float(ys.mean()),
                       "variance": variance, "tail_bound": info["tail_bound"]}, sort_keys=True))

@@ -39,6 +39,8 @@ from .samples import Sample, default_stream
 _VALIDATION_SEED = 0x5EED5
 _REL_TOL_DERIV = 1e-4
 _QUAD_REL_TOL = 1e-10
+#: Gauss-Legendre orders of the step-density quadrature: this and twice it
+_QUAD_ORDER = 16
 _MAX_REFINE = 10
 #: validation probes x lie in [0, _X_PROBE_MAX)
 _X_PROBE_MAX = 10.0
@@ -110,15 +112,15 @@ def _require_x_free(G: SmoothFunctional, what: str) -> None:
 
 
 def _step_integral(phi, d: StepDensity, x_free: bool, vanishes_at_zero: bool,
-                   domain=None, order: int = 16) -> float:
+                   domain=None) -> float:
     """Integral of phi(f(x), x) dx for the step density f = ``d``, over a
     compact ``domain`` [0, T] or else over [0, inf).
 
     An x-free phi, read as phi(z, 0), needs no quadrature: the integral is
     the exact step sum of phi(f, 0) against the piece widths, plus the
     tail phi(0, 0) (T - t_k) beyond the support.  Otherwise it is the
-    :func:`_quadrature` of phi over the pieces at ``order`` and
-    ``2 * order`` nodes, with the tail [t_k, T] as one more piece at level
+    :func:`_quadrature` of phi over the pieces at ``_QUAD_ORDER`` and
+    twice as many nodes, with the tail [t_k, T] as one more piece at level
     0 unless ``vanishes_at_zero`` declares phi(0, x) = 0.  Without a
     domain the tail must vanish (numerically when x-free, by declaration
     otherwise), or it diverges."""
@@ -140,10 +142,10 @@ def _step_integral(phi, d: StepDensity, x_free: bool, vanishes_at_zero: bool,
         return float(np.dot(hv, d.piece_widths)) + at_zero * (end - d.support_end)
     edges = np.concatenate(([0.0], d.breakpoints))
     tail = None if vanishes_at_zero or end == d.support_end else (d.support_end, end)
-    return _quadrature(phi, d.levels, edges[:-1], edges[1:], order, tail)
+    return _quadrature(phi, d.levels, edges[:-1], edges[1:], _QUAD_ORDER, tail)
 
 
-def tau_plugin(G: SmoothFunctional, d: StepDensity, domain=None, order: int = 16) -> float:
+def tau_plugin(G: SmoothFunctional, d: StepDensity, domain=None) -> float:
     """Integral of g(f(x), x) dx for a step density f, the plug-in value.
 
     An x-free g is integrated exactly, as a step sum of g(f, 0) against
@@ -160,7 +162,7 @@ def tau_plugin(G: SmoothFunctional, d: StepDensity, domain=None, order: int = 16
     tail beyond the support diverges; with one, the tail [t_k, T] counts
     at density 0.
     """
-    return _step_integral(G.g, d, G.x_free, G.vanishes_at_zero, domain, order)
+    return _step_integral(G.g, d, G.x_free, G.vanishes_at_zero, domain)
 
 
 def nu_plugin(G: SmoothFunctional, d: StepDensity) -> float:

@@ -40,8 +40,8 @@ from .grenander import fit
 from .inference import (_truth, _uniform_clt_scale, efficient_interval, normal_cdf,
                         normal_quantile, uniform_clt_statistic)
 from .limitlaw import _limit_is_normal, _seeded_y_samples
-from .samples import (ScenarioSpec, _integer, _seed, config_field, default_stream, derive_seed,
-                      draw, read_json_object)
+from .samples import (ScenarioSpec, _integer, _positive, _seed, config_field, default_stream,
+                      derive_seed, draw, read_json_object)
 
 log = logging.getLogger(__name__)
 
@@ -59,13 +59,6 @@ def true_tau(spec: ScenarioSpec, functional_name: str) -> float:
 def true_sigma_eff(spec: ScenarioSpec, functional_name: str) -> float:
     """Efficient variance Var(gdot(f(X), X)) at the scenario truth."""
     return _truth(spec, by_name(functional_name))[1]
-
-
-def reference_is_normal(spec: ScenarioSpec, functional_name: str) -> bool:
-    """Whether the limiting law is normal with the efficient variance:
-    always for x-free functionals, and for any functional when the truth
-    is strictly concave."""
-    return _limit_is_normal(by_name(functional_name), spec)
 
 
 # -- Kolmogorov-Smirnov distance ------------------------------------------
@@ -112,7 +105,6 @@ class StudyConfig:
     n_values: tuple
     replications: int
     seed: int
-    grid_size: int = 1000
     reference_draws: int = 10000
 
     def __post_init__(self):
@@ -121,15 +113,17 @@ class StudyConfig:
             raise InputError("replications and sample sizes must be positive, "
                              "with at least one sample size")
         object.__setattr__(self, "seed", config_field("study config", vars(self), "seed", _seed))
+        object.__setattr__(self, "reference_draws", config_field(
+            "study config", vars(self), "reference_draws", _positive))
         object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
 
     @staticmethod
     def from_json(obj) -> "StudyConfig":
         what = "study config"
         obj = read_json_object(obj, what)
-        scenario, functional, seed, grid_size = read_run_config(obj, what)
+        scenario, functional, seed = read_run_config(obj, what)
         return StudyConfig(scenario, functional, config_field(what, obj, "n", _sizes),
-                           config_field(what, obj, "replications", _integer, 1000), seed, grid_size,
+                           config_field(what, obj, "replications", _integer, 1000), seed,
                            config_field(what, obj, "reference_draws", _integer, 10000))
 
 
@@ -143,16 +137,14 @@ def _sizes(value) -> tuple:
 
 
 def read_run_config(obj, what: str = "limit-sample config") -> tuple:
-    """(scenario, functional name, seed, grid size) of a config, the
-    fields a study config shares with a limit-sample config; ``seed``
-    defaults to the scenario's, else 0, and ``grid_size`` to 1000 (the
-    limit-law sampler checks it but draws no grid)."""
+    """(scenario, functional name, seed) of a config, the fields a study
+    config shares with a limit-sample config; ``seed`` defaults to the
+    scenario's, else 0."""
     obj = read_json_object(obj, what)
     scenario = ScenarioSpec.from_json(config_field(what, obj, "scenario", dict))
     functional = config_field(what, obj, "functional", str)
     by_name(functional)
-    seed = config_field(what, obj, "seed", _seed, scenario.seed or 0)
-    return scenario, functional, seed, config_field(what, obj, "grid_size", _integer, 1000)
+    return scenario, functional, config_field(what, obj, "seed", _seed, scenario.seed or 0)
 
 
 @dataclass
@@ -331,16 +323,14 @@ def run_study(config: StudyConfig, threads: int = 1, out_dir=None) -> list:
     fn = by_name(config.functional)
     truth, sigma2 = _truth(config.scenario, fn)
     ref_sample = None
-    if reference_is_normal(config.scenario, config.functional):
+    if _limit_is_normal(fn, config.scenario):
         reference = {"type": "normal", "mean": 0.0, "var": sigma2}
     else:
         y_file = None if out_dir is None else (
             Path(out_dir) / f"{_file_stem(config.scenario.kind, config.functional)}_yref.csv")
-        ref_sample, info = _seeded_y_samples(fn, config.scenario, config.grid_size,
-                                             config.reference_draws,
+        ref_sample, info = _seeded_y_samples(fn, config.scenario, config.reference_draws,
                                              derive_seed(config.seed, _Y_SEED_SALT), y_file)
         reference = {"type": "empirical", "draws": int(config.reference_draws),
-                     "grid_size": int(config.grid_size),
                      "file": None if y_file is None else y_file.name,
                      "tail_bound": info["tail_bound"]}
     reports = []

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericError
-from .functionals import (SmoothFunctional, _quadrature, _require_x_free, _step_integral,
-                          tau_plugin)
+from .functionals import (_QUAD_ORDER, SmoothFunctional, _quadrature, _require_x_free,
+                          _step_integral, tau_plugin)
 from .grenander import StepDensity, evaluate, fit
 from .samples import Sample, ScenarioSpec
 
@@ -124,7 +124,7 @@ def _true_integral(spec: ScenarioSpec, phi, x_free: bool) -> float:
     edges = np.arange(_EXP_CELLS + 1) * (math.log(2.0) / spec.params["rate"])
     # the levels are placeholders: f is evaluated at the nodes
     return _quadrature(lambda _, x: phi(spec.density(x), x), np.zeros(_EXP_CELLS),
-                       edges[:-1], edges[1:], 16)
+                       edges[:-1], edges[1:], _QUAD_ORDER)
 
 
 def _true_variance(spec: ScenarioSpec, G: SmoothFunctional) -> float:
@@ -168,7 +168,7 @@ def efficient_interval(G: SmoothFunctional, s: Sample, level: float,
 
     The interval assumes that sqrt(n) (estimate - truth) is normal with
     the efficient variance, which holds when
-    :func:`grenfun.harness.reference_is_normal` does: for an x-free
+    :func:`grenfun.limitlaw._limit_is_normal` does: for an x-free
     functional or a strictly concave truth.  Elsewhere the limit is not
     normal and the interval can undercover (0.65-0.72 measured for
     ``xz2`` under ``paper_pwa``).  ``d`` is the Grenander fit of ``s``;

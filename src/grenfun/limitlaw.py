@@ -61,10 +61,6 @@ the largest over the draws of sum_k 2 sqrt(2/pi) sqrt(du_k R_k)
 TV_k(psi), TV_k taken on the table's nodes: a bound on the mean error
 of a draw given its remainders.  R is about e^-48 for a typical draw.
 It is 0 in the normal regime.
-
-``grid_size`` is accepted and validated (at least 2), and recorded in
-the metadata, so configs written for the earlier grid sampler run
-unchanged; it changes no draw.
 """
 
 from __future__ import annotations
@@ -253,20 +249,17 @@ def _hull_draws(G: SmoothFunctional, spec: ScenarioSpec, draws: int, stream):
     return ys, tail_bound
 
 
-def draw_y_samples(G: SmoothFunctional, spec: ScenarioSpec, grid_size: int,
-                   draws: int, stream):
+def draw_y_samples(G: SmoothFunctional, spec: ScenarioSpec, draws: int, stream):
     """Exact draws of the limit variable, with no grid (see the module
     docstring).
 
     Returns ``(ys, info)``.  info names the method (``normal`` or
     ``stick_breaking``), the sticks per majorant (0 for ``normal``) and
     the ``tail_bound`` of what the remainder stick leaves out (0 for
-    ``normal``).  ``grid_size`` must be at least 2 and changes no draw.
+    ``normal``).
     """
     if draws < 1:
         raise InputError("need at least one draw")
-    if grid_size < 2:
-        raise InputError("grid_size must be at least 2")
     if _limit_is_normal(G, spec):
         ys = math.sqrt(_true_variance(spec, G)) * stream.standard_normal(draws)
         method, sticks, tail_bound = "normal", 0, 0.0
@@ -276,7 +269,6 @@ def draw_y_samples(G: SmoothFunctional, spec: ScenarioSpec, grid_size: int,
     info = {
         "model": spec.to_json(),
         "functional": G.name,
-        "grid_size": int(grid_size),
         "method": method,
         "sticks": sticks,
         "tail_bound": tail_bound,
@@ -292,11 +284,11 @@ def emit_y_csv(path, ys: np.ndarray, info: dict) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _seeded_y_samples(G: SmoothFunctional, spec: ScenarioSpec, grid_size: int, draws: int,
-                      seed: int, path=None):
+def _seeded_y_samples(G: SmoothFunctional, spec: ScenarioSpec, draws: int, seed: int,
+                      path=None):
     """:func:`draw_y_samples` from ``seed``, which joins the info, written by
     :func:`emit_y_csv` to ``path`` (its directory made) unless that is None."""
-    ys, info = draw_y_samples(G, spec, grid_size, draws, default_stream(seed))
+    ys, info = draw_y_samples(G, spec, draws, default_stream(seed))
     info["seed"] = int(seed)
     if path is not None:
         Path(path).parent.mkdir(parents=True, exist_ok=True)

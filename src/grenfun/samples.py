@@ -27,9 +27,10 @@ def default_stream(seed):
     """Seeded random source used everywhere in the package.
 
     Built on PCG64, whose output stream for a given seed is frozen across
-    numpy releases; only ``random`` and ``standard_normal`` are consumed,
-    so the same seed reproduces the same draws bit for bit.  Streams are
-    never shared across threads; derive one per worker instead.
+    numpy releases; only ``random``, ``standard_normal`` and ``spawn``
+    (numpy >= 1.25) are used, so the same seed reproduces the same draws
+    bit for bit.  Streams are never shared across threads; derive one per
+    worker instead.
     """
     return np.random.Generator(np.random.PCG64(seed))
 
@@ -388,6 +389,14 @@ def _seed(value) -> int:
     if seed < 0:
         raise ValueError(value)
     return seed
+
+
+def _positive(value) -> int:
+    """A count: an integral number >= 1."""
+    count = _integer(value)
+    if count < 1:
+        raise ValueError(value)
+    return count
 
 
 def read_json_object(obj, what: str) -> dict:

@@ -214,7 +214,7 @@ def test_criterion_7_limit_sampler():
     efficient values at 1e5 draws."""
     # (a) strictly concave: the derivative is the identity, so the draws
     # are sigma_eff times standard normals, bit for bit
-    ys, info = draw_y_samples(XZ2, EXP1, 500, 1000, default_stream(70))
+    ys, info = draw_y_samples(XZ2, EXP1, 1000, default_stream(70))
     sigma = math.sqrt(true_sigma_eff(EXP1, "xz2"))
     assert info["method"] == "normal"
     assert ys.tobytes() == (sigma * default_stream(70).standard_normal(1000)).tobytes()
@@ -245,7 +245,7 @@ def test_criterion_7_limit_sampler():
     # -(sqrt(2 pi)/3) (u1^(3/2) + (1 - u1)^(3/2)), u1 = 1/sqrt2
     u1 = 1.0 / SQRT2
     target = -(math.sqrt(2.0 * math.pi) / 3.0) * (u1 ** 1.5 + (1.0 - u1) ** 1.5)
-    ys_hull, _ = draw_y_samples(XZ2, PWA, 1000, 100_000,
+    ys_hull, _ = draw_y_samples(XZ2, PWA, 100_000,
                                 default_stream(derive_seed(ACCEPTANCE_SEED, 77)))
     mean_hull = float(np.mean(ys_hull))
     se_hull = float(np.std(ys_hull, ddof=1)) / math.sqrt(ys_hull.size)
@@ -258,13 +258,13 @@ def test_criterion_7_limit_sampler():
         se = math.sqrt((float(np.mean(centered ** 4)) - v * v) / ys.size)
         return v, se
 
-    ys_exp, _ = draw_y_samples(Z2, EXP1, 8000, 100_000,
+    ys_exp, _ = draw_y_samples(Z2, EXP1, 100_000,
                                default_stream(derive_seed(ACCEPTANCE_SEED, 72)))
     v_exp, se_exp = var_with_se(ys_exp)
     dev_exp = abs(v_exp - 1.0 / 3.0)
     assert dev_exp < 3.0 * se_exp
 
-    ys_pwa, _ = draw_y_samples(Z2, PWA, 2000, 100_000,
+    ys_pwa, _ = draw_y_samples(Z2, PWA, 100_000,
                                default_stream(derive_seed(ACCEPTANCE_SEED, 73)))
     v_pwa, se_pwa = var_with_se(ys_pwa)
     dev_pwa = abs(v_pwa - (8.0 * SQRT2 - 8.0))
@@ -282,7 +282,7 @@ def test_criterion_7_conjectured_non_normal_recorded():
     """Descriptive record for the x-weighted quadratic functional at the
     two-slope truth: the limit is conjectured non-normal; the KS distance
     to the mean-zero efficient normal is recorded, not asserted."""
-    ys, info = draw_y_samples(XZ2, PWA, 1000, 100_000,
+    ys, info = draw_y_samples(XZ2, PWA, 100_000,
                               default_stream(derive_seed(ACCEPTANCE_SEED, 74)))
     sig2 = true_sigma_eff(PWA, "xz2")
     ks = ks_distance(ys, {"mean": 0.0, "var": sig2})

@@ -168,13 +168,24 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert f"field {field!r}" in err and "Traceback" not in err
 
+    def test_no_reference_draws_is_config_error(self, tmp_path, capsys):
+        # named as a field, not as a draw count deep in the sampler
+        config = tmp_path / "study.json"
+        config.write_text(json.dumps({
+            "scenario": {"kind": "paper_pwa", "params": {}}, "functional": "xz2",
+            "n": [100], "replications": 4, "seed": 0, "reference_draws": 0,
+        }))
+        assert main(["--out", str(tmp_path), "simulate", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "study config field 'reference_draws' has an invalid value: 0" in err
+
 
 class TestLimitSample:
     def test_emits_csv_with_metadata(self, tmp_path, capsys):
         config = tmp_path / "limit.json"
         config.write_text(json.dumps({
             "scenario": {"kind": "paper_pwa", "params": {}},
-            "functional": "power:2", "grid_size": 120,
+            "functional": "power:2",
         }))
         out = tmp_path / "draws"
         code = main(["--seed", "8", "--out", str(out),
@@ -210,22 +221,27 @@ class TestLimitSample:
         config = tmp_path / "limit.json"
         config.write_text(json.dumps({
             "scenario": {"kind": "paper_pwa", "params": {}},
-            "functional": "xz2", "grid_size": 50, "seed": -3,
+            "functional": "xz2", "seed": -3,
         }))
         assert main(["--out", str(tmp_path), "limit-sample", "--config", str(config),
                      "--draws", "5"]) == 2
         err = capsys.readouterr().err
         assert "field 'seed'" in err and "Traceback" not in err
 
-    def test_malformed_grid_size_is_config_error(self, tmp_path, capsys):
-        config = tmp_path / "limit.json"
-        config.write_text(json.dumps({
-            "scenario": {"kind": "paper_pwa", "params": {}},
-            "functional": "xz2", "grid_size": "many",
-        }))
-        assert main(["limit-sample", "--config", str(config), "--draws", "5"]) == 2
-        err = capsys.readouterr().err
-        assert "field 'grid_size'" in err and "Traceback" not in err
+    def test_legacy_grid_size_draws_the_same(self, tmp_path, capsys):
+        # configs written for the earlier grid sampler still carry grid_size:
+        # it is ignored like any field the reader does not use
+        config = json.loads((CONFIGS / "limit_paper_pwa_xz2.json").read_text())
+        lines = []
+        for name, extra in (("plain", {}), ("legacy", {"grid_size": 1000})):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({**config, **extra}))
+            out = tmp_path / name
+            assert main(["--out", str(out), "limit-sample", "--config", str(path),
+                         "--draws", "200"]) == 0
+            lines.append((out / "paper_pwa_xz2_y.csv").read_text().splitlines())
+        capsys.readouterr()
+        assert lines[0] == lines[1] and len(lines[0]) == 201
 
 
 _COVERAGE_CONFIG = {
@@ -413,7 +429,7 @@ class TestShippedConfigs:
         for name, (spec, functional) in studies.items():
             expected = StudyConfig(scenario=spec, functional=functional,
                                    n_values=(5000, 20000, 100000), replications=1000,
-                                   seed=0, grid_size=1000, reference_draws=20000)
+                                   seed=0, reference_draws=20000)
             assert StudyConfig.from_json(CONFIGS / name) == expected
 
 

@@ -24,6 +24,7 @@ from grenfun import (
     one_step_correction,
     tau_plugin,
 )
+from grenfun.functionals import _QUAD_ORDER, _quadrature
 
 from oracles import tau_plugin_by_piece
 
@@ -111,9 +112,14 @@ class TestTauPlugin:
         assert got == pytest.approx(expected, abs=1e-10)
 
     def test_quadrature_orders_agree(self):
+        edges = np.concatenate(([0.0], PWA_TRUTH.breakpoints))
+
+        def at(order):
+            return _quadrature(XZ2.g, PWA_TRUTH.levels, edges[:-1], edges[1:], order)
+
         for order in (2, 4, 16):
-            got = tau_plugin(XZ2, PWA_TRUTH, order=order)
-            assert got == pytest.approx(tau_plugin(XZ2, PWA_TRUTH, order=32), abs=1e-10)
+            assert at(order) == pytest.approx(at(32), abs=1e-10)
+        assert tau_plugin(XZ2, PWA_TRUTH) == at(_QUAD_ORDER)
 
     def test_unbounded_domain_needs_vanishing_integrand(self):
         g = SmoothFunctional(

@@ -26,9 +26,8 @@ from grenfun import (
     true_tau,
     uniform_clt_statistic,
 )
-from grenfun.harness import (_centered, _map_replications, _replicate, _truth, _worker_count,
-                             reference_is_normal)
-from grenfun.limitlaw import load_y_csv
+from grenfun.harness import _centered, _map_replications, _replicate, _truth, _worker_count
+from grenfun.limitlaw import _limit_is_normal, load_y_csv
 
 
 class TestTruthOracles:
@@ -61,9 +60,9 @@ class TestTruthOracles:
         assert true_tau(ScenarioSpec.paper_pwa(), "xz2") == pytest.approx(expected, rel=1e-14)
 
     def test_reference_rule(self):
-        assert reference_is_normal(ScenarioSpec.paper_pwa(), "power:2")
-        assert reference_is_normal(ScenarioSpec.exponential(1.0), "xz2")
-        assert not reference_is_normal(ScenarioSpec.paper_pwa(), "xz2")
+        assert _limit_is_normal(by_name("power:2"), ScenarioSpec.paper_pwa())
+        assert _limit_is_normal(by_name("xz2"), ScenarioSpec.exponential(1.0))
+        assert not _limit_is_normal(by_name("xz2"), ScenarioSpec.paper_pwa())
 
 
 def _exp_minus_x(x):
@@ -193,13 +192,15 @@ class TestStudyConfig:
         ("replications", {"replications": True}),
         ("seed", {"seed": 1.5}),
         ("n", {"n": [1000.5]}),
-        ("grid_size", {"grid_size": 999.9}),
         ("reference_draws", {"reference_draws": 10.5}),
+        ("reference_draws", {"reference_draws": 0}),
+        ("reference_draws", {"reference_draws": -5}),
         ("seed", {"scenario": {"kind": "paper_pwa", "seed": 2.5}}),
     ], ids=["replications=2.7", "replications=true", "seed=1.5", "n=[1000.5]",
-            "grid_size=999.9", "reference_draws=10.5", "scenario.seed=2.5"])
+            "reference_draws=10.5", "reference_draws=0", "reference_draws=-5",
+            "scenario.seed=2.5"])
     def test_non_integral_count_or_seed_reported(self, field, change):
-        # not truncated toward zero without a word
+        # neither truncated toward zero nor left for the sampler to reject
         with pytest.raises(InputError, match=f"field {field!r} has an invalid value"):
             StudyConfig.from_json({"scenario": {"kind": "paper_pwa"}, "functional": "power:2",
                                    "n": [1000], "replications": 3, **change})
@@ -207,17 +208,28 @@ class TestStudyConfig:
     def test_integral_floats_accepted(self):
         config = StudyConfig.from_json({
             "scenario": {"kind": "paper_pwa", "seed": 7.0}, "functional": "power:2",
-            "n": 1e3, "replications": 3.0, "grid_size": 5e2, "reference_draws": 1e4})
+            "n": 1e3, "replications": 3.0, "reference_draws": 1e4})
         assert (config.n_values, config.replications, config.seed) == ((1000,), 3, 7)
-        assert (config.grid_size, config.reference_draws) == (500, 10000)
+        assert config.reference_draws == 10000
         assert all(type(v) is int for v in (config.n_values[0], config.replications,
-                                             config.seed, config.grid_size,
-                                             config.reference_draws))
+                                             config.seed, config.reference_draws))
 
     def test_negative_seed_rejected(self):
         # by the config itself, so run_study never hands it to numpy
         with pytest.raises(InputError, match="field 'seed' has an invalid value: -1"):
             StudyConfig(ScenarioSpec.exponential(1.0), "xz2", [100], 2, seed=-1)
+
+    def test_no_reference_draws_rejected(self):
+        # by the config itself, as from JSON, whether or not a reference is drawn
+        with pytest.raises(InputError, match="field 'reference_draws' has an invalid value: 0"):
+            StudyConfig(ScenarioSpec.paper_pwa(), "xz2", [100], 2, seed=0, reference_draws=0)
+
+    def test_legacy_grid_size_is_ignored(self):
+        # configs written for the earlier grid sampler still carry it
+        config = {"scenario": {"kind": "paper_pwa"}, "functional": "xz2", "n": [100],
+                  "replications": 2, "seed": 0, "reference_draws": 50}
+        assert (StudyConfig.from_json({**config, "grid_size": 1000})
+                == StudyConfig.from_json(config))
 
     @pytest.mark.parametrize("n", [0, [], [0]])
     def test_no_positive_sample_size_reported(self, n):
@@ -274,7 +286,7 @@ class TestRunStudy:
 
     def test_empirical_reference_emits_y_file(self, tmp_path):
         config = StudyConfig(ScenarioSpec.paper_pwa(), "xz2", (300,), 12,
-                             seed=1, grid_size=150, reference_draws=400)
+                             seed=1, reference_draws=400)
         (report,) = run_study(config, threads=1, out_dir=tmp_path)
         assert report.reference["type"] == "empirical"
         y_file = tmp_path / report.reference["file"]

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 import grenfun
 from grenfun import (
-    InputError,
     NumericError,
     ScenarioSpec,
     SmoothFunctional,
@@ -101,7 +100,7 @@ class TestHadamardDerivative:
         # the derivative is the identity, or psi is constant on each
         # piece: Y = sigma_eff Z, one normal per draw, bit for bit
         for spec, name in ((EXP, "xz2"), (EXP, "power:2"), (PWA, "power:2"), (THREE, "power:3")):
-            ys, info = draw_y_samples(by_name(name), spec, 1000, 5001, default_stream(8))
+            ys, info = draw_y_samples(by_name(name), spec, 5001, default_stream(8))
             sigma = math.sqrt(true_sigma_eff(spec, name))
             assert ys.tobytes() == (sigma * default_stream(8).standard_normal(5001)).tobytes()
             assert info["method"] == "normal" and info["tail_bound"] == 0.0
@@ -194,7 +193,7 @@ class TestPsiTable:
                                 gddot=lambda z, x: 2.0 * weight(x) + 0.0 * z,
                                 vanishes_at_zero=True, name="step")
         with pytest.raises(NumericError, match="piece 0"):
-            draw_y_samples(step, PWA, 1000, 10, default_stream(0))
+            draw_y_samples(step, PWA, 10, default_stream(0))
 
 
 #: Gauss-Legendre nodes and weights on [0, 1], exact for psi of degree
@@ -273,7 +272,7 @@ class TestStickBreaking:
         monkeypatch.setattr(limitlaw, "_majorant_sums",
                             lambda table, rows, *streams: (np.zeros((rows, table.cells.size)),
                                                            np.zeros((rows, table.cells.size))))
-        ys, info = draw_y_samples(XZ2, PWA, 1000, 7, default_stream(6))
+        ys, info = draw_y_samples(XZ2, PWA, 7, default_stream(6))
         d = PWA.true_density()
         u = np.concatenate(([0.0], PWA.cdf(d.breakpoints)))
         bridge = _bridge_values(u, 7, default_stream(6))
@@ -290,12 +289,12 @@ class TestPlanRowHulls:
     the batched sum by parts on the faces must keep its digits."""
 
     @pytest.mark.parametrize("spec", [PWA, THREE], ids=["paper_pwa", "three"])
-    @pytest.mark.parametrize("grid_size,rows", [(50, 400), (1000, 70), (3000, 25)])
-    def test_apply_matches_per_row_reference(self, spec, grid_size, rows):
+    @pytest.mark.parametrize("seed,rows", [(50, 400), (1000, 70), (3000, 25)])
+    def test_apply_matches_per_row_reference(self, spec, seed, rows):
         # 400 rows cross the batch edges (167 rows to a batch of two
-        # pieces, 111 of three); grid_size changes no draw
-        ys, _ = draw_y_samples(XZ2, spec, grid_size, rows, default_stream(grid_size + rows))
-        expected, scale = per_row_draws(XZ2, spec, rows, default_stream(grid_size + rows))
+        # pieces, 111 of three)
+        ys, _ = draw_y_samples(XZ2, spec, rows, default_stream(seed + rows))
+        expected, scale = per_row_draws(XZ2, spec, rows, default_stream(seed + rows))
         assert np.all(np.abs(ys - expected) <= 1e-12 * scale)
 
     @settings(max_examples=60, deadline=None)
@@ -314,7 +313,7 @@ class TestPlanRowHulls:
         pieces = spec.true_density().levels.size
         faces = (rows_per_batch + slack) * pieces * (STICKS + 1)
         with mock.patch.object(limitlaw, "_BATCH_FACES", int(faces)):
-            ys, _ = draw_y_samples(G, spec, 1000, rows, default_stream(seed))
+            ys, _ = draw_y_samples(G, spec, rows, default_stream(seed))
         expected, scale = per_row_draws(G, spec, rows, default_stream(seed))
         assert np.all(np.abs(ys - expected) <= 1e-12 * scale)
 
@@ -350,7 +349,7 @@ class TestExactLaw:
         u1 = 1.0 / math.sqrt(2.0)
         target = -2.0 * MEAN_MAJORANT_AREA * (u1 ** 1.5 + (1.0 - u1) ** 1.5)
         assert target == pytest.approx(-0.62926, abs=1e-5)
-        ys, info = draw_y_samples(XZ2, PWA, 1000, 100_000, default_stream(77))
+        ys, info = draw_y_samples(XZ2, PWA, 100_000, default_stream(77))
         mean, se = mean_with_se(ys)
         assert abs(mean - target) < 3.0 * se
         assert info["method"] == "stick_breaking" and info["sticks"] == STICKS
@@ -368,7 +367,7 @@ class TestExactLaw:
         # the grid hull falls short of the continuum's area by about
         # 0.58/sqrt(64) (Asmussen, Glynn & Pitman 1995); stick-breaking
         # draws the continuum
-        exact, _ = draw_y_samples(XZ2, UNIF, 64, draws, default_stream(33))
+        exact, _ = draw_y_samples(XZ2, UNIF, draws, default_stream(33))
         gap = (float(np.mean(grid)) - float(np.mean(exact))) / 2.0
         assert 0.5 / 8.0 < gap < 0.7 / 8.0
 
@@ -376,11 +375,11 @@ class TestExactLaw:
 class TestSampleY:
     def test_single_draw_is_finite_float(self):
         for G, spec in ((Z2, EXP), (XZ2, PWA)):
-            ys, _ = draw_y_samples(G, spec, 500, 1, default_stream(0))
+            ys, _ = draw_y_samples(G, spec, 1, default_stream(0))
             assert ys.shape == (1,) and ys.dtype == float and math.isfinite(ys[0])
 
     def test_uniform_truth_quadratic_is_degenerate(self):
-        ys, _ = draw_y_samples(Z2, UNIF, 200, 50, default_stream(3))
+        ys, _ = draw_y_samples(Z2, UNIF, 50, default_stream(3))
         assert np.array_equal(ys, np.zeros(50))
 
     def test_y_from_path_matches_batch_logic(self):
@@ -392,16 +391,12 @@ class TestSampleY:
             assert grid_lcm_derivative(PWA, grid, paths[k]).tobytes() == batch[k].tobytes()
 
     def test_metadata_reports_method_and_tail_bound(self):
-        _, info = draw_y_samples(Z2, EXP, 300, 20, default_stream(1))
-        assert info == {"model": EXP.to_json(), "functional": "power:2", "grid_size": 300,
+        _, info = draw_y_samples(Z2, EXP, 20, default_stream(1))
+        assert info == {"model": EXP.to_json(), "functional": "power:2",
                         "method": "normal", "sticks": 0, "tail_bound": 0.0, "draws": 20}
-        _, info = draw_y_samples(XZ2, PWA, 300, 20, default_stream(1))
+        _, info = draw_y_samples(XZ2, PWA, 20, default_stream(1))
         assert info["method"] == "stick_breaking" and info["sticks"] == STICKS
         assert 0.0 < info["tail_bound"] < 1e-4
-
-    def test_grid_size_below_two_rejected(self):
-        with pytest.raises(InputError, match="grid_size"):
-            draw_y_samples(XZ2, PWA, 1, 100, default_stream(2))
 
     @pytest.mark.parametrize("spec", [EXP, PWA], ids=["exponential", "paper_pwa"])
     def test_draws_do_not_depend_on_the_batch(self, spec, monkeypatch):
@@ -414,15 +409,15 @@ class TestSampleY:
             rows = []
             monkeypatch.setattr(limitlaw, "_majorant_sums",
                                 lambda table, n, *streams: rows.append(n) or sums(table, n, *streams))
-            ys, _ = draw_y_samples(XZ2, spec, 1000, 4099, default_stream(7))
+            ys, _ = draw_y_samples(XZ2, spec, 4099, default_stream(7))
             batch = max(1, faces // (2 * (STICKS + 1)))
             expected = [batch] * (4099 // batch) + [4099 % batch] * (4099 % batch > 0)
             assert rows == (expected if spec is PWA else [])
             digests.add(ys.tobytes())
         assert len(digests) == 1
 
-    @pytest.mark.parametrize("name,grid_size", [("xz2", 1000), ("power:2", 8000)])
-    def test_draws_do_not_depend_on_blas_threads(self, name, grid_size):
+    @pytest.mark.parametrize("name,draws", [("xz2", 1000), ("power:2", 8000)])
+    def test_draws_do_not_depend_on_blas_threads(self, name, draws):
         # the thread count is read when numpy loads, so each count gets a
         # fresh interpreter; normal draws (exponential) and, for xz2,
         # stick-breaking draws (paper_pwa) must keep their bytes
@@ -430,14 +425,14 @@ class TestSampleY:
                   "import grenfun as gf\n"
                   "for spec in (gf.ScenarioSpec.exponential(1.0), gf.ScenarioSpec.paper_pwa()):\n"
                   "    ys, _ = gf.draw_y_samples(gf.by_name(sys.argv[1]), spec, int(sys.argv[2]),"
-                  " 1001, gf.default_stream(3))\n"
+                  " gf.default_stream(3))\n"
                   "    print(hashlib.sha1(ys.tobytes()).hexdigest())\n")
         src = str(Path(grenfun.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         digests = []
         for threads in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
-            run = subprocess.run([sys.executable, "-c", script, name, str(grid_size)],
+            run = subprocess.run([sys.executable, "-c", script, name, str(draws)],
                                  env=env, capture_output=True, text=True, check=True)
             digests.append(run.stdout)
         assert digests[0] == digests[1]
@@ -447,20 +442,19 @@ class TestSampleY:
             linear_y_samples(XZ2, PWA, 10, default_stream(0))
 
     def test_emit_and_load_round_trip(self, tmp_path):
-        ys, info = draw_y_samples(XZ2, PWA, 100, 10_000, default_stream(2))
+        ys, info = draw_y_samples(XZ2, PWA, 10_000, default_stream(2))
         path = tmp_path / "y.csv"
         emit_y_csv(path, ys, info)
         back, meta = load_y_csv(path)
         assert back.dtype == ys.dtype and back.tobytes() == ys.tobytes()
-        assert meta["model"]["kind"] == "paper_pwa"
-        assert "tail_bound" in meta and "grid_size" in meta
+        assert meta == info
 
 
 @pytest.mark.slow
 class TestDistributionalInvariants:
     def test_variance_matches_the_limit_at_grid_1000(self):
         # exponential/xz2: the limit's variance is 8/27 - 1/4 = 0.046296
-        ys, _ = draw_y_samples(XZ2, EXP, 1000, 100_000, default_stream(500))
+        ys, _ = draw_y_samples(XZ2, EXP, 100_000, default_stream(500))
         v, se = var_with_se(ys)
         assert abs(v - (8.0 / 27.0 - 0.25)) < 3.0 * se
 
@@ -468,23 +462,10 @@ class TestDistributionalInvariants:
         # x-free functional, piecewise-affine truth: the normal draws and
         # the linear formula share one law (KS < 0.01 at 1e5 draws, and
         # variances within 4 standard errors)
-        ys_path, _ = draw_y_samples(Z2, PWA, 1000, 100_000, default_stream(100))
+        ys_path, _ = draw_y_samples(Z2, PWA, 100_000, default_stream(100))
         ys_lin = linear_y_samples(Z2, PWA, 100_000, default_stream(200))
         assert ks_distance(ys_path, ys_lin) < 0.01
         (v_path, se_path), (v_lin, se_lin) = var_with_se(ys_path), var_with_se(ys_lin)
         assert abs(v_path - v_lin) < 4.0 * math.hypot(se_path, se_lin)
         target = 8.0 * math.sqrt(2.0) - 8.0
         assert v_lin == pytest.approx(target, abs=0.05)
-
-    def test_grid_refinement_stability_exponential(self):
-        # normal draws take no grid: refining it moves no draw
-        for G in (Z2, XZ2):
-            draws = [draw_y_samples(G, EXP, grid_size, 100_000, default_stream(300))[0].tobytes()
-                     for grid_size in (2, 2000, 4000)]
-            assert draws[0] == draws[1] == draws[2]
-
-    def test_grid_refinement_stability_hull_case(self):
-        # stick-breaking draws take no grid either
-        draws = [draw_y_samples(XZ2, PWA, grid_size, 10_000, default_stream(400))[0].tobytes()
-                 for grid_size in (2, 1000, 2000)]
-        assert draws[0] == draws[1] == draws[2]
