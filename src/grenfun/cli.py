@@ -41,8 +41,17 @@ def _int_from(low: int):
     return parse
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors end in the ``error: ...``
+    line of every other input error; its subcommand parsers are one too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(2, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="grenfun",
         description="Grenander plug-in estimation of integrated functionals "
                     "of a nonincreasing density",
@@ -172,6 +181,10 @@ def main(argv=None) -> int:
         return 3
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # numpy refuses a size past the address space before touching memory
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

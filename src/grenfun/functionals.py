@@ -15,10 +15,11 @@ halved, all of them in one batch per round, and the halves summed back
 up left plus right, so every piece gets the same float as when
 integrated alone, provided g computes the same on arrays as on scalars
 (numpy's scalar ``**`` can differ from its array ``**`` in the last
-bit; ``*`` and ``+`` do not).  A g that cannot take a matrix of nodes is
-evaluated one row at a time.  A piece still unresolved after 10
-bisections raises :class:`NumericError` instead of returning a value of
-unknown accuracy.
+bit; ``*`` and ``+`` do not).  Every evaluation of g on arrays goes
+through :func:`_evaluate`, which calls a g that takes only scalars (one
+written with ``math``, say) once per element.  A piece still unresolved
+after 10 bisections raises :class:`NumericError` instead of returning a
+value of unknown accuracy.
 
 The identity between the carrier-measure average and the empirical
 average of h(f(X_i)) is a structural property of the Grenander fit and
@@ -46,15 +47,19 @@ _MAX_REFINE = 10
 _X_PROBE_MAX = 10.0
 
 
-def _apply(fn, arr):
-    """Evaluate a scalar-or-vectorized callable on an array."""
+def _evaluate(fn, z, x):
+    """fn(z, x) as floats in the broadcast shape of z and x: one call on
+    the arrays, or, when that raises TypeError or ValueError or returns
+    another shape, one call per element on Python floats."""
+    shape = np.broadcast_shapes(np.shape(z), np.shape(x))
     try:
-        out = np.asarray(fn(arr), dtype=float)
-        if out.shape == arr.shape:
+        out = np.asarray(fn(z, x), dtype=float)
+        if out.shape == shape:
             return out
     except (TypeError, ValueError):
         pass
-    return np.array([float(fn(float(z))) for z in arr])
+    zs, xs = (np.broadcast_to(v, shape).ravel().tolist() for v in (z, x))
+    return np.array([float(fn(a, b)) for a, b in zip(zs, xs)]).reshape(shape)
 
 
 def _check_derivative(fn, claimed, z, x, what):
@@ -123,11 +128,13 @@ def _step_integral(phi, d: StepDensity, x_free: bool, vanishes_at_zero: bool,
     twice as many nodes, with the tail [t_k, T] as one more piece at level
     0 unless ``vanishes_at_zero`` declares phi(0, x) = 0.  Without a
     domain the tail must vanish (numerically when x-free, by declaration
-    otherwise), or it diverges."""
+    otherwise), or it diverges.  A result that is not finite raises
+    :class:`NumericError`."""
     end = d.support_end if domain is None else float(domain[1])
-    if end < d.support_end or (domain is not None and float(domain[0]) != 0.0):
-        raise InputError(f"declared domain {domain!r} must start at 0 and not end inside "
-                         f"the density's support [0, {d.support_end!r}]")
+    if not np.isfinite(end) or end < d.support_end or (
+            domain is not None and float(domain[0]) != 0.0):
+        raise InputError(f"declared domain {domain!r} must start at 0 and end at a finite "
+                         f"T not inside the density's support [0, {d.support_end!r}]")
     if x_free:
         at_zero = float(phi(0.0, 0.0))
         vanishes_at_zero = at_zero == 0.0
@@ -138,11 +145,16 @@ def _step_integral(phi, d: StepDensity, x_free: bool, vanishes_at_zero: bool,
             "domain [0, T]"
         )
     if x_free:
-        hv = _apply(lambda z: phi(z, 0.0), d.levels)
-        return float(np.dot(hv, d.piece_widths)) + at_zero * (end - d.support_end)
-    edges = np.concatenate(([0.0], d.breakpoints))
-    tail = None if vanishes_at_zero or end == d.support_end else (d.support_end, end)
-    return _quadrature(phi, d.levels, edges[:-1], edges[1:], _QUAD_ORDER, tail)
+        hv = _evaluate(phi, d.levels, 0.0)
+        total = float(np.dot(hv, d.piece_widths)) + at_zero * (end - d.support_end)
+    else:
+        edges = np.concatenate(([0.0], d.breakpoints))
+        tail = None if vanishes_at_zero or end == d.support_end else (d.support_end, end)
+        total = _quadrature(phi, d.levels, edges[:-1], edges[1:], _QUAD_ORDER, tail)
+    if not np.isfinite(total):
+        raise NumericError(f"the integral is {total!r}: the integrand overflows at the "
+                           f"density's levels, which reach {float(d.levels[0])!r}")
+    return total
 
 
 def tau_plugin(G: SmoothFunctional, d: StepDensity, domain=None) -> float:
@@ -169,7 +181,7 @@ def nu_plugin(G: SmoothFunctional, d: StepDensity) -> float:
     """Integral of h(f(x)) f(x) dx, h = g(., 0) of an x-free functional:
     the plug-in carrier-measure average."""
     _require_x_free(G, "nu_plugin")
-    hv = _apply(lambda z: G.g(z, 0.0), d.levels)
+    hv = _evaluate(G.g, d.levels, 0.0)
     return float(np.dot(hv * d.levels, d.piece_widths))
 
 
@@ -177,7 +189,7 @@ def empirical_average(G: SmoothFunctional, s: Sample, d: StepDensity) -> float:
     """(1/n) sum of h(f(X_i)), h = g(., 0) of an x-free functional, with
     f the fitted density of the sample."""
     _require_x_free(G, "empirical_average")
-    return float(np.mean(_apply(lambda z: G.g(z, 0.0), evaluate(d, s.values))))
+    return float(np.mean(_evaluate(G.g, evaluate(d, s.values), 0.0)))
 
 
 def one_step_correction(G: SmoothFunctional, s: Sample, d: StepDensity) -> float:
@@ -191,8 +203,7 @@ def one_step_correction(G: SmoothFunctional, s: Sample, d: StepDensity) -> float
     _require_x_free(G, "one_step_correction")
 
     def w(z):
-        z = np.asarray(z, dtype=float)
-        return _apply(lambda v: G.g(v, 0.0), z) + z * _apply(lambda v: G.gdot(v, 0.0), z)
+        return _evaluate(G.g, z, 0.0) + z * _evaluate(G.gdot, z, 0.0)
 
     fitted = evaluate(d, s.values)
     plug = float(np.dot(w(d.levels) * d.levels, d.piece_widths))
@@ -206,21 +217,16 @@ def _gl_nodes(order: int):
 
 def _gl_rows(g, levels, a, b, order):
     """One Gauss-Legendre pass over every piece at once: row i holds the
-    nodes of [a[i], b[i]] and g is evaluated at (levels[i], node), on the
-    whole node matrix with a column of levels, or one row at a time
-    through :func:`_apply` when g does not broadcast that way.  Each row
-    is reduced by its own ``np.dot``, so a piece gets the same float
+    nodes of [a[i], b[i]] and g is evaluated at (levels[i], node) by
+    :func:`_evaluate`: one call on the whole node matrix with a column of
+    levels, or one call per node when g takes only scalars.  Each row is
+    reduced by its own ``np.dot``, so a piece gets the same float
     whichever batch it is in."""
     nodes, weights = _gl_nodes(order)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     x = mid[:, None] + half[:, None] * nodes
-    try:
-        vals = np.asarray(g(levels[:, None], x), dtype=float)
-    except (TypeError, ValueError):
-        vals = None
-    if vals is None or vals.shape != x.shape:
-        vals = [_apply(lambda t, v=v: g(v, t), row) for v, row in zip(levels, x)]
+    vals = _evaluate(g, levels[:, None], x)
     return half * np.fromiter(map(weights.dot, vals), float, len(vals))
 
 

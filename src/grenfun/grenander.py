@@ -36,6 +36,8 @@ class StepDensity:
             return
         if ts.ndim != 1 or ts.size == 0 or ts.shape != vs.shape:
             raise InputError("breakpoints and levels must be equal-length nonempty arrays")
+        if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(vs))):
+            raise InputError("breakpoints and levels must be finite")
         if ts[0] <= 0.0 or np.any(np.diff(ts) <= 0.0):
             raise InputError("breakpoints must be strictly increasing and positive")
         if vs[-1] <= 0.0 or np.any(np.diff(vs) >= 0.0):

@@ -109,22 +109,21 @@ class StudyConfig:
 
     def __post_init__(self):
         by_name(self.functional)
+        for key, convert in (("n_values", _sizes), ("replications", _integer), ("seed", _seed),
+                             ("reference_draws", _positive)):
+            object.__setattr__(self, key, config_field("study config", vars(self), key, convert))
         if self.replications < 1 or len(self.n_values) == 0 or any(n < 1 for n in self.n_values):
             raise InputError("replications and sample sizes must be positive, "
                              "with at least one sample size")
-        object.__setattr__(self, "seed", config_field("study config", vars(self), "seed", _seed))
-        object.__setattr__(self, "reference_draws", config_field(
-            "study config", vars(self), "reference_draws", _positive))
-        object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
 
     @staticmethod
     def from_json(obj) -> "StudyConfig":
         what = "study config"
         obj = read_json_object(obj, what)
         scenario, functional, seed = read_run_config(obj, what)
+        # the constructor converts the fields that keep their JSON names
         return StudyConfig(scenario, functional, config_field(what, obj, "n", _sizes),
-                           config_field(what, obj, "replications", _integer, 1000), seed,
-                           config_field(what, obj, "reference_draws", _integer, 10000))
+                           obj.get("replications", 1000), seed, obj.get("reference_draws", 10000))
 
 
 def _file_stem(kind: str, functional: str) -> str:
@@ -389,9 +388,9 @@ def run_uniform_study(functional_name: str, n_values, replications: int,
     for n, stats, seconds in _replications(config, uniform_clt_statistic, (), threads):
         report = SimulationReport(
             scenario={"kind": "uniform_clt", "params": {"upper": 1.0}},
-            functional=functional_name, n=n, replications=replications,
+            functional=functional_name, n=n, replications=config.replications,
             statistics=stats, reference=reference, summaries=_summarize(stats, reference),
-            seed=seed, wall_time=seconds,
+            seed=config.seed, wall_time=seconds,
         )
         if out_dir is not None:
             report.write(out_dir)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericError
-from .functionals import (_QUAD_ORDER, SmoothFunctional, _quadrature, _require_x_free,
-                          _step_integral, tau_plugin)
+from .functionals import (_QUAD_ORDER, SmoothFunctional, _evaluate, _quadrature,
+                          _require_x_free, _step_integral, tau_plugin)
 from .grenander import StepDensity, evaluate, fit
 from .samples import Sample, ScenarioSpec
 
@@ -153,10 +153,7 @@ def sigma_eff_tau(G: SmoothFunctional, s: Sample, d: StepDensity) -> float:
     """
     if G.x_free:
         return _efficient_variance(lambda phi, _: _step_integral(phi, d, True, True), G)
-    fitted = evaluate(d, s.values)
-    vals = np.asarray(G.gdot(fitted, s.values), dtype=float)
-    if vals.shape != s.values.shape:
-        vals = np.array([float(G.gdot(z, x)) for z, x in zip(fitted, s.values)])
+    vals = _evaluate(G.gdot, evaluate(d, s.values), s.values)
     m = float(np.mean(vals))
     return max(float(np.mean(vals * vals)) - m * m, 0.0)
 

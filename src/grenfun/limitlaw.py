@@ -73,7 +73,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError, NumericError
-from .functionals import SmoothFunctional, _apply, _converged, _gl_rows
+from .functionals import SmoothFunctional, _converged, _evaluate, _gl_rows
 from .inference import _true_variance
 from .samples import ScenarioSpec, _load_column, default_stream
 
@@ -139,7 +139,7 @@ def _psi_table(G: SmoothFunctional, d) -> _PsiTable:
             coarse = _gl_rows(G.gdot, level, lo, hi, _TABLE_ORDER) / (b - a)
             fine = _gl_rows(G.gdot, level, lo, hi, 2 * _TABLE_ORDER) / (b - a)
             half = _gl_rows(G.gdot, level, lo, 0.5 * (lo + hi), 2 * _TABLE_ORDER) / (b - a)
-            psi = _apply(lambda t: G.gdot(z, t), x)
+            psi = _evaluate(G.gdot, z, x)
             slope = psi / m  # dPsi_k/dt, t the position within a cell
             mid = 0.5 * fine + (slope[:-1] - slope[1:]) / 8.0
             if np.all(_converged(coarse, fine) & _converged(mid, half)):

@@ -363,11 +363,14 @@ def config_field(what: str, obj: dict, key: str, convert, default=_REQUIRED):
 
 
 def _real(value) -> float:
-    """A number as a float; a string or a bool, which ``float`` would
-    take, is a TypeError."""
+    """A finite number as a float; a string or a bool, which ``float``
+    would take, is a TypeError, and an infinity or a NaN a ValueError."""
     if isinstance(value, (str, bytes, bool)):
         raise TypeError(value)
-    return float(value)
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(value)
+    return number
 
 
 def _integer(value) -> int:

@@ -1,15 +1,21 @@
+import contextlib
 import inspect
+import io
 import json
+import math
 import os
 import re
 import shlex
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import grenfun
 import grenfun.inference
@@ -21,6 +27,10 @@ from grenfun.inference import efficient_interval
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
+
+
+def _not_json(constant):
+    raise ValueError(f"not JSON: {constant}")
 
 
 @pytest.fixture
@@ -156,6 +166,8 @@ class TestSimulate:
         # numpy's generators take no negative seed
         ("seed", {"seed": -3}),
         ("seed", {"scenario": {"kind": "exponential", "params": {"rate": 1.0}, "seed": -3}}),
+        # JSON's Infinity token, named before the truth's quadrature meets it
+        ("rate", {"scenario": {"kind": "exponential", "params": {"rate": math.inf}}}),
     ])
     def test_malformed_value_is_config_error(self, tmp_path, capsys, field, change):
         config = tmp_path / "study.json"
@@ -200,15 +212,12 @@ class TestLimitSample:
 
     def test_one_draw_prints_valid_json(self, tmp_path, capsys):
         # one draw has no sample variance: null, as JSON has no NaN
-        def reject(constant):
-            raise ValueError(f"not JSON: {constant}")
-
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = main(["--out", str(tmp_path), "limit-sample",
                          "--config", str(CONFIGS / "limit_paper_pwa_xz2.json"), "--draws", "1"])
         assert code == 0
-        info = json.loads(capsys.readouterr().out, parse_constant=reject)
+        info = json.loads(capsys.readouterr().out, parse_constant=_not_json)
         assert info["draws"] == 1 and info["variance"] is None
         assert np.isfinite(info["mean"])
 
@@ -405,6 +414,125 @@ class TestParsing:
     def test_package_run_reports_errors(self, tmp_path):
         # ... and so does ``python -m grenfun``
         self._run_missing_file("grenfun", tmp_path)
+
+
+#: a size numpy refuses at once: its float64 array would exceed the
+#: 128 TiB address space, so no memory is touched
+_UNALLOCATABLE = 10**15
+
+
+class TestUnallocatableSize:
+    @pytest.mark.parametrize("argv", [
+        ["limit-sample", "--config", str(CONFIGS / "limit_paper_pwa_xz2.json"),
+         "--draws", str(_UNALLOCATABLE)],
+        ["uniform-clt", "--h", "power:2", "--n", str(_UNALLOCATABLE), "--reps", "2"],
+        ["simulate", "--config", "study.json"],
+    ], ids=["limit-sample", "uniform-clt", "simulate"])
+    def test_is_an_input_error(self, argv, tmp_path, capsys):
+        config = tmp_path / "study.json"
+        config.write_text(json.dumps({
+            "scenario": {"kind": "exponential", "params": {"rate": 1.0}},
+            "functional": "power:2", "n": [float(_UNALLOCATABLE)], "replications": 2}))
+        argv = [str(config) if arg == "study.json" else arg for arg in argv]
+        assert main(["--out", str(tmp_path), *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
+
+
+#: values that no count, level or parameter may take, and a size too
+#: large to allocate; as JSON values and, through str, as arguments
+_INVALID = st.sampled_from([0, -1, 1.5, True, "7", [3], {"n": 3}, math.nan, math.inf,
+                            _UNALLOCATABLE])
+
+
+def _mostly(valid, invalid=_INVALID):
+    """A value of ``valid``, or one of ``invalid`` once in about 6 draws,
+    so that most calls get past their first check."""
+    return st.sampled_from(range(6)).flatmap(lambda k: invalid if k == 0 else valid)
+
+
+#: 10^15 replications is a valid request for a run that would not end
+_REPLICATIONS = _mostly(st.integers(1, 3), _INVALID.filter(lambda v: v != _UNALLOCATABLE))
+_NAMES = _mostly(st.sampled_from(["power:2", "power:3", "identity", "xz2"]),
+                 st.sampled_from(["power:0", "entropy", "", "xz2 "]))
+_LEVELS = _mostly(st.sampled_from([0.95, 0.5]), st.sampled_from([1e-9, 1.0, 1.5, -0.5, "high"])
+                  | _INVALID)
+_REALS = _mostly(st.floats(0.25, 4.0), st.sampled_from([1e-300, 1e300]) | _INVALID)
+_SCENARIOS = _mostly(st.one_of(
+    st.builds(lambda rate: {"kind": "exponential", "params": {"rate": rate}}, _REALS),
+    st.builds(lambda upper: {"kind": "uniform", "params": {"upper": upper}}, _REALS),
+    st.just({"kind": "paper_pwa"}),
+    st.builds(lambda bs, ls: {"kind": "piecewise_constant",
+                              "params": {"breakpoints": bs, "levels": ls}},
+              _mostly(st.just([0.5, 1.0, 2.0]), st.sampled_from([[math.nan], [2.0, 1.0], "x"])),
+              _mostly(st.just([1.0, 0.6, 0.2]), st.sampled_from([[1.0], [math.inf, 0.1, 0.0]]))),
+), st.just({"kind": "cauchy"}) | _INVALID)
+_DATA_LINES = _mostly(st.floats(0.0, 10.0).map(repr), st.sampled_from(
+    ["nan", "-1", "abc", "1e400", "1e308", "0", "", "# note", "1 2", "5e-324"]))
+
+
+@st.composite
+def _invocations(draw):
+    """(argv, {file name: text}) of one call of any subcommand."""
+    def count():
+        return draw(_mostly(st.integers(1, 64)))
+
+    threads = _mostly(st.sampled_from(["1", "2"]), st.sampled_from(["0", "two"]))
+    argv = ["--threads", draw(threads)]
+    if draw(st.booleans()):
+        argv += ["--seed", str(count())]
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    files = {}
+    config = {"scenario": draw(_SCENARIOS), "functional": draw(_NAMES)}
+    if draw(st.booleans()):
+        config["seed"] = count()
+    if command == "estimate":
+        files["data.txt"] = "\n".join(draw(st.lists(_DATA_LINES, min_size=1, max_size=40))) + "\n"
+        argv += ["estimate", "--data", "data.txt", "--functional", draw(_NAMES)]
+        if draw(st.booleans()):
+            argv += ["--ci", str(draw(_LEVELS))]
+    elif command == "uniform-clt":
+        argv += ["uniform-clt", "--h", draw(_NAMES), "--n",
+                 *(str(count()) for _ in range(draw(st.integers(1, 2)))),
+                 "--reps", str(draw(_REPLICATIONS))]
+    elif command == "limit-sample":
+        files["config.json"] = json.dumps(config)
+        argv += ["limit-sample", "--config", "config.json", "--draws", str(count())]
+    else:
+        config.update(n=[count() for _ in range(draw(st.integers(1, 2)))],
+                      replications=draw(_REPLICATIONS), reference_draws=count())
+        files["config.json"] = json.dumps(config)
+        argv += [command, "--config", "config.json"]
+        if command == "coverage" and draw(st.booleans()):
+            argv += ["--level", str(draw(_LEVELS))]
+    return argv, files
+
+
+class TestAnyInput:
+    """Whatever the arguments and files, the CLI ends with an exit code
+    and, on failure, one last line that says what went wrong: never a
+    traceback, and never a non-JSON constant on stdout."""
+
+    @settings(max_examples=500, derandomize=True, deadline=None)
+    @given(_invocations())
+    def test_no_traceback(self, invocation):
+        argv, files = invocation
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.ExitStack() as stack:
+            root = Path(stack.enter_context(tempfile.TemporaryDirectory()))
+            for name, text in files.items():
+                (root / name).write_text(text)
+            argv = [str(root / arg) if arg in files else arg for arg in argv]
+            stack.enter_context(contextlib.redirect_stdout(out))
+            stack.enter_context(contextlib.redirect_stderr(err))
+            code = main(["--out", str(root / "out"), *argv])
+        assert code in (0, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        if code:
+            last = err.getvalue().splitlines()[-1]
+            assert last.startswith(("error:", "numeric failure:"))
+        for line in out.getvalue().splitlines():
+            json.loads(line, parse_constant=_not_json)
 
 
 class TestShippedConfigs:

@@ -193,6 +193,15 @@ class TestStepDensityType:
         with pytest.raises(InputError):
             StepDensity(np.array([-1.0, 1.0]), np.array([0.6, 0.4]))
 
+    @pytest.mark.parametrize("breakpoints,levels", [
+        ([np.nan], [1.0]), ([1.0], [np.nan]), ([0.5, np.inf], [1.5, 0.5]),
+        ([1.0, 2.0], [np.inf, 0.0]),
+    ], ids=["nan-breakpoint", "nan-level", "inf-breakpoint", "inf-level"])
+    def test_non_finite_rejected(self, breakpoints, levels):
+        # comparisons cannot see NaN: [nan], [1.0] passed with mass nan
+        with pytest.raises(InputError, match="must be finite"):
+            StepDensity(breakpoints, levels)
+
     def test_cdf(self):
         d = StepDensity(np.array([1.0, 3.0]), np.array([0.5, 0.25]))
         assert d.cdf(0.0) == 0.0

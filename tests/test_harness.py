@@ -205,6 +205,19 @@ class TestStudyConfig:
             StudyConfig.from_json({"scenario": {"kind": "paper_pwa"}, "functional": "power:2",
                                    "n": [1000], "replications": 3, **change})
 
+    @pytest.mark.parametrize("field,n_values,replications", [
+        ("n_values", (1000.5,), 10), ("n_values", ("100",), 10),
+        ("replications", (1000,), 2.5), ("replications", (1000,), "3"),
+    ], ids=["n=1000.5", "n='100'", "replications=2.5", "replications='3'"])
+    def test_direct_construction_validates_like_json(self, field, n_values, replications):
+        # 1000.5 ran at n = 1000, and 2.5 failed only inside run_study
+        with pytest.raises(InputError, match=f"field {field!r} has an invalid value"):
+            StudyConfig(ScenarioSpec.exponential(1.0), "xz2", n_values, replications, 0)
+
+    def test_uniform_study_validates_its_budget(self):
+        with pytest.raises(InputError, match="field 'replications' has an invalid value"):
+            run_uniform_study("power:2", [100], 2.5, seed=0)
+
     def test_integral_floats_accepted(self):
         config = StudyConfig.from_json({
             "scenario": {"kind": "paper_pwa", "seed": 7.0}, "functional": "power:2",

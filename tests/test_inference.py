@@ -27,6 +27,8 @@ from grenfun import (
 from grenfun.grenander import StepDensity
 from grenfun.inference import efficient_interval
 
+from test_functionals import SCALAR_ONLY
+
 Z2 = by_name("power:2")
 Z1 = by_name("identity")
 Z3 = by_name("power:3")
@@ -143,6 +145,15 @@ class TestSigmaEffTau:
         d = fit(s)
         assert sigma_eff_tau(XZ2, s, d) == pytest.approx(analytic, abs=0.05)
 
+    def test_scalar_only_functional(self):
+        # g written with math takes no arrays: gdot is taken one
+        # observation at a time, with the arithmetic of the array case
+        s, d = _fit(PWA, 2000, 43)
+        pairs = zip(evaluate(d, s.values).tolist(), s.values.tolist())
+        vals = np.array([SCALAR_ONLY.gdot(z, x) for z, x in pairs])
+        m = float(np.mean(vals))
+        assert sigma_eff_tau(SCALAR_ONLY, s, d) == float(np.mean(vals * vals)) - m * m
+
 
 class TestConfidenceIntervals:
     def test_degenerate_flagged(self):
@@ -173,6 +184,13 @@ class TestConfidenceIntervals:
         assert set(back) == {"estimate", "lower", "upper", "level", "sigma_hat",
                              "n", "degenerate", "validity"}
         assert back["lower"] <= back["estimate"] <= back["upper"]
+
+    def test_scalar_only_functional(self):
+        s, d = _fit(PWA, 2000, 43)
+        ci = efficient_interval(SCALAR_ONLY, s, 0.95)
+        assert ci.estimate == tau_plugin(SCALAR_ONLY, d)
+        assert ci.sigma_hat == math.sqrt(sigma_eff_tau(SCALAR_ONLY, s, d))
+        assert ci.lower < ci.estimate < ci.upper
 
     def test_bad_level_rejected(self):
         s = draw(EXP1, 100, default_stream(0))

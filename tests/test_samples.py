@@ -1,5 +1,6 @@
 import gzip
 import json
+import math
 import warnings
 
 import numpy as np
@@ -121,6 +122,17 @@ class TestScenarioSpec:
     def test_piecewise_levels_must_decrease(self):
         with pytest.raises(InputError, match="strictly decreasing"):
             ScenarioSpec.piecewise([0.5, 1.0], [1.0, 1.0])
+
+    def test_piecewise_non_finite_rejected(self):
+        with pytest.raises(InputError, match="must be finite"):
+            ScenarioSpec.piecewise([float("nan")], [1.0])
+
+    @pytest.mark.parametrize("kind,key", [("exponential", "rate"), ("uniform", "upper")])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_parameter_named(self, kind, key, value):
+        # by its field, not by the quadrature that meets it later
+        with pytest.raises(InputError, match=f"field {key!r} has an invalid value"):
+            ScenarioSpec(kind, {key: value})
 
     def test_paper_pwa_expansion(self):
         spec = ScenarioSpec.paper_pwa()
