@@ -165,12 +165,12 @@ class SimulationReport:
 
     def statistics_csv(self) -> str:
         lines = ["replication,statistic"]
-        lines.extend(f"{i},{float(v)!r}" for i, v in enumerate(self.statistics))
+        lines.extend(f"{i},{v!r}" for i, v in enumerate(self.statistics.tolist()))
         return "\n".join(lines) + "\n"
 
     def qq_csv(self) -> str:
         lines = ["reference_quantile,sample_quantile"]
-        lines.extend(f"{float(r)!r},{float(s)!r}" for r, s in self.summaries["qq"])
+        lines.extend(f"{r!r},{s!r}" for r, s in self.summaries["qq"])
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> dict:
@@ -291,13 +291,26 @@ def _keep_freed_memory() -> bool:
     return trim == 1 and mmap == 1
 
 
-def _map_replications(worker, arg_list, threads: int) -> np.ndarray:
-    workers = _worker_count(threads, len(arg_list))
+#: arguments a pool is handed at a time, per worker
+_BLOCK_PER_WORKER = 64
+
+
+def _map_replications(worker, args, threads: int, jobs: int | None = None) -> np.ndarray:
+    """``worker`` of each of the ``jobs`` items of ``args`` (its length when
+    not given), in order.  ``args`` is read lazily: one at a time in this
+    process, or ``workers * 64`` at a time for a pool, so a huge count
+    starts work at once and holds one block of arguments."""
+    workers = _worker_count(threads, len(args) if jobs is None else jobs)
     if workers <= 1:
-        return np.array([worker(a) for a in arg_list])
+        return np.array([worker(a) for a in args])
+    from itertools import islice
+
+    args, results = iter(args), []
     with ProcessPoolExecutor(max_workers=workers, initializer=_keep_freed_memory) as pool:
-        chunk = max(1, len(arg_list) // (workers * 8))
-        return np.array(list(pool.map(worker, arg_list, chunksize=chunk)))
+        while block := list(islice(args, workers * _BLOCK_PER_WORKER)):
+            chunk = max(1, len(block) // (workers * 8))
+            results.extend(pool.map(worker, block, chunksize=chunk))
+    return np.array(results)
 
 
 def _replications(config: StudyConfig, statistic, extra: tuple, threads: int):
@@ -305,9 +318,10 @@ def _replications(config: StudyConfig, statistic, extra: tuple, threads: int):
     replication by :func:`_replicate`, the seconds they took)."""
     for n in config.n_values:
         start = time.perf_counter()
-        args = [(statistic, config.scenario, config.functional, n, config.seed, extra, rep)
-                for rep in range(config.replications)]
-        yield n, _map_replications(_replicate, args, threads), time.perf_counter() - start
+        args = ((statistic, config.scenario, config.functional, n, config.seed, extra, rep)
+                for rep in range(config.replications))
+        stats = _map_replications(_replicate, args, threads, config.replications)
+        yield n, stats, time.perf_counter() - start
 
 
 # -- studies ----------------------------------------------------------------

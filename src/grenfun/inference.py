@@ -59,7 +59,7 @@ def normal_cdf(x):
     """Standard normal CDF (vectorized via math.erf)."""
     arr = np.asarray(x, dtype=float)
     flat = arr.reshape(-1)
-    out = np.array([0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in flat])
+    out = np.array([0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in flat.tolist()])
     out = out.reshape(arr.shape)
     return out if arr.ndim else float(out)
 
@@ -150,12 +150,20 @@ def sigma_eff_tau(G: SmoothFunctional, s: Sample, d: StepDensity) -> float:
     arithmetic of the truths (:func:`_efficient_variance`); otherwise the
     empirical variance of gdot(d(X_i), X_i) over the sample.  The two
     agree for an x-free G by the carrier identity of the Grenander fit.
+    A variance that is not finite raises :class:`NumericError`.
     """
     if G.x_free:
         return _efficient_variance(lambda phi, _: _step_integral(phi, d, True, True), G)
-    vals = _evaluate(G.gdot, evaluate(d, s.values), s.values)
-    m = float(np.mean(vals))
-    return max(float(np.mean(vals * vals)) - m * m, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = _evaluate(G.gdot, evaluate(d, s.values), s.values)
+        m = float(np.mean(vals))
+        var = float(np.mean(vals * vals)) - m * m
+    if not math.isfinite(var):
+        raise NumericError(
+            f"the efficient variance is {var!r}: gdot(fhat(x), x) or its square overflows; "
+            f"the fit's top level is {float(d.levels[0])!r} and the largest observation "
+            f"{float(s.values[-1])!r}")
+    return max(var, 0.0)
 
 
 def efficient_interval(G: SmoothFunctional, s: Sample, level: float,

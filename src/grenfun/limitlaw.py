@@ -75,7 +75,7 @@ import numpy as np
 from .errors import InputError, NumericError
 from .functionals import SmoothFunctional, _converged, _evaluate, _gl_rows
 from .inference import _true_variance
-from .samples import ScenarioSpec, _load_column, default_stream
+from .samples import ScenarioSpec, default_stream
 
 #: sticks drawn for each concave majorant before its remainder
 STICKS = 48
@@ -278,9 +278,12 @@ def draw_y_samples(G: SmoothFunctional, spec: ScenarioSpec, draws: int, stream):
 
 
 def emit_y_csv(path, ys: np.ndarray, info: dict) -> None:
-    """Write samples as a single-column CSV headed by a JSON metadata line."""
+    """Write samples as a single-column CSV headed by a JSON metadata line.
+
+    Each draw is written as Python's shortest round-trip ``repr`` of the
+    float, so the file reads back bit for bit."""
     lines = ["# " + json.dumps(info, sort_keys=True)]
-    lines.extend(repr(float(y)) for y in ys)
+    lines.extend(map(repr, np.asarray(ys, dtype=float).tolist()))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -294,13 +297,3 @@ def _seeded_y_samples(G: SmoothFunctional, spec: ScenarioSpec, draws: int, seed:
         Path(path).parent.mkdir(parents=True, exist_ok=True)
         emit_y_csv(path, ys, info)
     return ys, info
-
-
-def load_y_csv(path):
-    """Read back samples and metadata written by :func:`emit_y_csv`."""
-    with open(path) as fh:
-        header = fh.readline()
-    if not header.startswith("#"):
-        raise InputError(f"{path}: missing JSON metadata header line")
-    info = json.loads(header[1:].strip())
-    return _load_column(path), info

@@ -175,13 +175,6 @@ class ScenarioSpec:
     def is_strictly_concave(self) -> bool:
         return self.kind == "exponential"
 
-    @property
-    def support_end(self) -> float:
-        """Right endpoint of the support (inf for exponential)."""
-        if self.kind == "exponential":
-            return math.inf
-        return self.true_density().support_end
-
     def cdf(self, x):
         """The CDF; for a piecewise kind exactly 1.0 at and past the end
         of the support, where the float sum of the piece masses may round
@@ -229,11 +222,6 @@ class ScenarioSpec:
         if self.kind == "piecewise_constant":
             return StepDensity(self.params["breakpoints"], self.params["levels"])
         raise InputError(f"scenario kind {self.kind!r} has no piecewise form")
-
-    def affine_intervals(self):
-        """Closed intervals on which the CDF is affine (piecewise kinds)."""
-        edges = np.concatenate(([0.0], self.true_density().breakpoints))
-        return [(float(edges[i]), float(edges[i + 1])) for i in range(edges.size - 1)]
 
     # -- serialization ---------------------------------------------------
 

@@ -9,10 +9,15 @@ limit variable on a grid, by the definition of the LCM derivative, and
 by the linear breakpoint formula, and draw grid-hull areas through the
 cycle law of a random permutation; the isotonic oracle is a
 plain pool-adjacent-violators pass over weighted block means; the data
-file oracle parses one line at a time with Python's ``float``; the
-quadrature oracle integrates one Grenander piece at a time.
+file oracle parses one line at a time with Python's ``float``, and so
+does the reader of limit-law CSVs; the quadrature oracle integrates one
+Grenander piece at a time.  The scenario helpers give the support end
+and the affine pieces of a truth, which only the tests ask for, and
+``EDGE_FLOATS`` are the values that pin the bytes of the CSV writers.
 """
 
+import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -304,3 +309,33 @@ def tau_plugin_by_piece(G, d, domain=None, order=16):
     if domain is not None and domain[1] > d.support_end and not G.vanishes_at_zero:
         total += piece(lambda x: G.g(0.0, x), d.support_end, float(domain[1]))
     return float(total)
+
+
+def support_end(spec):
+    """Right end of the support of the scenario ``spec`` (inf for an
+    exponential truth)."""
+    return math.inf if spec.kind == "exponential" else spec.true_density().support_end
+
+
+def affine_intervals(spec):
+    """Closed intervals on which the CDF of the piecewise truth ``spec``
+    is affine: one per piece of its density."""
+    edges = np.concatenate(([0.0], spec.true_density().breakpoints))
+    return [(float(edges[i]), float(edges[i + 1])) for i in range(edges.size - 1)]
+
+
+def load_y_csv(path):
+    """The draws of a limit-law CSV in file order, and its metadata: the
+    JSON after the ``#`` of the first line, then ``float`` of each later
+    line."""
+    header, *rows = Path(path).read_text().splitlines()
+    if not header.startswith("#"):
+        raise ValueError(f"{path}: missing JSON metadata header line")
+    return np.array([float(row) for row in rows], dtype=float), json.loads(header[1:])
+
+
+#: signed zeros, the least subnormal and normal, both sides of repr's
+#: switch to exponent form (1e-05, 1e16), a repeating binary fraction,
+#: and a large negative value
+EDGE_FLOATS = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-05, 0.0001, 0.1, 1.0 / 3.0,
+               1e16, -1.5e300]

@@ -41,8 +41,8 @@ from grenfun import (
 from grenfun.limitlaw import _bridge_values
 from grenfun.majorant import _hull_indices
 
-from oracles import (brute_force_hull_indices, cycle_law_hull_areas, grenander_levels_by_pava,
-                     grid_y_samples)
+from oracles import (affine_intervals, brute_force_hull_indices, cycle_law_hull_areas,
+                     grenander_levels_by_pava, grid_y_samples)
 
 ACCEPTANCE_SEED = 0
 Z2 = by_name("power:2")
@@ -225,7 +225,7 @@ def test_criterion_7_limit_sampler():
     rng = default_stream(derive_seed(ACCEPTANCE_SEED, 71))
     paths = _bridge_values(PWA.cdf(grid200), 20, rng)
     for vals in paths:
-        for a, b in PWA.affine_intervals():
+        for a, b in affine_intervals(PWA):
             ia, ib = int(np.searchsorted(grid200, a)), int(np.searchsorted(grid200, b))
             got = _hull_indices(grid200[ia:ib + 1], vals[ia:ib + 1])
             assert np.array_equal(got, brute_force_hull_indices(grid200[ia:ib + 1],

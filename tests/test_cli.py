@@ -33,6 +33,16 @@ def _not_json(constant):
     raise ValueError(f"not JSON: {constant}")
 
 
+def _run_module(module, *argv):
+    """``python -m module *argv`` in a fresh interpreter that imports this
+    package, with its real stdout and stderr."""
+    src = str(Path(grenfun.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", module, *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 @pytest.fixture
 def data_file(tmp_path):
     rng = np.random.default_rng(0)
@@ -91,6 +101,20 @@ class TestEstimate:
             assert main(["estimate", "--data", str(subnormal),
                          "--functional", "power:2"]) == 3
         assert "overflows" in capsys.readouterr().err
+
+    def test_overflowing_variance_is_numeric_failure(self, tmp_path):
+        # xz2's gdot, 2 x z, overflows at x = 1e308 before the level
+        # 1e-308 scales it back; numpy's warning must not reach stderr
+        huge = tmp_path / "huge.txt"
+        huge.write_text("1e308\n")
+        proc = _run_module("grenfun", "estimate", "--data", str(huge),
+                           "--functional", "xz2", "--ci", "0.95")
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("numeric failure: the efficient variance is nan")
+        assert "1e-308" in lines[0] and "1e+308" in lines[0]
 
     def test_missing_file_is_config_error(self, tmp_path):
         assert main(["estimate", "--data", str(tmp_path / "nope.txt"),
@@ -395,14 +419,8 @@ class TestParsing:
 
     @staticmethod
     def _run_missing_file(module, tmp_path):
-        src = str(Path(grenfun.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", module, "estimate",
-             "--data", str(tmp_path / "nope.txt"), "--functional", "xz2"],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = _run_module(module, "estimate",
+                           "--data", str(tmp_path / "nope.txt"), "--functional", "xz2")
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "error:" in proc.stderr

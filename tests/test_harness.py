@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import math
@@ -19,6 +20,8 @@ from grenfun import (
     StudyConfig,
     by_name,
     default_stream,
+    derive_seed,
+    draw,
     ks_distance,
     run_study,
     run_uniform_study,
@@ -26,8 +29,11 @@ from grenfun import (
     true_tau,
     uniform_clt_statistic,
 )
-from grenfun.harness import _centered, _map_replications, _replicate, _truth, _worker_count
-from grenfun.limitlaw import _limit_is_normal, load_y_csv
+from grenfun.harness import (_centered, _map_replications, _replicate, _replications, _truth,
+                             _worker_count)
+from grenfun.limitlaw import _limit_is_normal
+
+from oracles import EDGE_FLOATS, affine_intervals, load_y_csv
 
 
 class TestTruthOracles:
@@ -95,7 +101,7 @@ def _quad_integral(spec, phi):
     call per piece of the support."""
     from scipy.integrate import quad
 
-    pieces = [(0.0, math.inf)] if spec.kind == "exponential" else spec.affine_intervals()
+    pieces = [(0.0, math.inf)] if spec.kind == "exponential" else affine_intervals(spec)
     return math.fsum(
         quad(lambda x: phi(float(spec.density(x)), x), a, b,
              epsabs=0.0, epsrel=1e-13, limit=200)[0]
@@ -291,6 +297,18 @@ class TestRunStudy:
         summary = json.loads((out / f"{report.base_name()}_summary.json").read_text())
         assert summary["summaries"]["bias_check"]["threshold"] > 0
 
+    def test_csv_rows_are_reprs(self, small_study):
+        (report,), _ = small_study
+        values = np.array(EDGE_FLOATS)
+        qq = [[r, q] for r, q in zip(EDGE_FLOATS, reversed(EDGE_FLOATS))]
+        pinned = dataclasses.replace(report, statistics=values,
+                                     summaries={**report.summaries, "qq": qq})
+        stats = ["replication,statistic"] + [f"{i},{float(v)!r}" for i, v in enumerate(values)]
+        assert pinned.statistics_csv() == "\n".join(stats) + "\n"
+        pairs = ["reference_quantile,sample_quantile"]
+        pairs += [f"{float(r)!r},{float(q)!r}" for r, q in qq]
+        assert pinned.qq_csv() == "\n".join(pairs) + "\n"
+
     def test_thread_count_does_not_change_statistics(self):
         config = StudyConfig(ScenarioSpec.paper_pwa(), "power:2", (200,), 16, seed=5)
         a = run_study(config, threads=1)[0].statistics
@@ -412,6 +430,33 @@ class TestWorkerCount:
         serial = run_study(config, threads=1)[0].statistics
         capped = run_study(config, threads=64)[0].statistics
         assert serial.tobytes() == capped.tobytes()
+
+
+def _fails_at_ten(G, s, marker):
+    # top level, so the pool can send it; only replication 10 of the study
+    # below draws a sample whose least value is ``marker``
+    if s.values[0] == marker:
+        raise NumericError("replication 10 failed")
+    return 0.0
+
+
+class TestReplicationBlocks:
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_huge_budget_starts_at_once(self, threads):
+        # the arguments of 10^15 replications are read a block at a time,
+        # so replication 10's error comes before any more are built
+        spec = ScenarioSpec.exponential(1.0)
+        config = StudyConfig(spec, "power:2", (3,), 10**15, seed=7)
+        marker = draw(spec, 3, default_stream(derive_seed(7, 10))).values[0]
+        with pytest.raises(NumericError, match="replication 10 failed"):
+            next(_replications(config, _fails_at_ten, (marker,), threads))
+
+    def test_statistics_unchanged_across_blocks(self):
+        # 300 replications reach a pool of two in blocks of 128, 128 and 44
+        config = StudyConfig(ScenarioSpec.exponential(1.0), "power:2", [20], 300, seed=9)
+        serial = run_study(config, threads=1)[0].statistics
+        pooled = run_study(config, threads=2)[0].statistics
+        assert serial.size == 300 and serial.tobytes() == pooled.tobytes()
 
 
 _GLIBC = sys.platform.startswith("linux") and platform.libc_ver()[0] == "glibc"

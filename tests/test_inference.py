@@ -27,6 +27,7 @@ from grenfun import (
 from grenfun.grenander import StepDensity
 from grenfun.inference import efficient_interval
 
+from oracles import EDGE_FLOATS
 from test_functionals import SCALAR_ONLY
 
 Z2 = by_name("power:2")
@@ -62,6 +63,18 @@ class TestNormalQuantile:
     def test_cdf_inverts_quantile(self):
         for p in (0.001, 0.25, 0.5, 0.99):
             assert normal_cdf(normal_quantile(p)) == pytest.approx(p, abs=1e-12)
+
+
+class TestNormalCdf:
+    def test_same_bits_as_per_scalar_erf(self):
+        # the erf of each element, taken as a numpy scalar or a Python float
+        values = np.array(EDGE_FLOATS + [-40.0, -1.0, 1.0, 8.5]).reshape(2, 7)
+        per_scalar = np.array([0.5 * (1.0 + math.erf(v / math.sqrt(2.0)))
+                               for v in values.reshape(-1)]).reshape(values.shape)
+        got = normal_cdf(values)
+        assert got.shape == values.shape and got.tobytes() == per_scalar.tobytes()
+        assert all(normal_cdf(v) == 0.5 * (1.0 + math.erf(v / math.sqrt(2.0)))
+                   for v in EDGE_FLOATS)
 
 
 def _fit(spec, n, seed):
@@ -144,6 +157,14 @@ class TestSigmaEffTau:
         s = draw(PWA, 100_000, default_stream(31))
         d = fit(s)
         assert sigma_eff_tau(XZ2, s, d) == pytest.approx(analytic, abs=0.05)
+
+    def test_overflowing_gdot_is_a_numeric_failure(self):
+        # xz2's gdot 2 x z overflows at x = 1e308, before z = 1e-308 scales it
+        s = ingest([1e308])
+        d = fit(s)
+        with np.errstate(over="raise", invalid="raise"):
+            with pytest.raises(NumericError, match="efficient variance"):
+                sigma_eff_tau(XZ2, s, d)
 
     def test_scalar_only_functional(self):
         # g written with math takes no arrays: gdot is taken one

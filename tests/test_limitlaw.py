@@ -23,10 +23,11 @@ from grenfun import (
 )
 from grenfun import limitlaw
 from grenfun.limitlaw import (STICKS, _bridge_values, _face_means, _majorant_sums, _psi_at,
-                              _psi_table, emit_y_csv, load_y_csv)
+                              _psi_table, emit_y_csv)
 
-from oracles import (brute_force_hull_indices, cycle_law_hull_areas, grid_lcm_derivative,
-                     grid_y_samples, linear_y_samples)
+from oracles import (EDGE_FLOATS, affine_intervals, brute_force_hull_indices,
+                     cycle_law_hull_areas, grid_lcm_derivative, grid_y_samples,
+                     linear_y_samples, load_y_csv)
 
 Z2 = by_name("power:2")
 XZ2 = by_name("xz2")
@@ -130,7 +131,7 @@ class TestHadamardDerivative:
         out = grid_lcm_derivative(PWA, grid, paths)
         for vals, hulled in zip(paths, out):
             expected = vals.copy()
-            for a, b in PWA.affine_intervals():
+            for a, b in affine_intervals(PWA):
                 ia = int(np.searchsorted(grid, a))
                 ib = int(np.searchsorted(grid, b))
                 idx = brute_force_hull_indices(grid[ia:ib + 1], vals[ia:ib + 1])
@@ -144,7 +145,7 @@ class TestHadamardDerivative:
         paths = _bridge_values(PWA.cdf(grid), 10, default_stream(9))
         out = grid_lcm_derivative(PWA, grid, paths)
         assert np.all(out >= paths)
-        for a, b in PWA.affine_intervals():
+        for a, b in affine_intervals(PWA):
             for endpoint in (a, b):
                 i = int(np.searchsorted(grid, endpoint))
                 assert np.array_equal(out[:, i], paths[:, i])
@@ -448,6 +449,17 @@ class TestSampleY:
         back, meta = load_y_csv(path)
         assert back.dtype == ys.dtype and back.tobytes() == ys.tobytes()
         assert meta == info
+
+    @pytest.mark.parametrize("as_list", [False, True], ids=["array", "list"])
+    def test_each_draw_is_its_repr(self, tmp_path, as_list):
+        info = {"draws": len(EDGE_FLOATS), "method": "normal"}
+        expected = ['# {"draws": 10, "method": "normal"}']
+        expected += [repr(float(y)) for y in EDGE_FLOATS]
+        path = tmp_path / "y.csv"
+        emit_y_csv(path, EDGE_FLOATS if as_list else np.array(EDGE_FLOATS), info)
+        assert path.read_text() == "\n".join(expected) + "\n"
+        back, _ = load_y_csv(path)
+        assert back.tobytes() == np.array(EDGE_FLOATS).tobytes()
 
 
 @pytest.mark.slow
