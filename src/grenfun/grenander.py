@@ -19,21 +19,17 @@ class StepDensity:
 
     Value ``levels[i]`` on ``(breakpoints[i-1], breakpoints[i]]`` with an
     implicit left edge at 0, and 0 beyond the last breakpoint.  Levels are
-    strictly decreasing and positive; total mass is 1 (within 1e-10)
-    unless validation is bypassed for internal perturbation tests.
+    strictly decreasing and positive; total mass is 1 (within 1e-10).
     """
 
     breakpoints: np.ndarray
     levels: np.ndarray
-    validate: bool = True
 
     def __post_init__(self):
         ts = np.asarray(self.breakpoints, dtype=float)
         vs = np.asarray(self.levels, dtype=float)
         object.__setattr__(self, "breakpoints", ts)
         object.__setattr__(self, "levels", vs)
-        if not self.validate:
-            return
         if ts.ndim != 1 or ts.size == 0 or ts.shape != vs.shape:
             raise InputError("breakpoints and levels must be equal-length nonempty arrays")
         if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(vs))):

@@ -89,6 +89,9 @@ _TABLE_ORDER = 16
 #: array of a batch stays under 128 KiB, glibc's default mmap threshold,
 #: so batches reuse heap memory instead of faulting fresh pages in
 _BATCH_FACES = 1 << 14
+#: draws turned into text per write of a limit-law CSV, so the text held
+#: at once stays a few MB whatever the number of draws
+_CSV_BLOCK = 1 << 16
 
 
 def _limit_is_normal(G: SmoothFunctional, spec: ScenarioSpec) -> bool:
@@ -282,9 +285,11 @@ def emit_y_csv(path, ys: np.ndarray, info: dict) -> None:
 
     Each draw is written as Python's shortest round-trip ``repr`` of the
     float, so the file reads back bit for bit."""
-    lines = ["# " + json.dumps(info, sort_keys=True)]
-    lines.extend(map(repr, np.asarray(ys, dtype=float).tolist()))
-    Path(path).write_text("\n".join(lines) + "\n")
+    ys = np.asarray(ys, dtype=float)
+    with open(path, "w") as out:
+        out.write("# " + json.dumps(info, sort_keys=True) + "\n")
+        for start in range(0, ys.size, _CSV_BLOCK):
+            out.write("\n".join(map(repr, ys[start:start + _CSV_BLOCK].tolist())) + "\n")
 
 
 def _seeded_y_samples(G: SmoothFunctional, spec: ScenarioSpec, draws: int, seed: int,

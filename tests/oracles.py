@@ -12,8 +12,10 @@ plain pool-adjacent-violators pass over weighted block means; the data
 file oracle parses one line at a time with Python's ``float``, and so
 does the reader of limit-law CSVs; the quadrature oracle integrates one
 Grenander piece at a time.  The scenario helpers give the support end
-and the affine pieces of a truth, which only the tests ask for, and
-``EDGE_FLOATS`` are the values that pin the bytes of the CSV writers.
+and the affine pieces of a truth, which only the tests ask for;
+``unchecked_density`` builds a step density that skips the checks, for
+perturbations that break them; and ``EDGE_FLOATS`` are the values that
+pin the bytes of the CSV writers.
 """
 
 import json
@@ -322,6 +324,19 @@ def affine_intervals(spec):
     is affine: one per piece of its density."""
     edges = np.concatenate(([0.0], spec.true_density().breakpoints))
     return [(float(edges[i]), float(edges[i + 1])) for i in range(edges.size - 1)]
+
+
+def unchecked_density(breakpoints, levels):
+    """A :class:`StepDensity` on ``breakpoints`` and ``levels`` built
+    without its checks, so it may have equal levels or a mass off 1."""
+    # imported here: perfbench/checks.py loads this module where grenfun
+    # is not importable
+    from grenfun import StepDensity
+
+    d = object.__new__(StepDensity)
+    object.__setattr__(d, "breakpoints", np.asarray(breakpoints, dtype=float))
+    object.__setattr__(d, "levels", np.asarray(levels, dtype=float))
+    return d
 
 
 def load_y_csv(path):

@@ -33,13 +33,13 @@ def _not_json(constant):
     raise ValueError(f"not JSON: {constant}")
 
 
-def _run_module(module, *argv):
-    """``python -m module *argv`` in a fresh interpreter that imports this
-    package, with its real stdout and stderr."""
+def _run_python(*argv):
+    """``python *argv`` in a fresh interpreter that imports this package,
+    with its real stdout and stderr."""
     src = str(Path(grenfun.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", module, *argv],
+    return subprocess.run([sys.executable, *argv],
                           capture_output=True, text=True, env=env, timeout=120)
 
 
@@ -107,7 +107,7 @@ class TestEstimate:
         # 1e-308 scales it back; numpy's warning must not reach stderr
         huge = tmp_path / "huge.txt"
         huge.write_text("1e308\n")
-        proc = _run_module("grenfun", "estimate", "--data", str(huge),
+        proc = _run_python("-m", "grenfun", "estimate", "--data", str(huge),
                            "--functional", "xz2", "--ci", "0.95")
         assert proc.returncode == 3
         assert proc.stdout == ""
@@ -419,7 +419,7 @@ class TestParsing:
 
     @staticmethod
     def _run_missing_file(module, tmp_path):
-        proc = _run_module(module, "estimate",
+        proc = _run_python("-m", module, "estimate",
                            "--data", str(tmp_path / "nope.txt"), "--functional", "xz2")
         assert proc.returncode == 2
         assert proc.stdout == ""
@@ -432,6 +432,13 @@ class TestParsing:
     def test_package_run_reports_errors(self, tmp_path):
         # ... and so does ``python -m grenfun``
         self._run_missing_file("grenfun", tmp_path)
+
+    def test_import_leaves_statistics_unloaded(self):
+        # statistics, with the fractions and decimal it imports, costs
+        # milliseconds of every start; only normal_quantile loads it
+        proc = _run_python("-c", "import sys, grenfun.cli; "
+                           "print(sorted({'statistics', 'fractions', 'decimal'} & set(sys.modules)))")
+        assert proc.returncode == 0 and proc.stdout == "[]\n"
 
 
 #: a size numpy refuses at once: its float64 array would exceed the

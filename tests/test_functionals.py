@@ -26,7 +26,7 @@ from grenfun import (
 )
 from grenfun.functionals import _QUAD_ORDER, _quadrature
 
-from oracles import tau_plugin_by_piece
+from oracles import tau_plugin_by_piece, unchecked_density
 
 Z2 = by_name("power:2")
 Z1 = by_name("identity")
@@ -102,8 +102,7 @@ class TestMuPlugin:
     def test_split_step_invariance(self):
         # splitting a piece into two equal-level halves cannot change the sum
         d = StepDensity(np.array([1.0, 3.0]), np.array([0.5, 0.25]))
-        split = StepDensity(np.array([0.5, 1.0, 3.0]), np.array([0.5, 0.5, 0.25]),
-                            validate=False)
+        split = unchecked_density([0.5, 1.0, 3.0], [0.5, 0.5, 0.25])
         for h in (Z1, Z2, EXP_MINUS_1):
             assert tau_plugin(h, split) == pytest.approx(tau_plugin(h, d), rel=1e-15)
 
@@ -234,7 +233,7 @@ class TestBatchedQuadrature:
         assert calls == [(k, 16), (k, 32)]  # one batch per order, no bisection
 
     def test_split_step_density(self):
-        d = StepDensity(np.array([0.25, 0.5, 1.0]), np.array([1.2, 1.2, 0.8]), validate=False)
+        d = unchecked_density([0.25, 0.5, 1.0], [1.2, 1.2, 0.8])
         assert tau_plugin(XZ2, d) == tau_plugin_by_piece(XZ2, d)
 
     @pytest.mark.parametrize("density", ["paper_pwa", "fit"])

@@ -461,6 +461,15 @@ class TestSampleY:
         back, _ = load_y_csv(path)
         assert back.tobytes() == np.array(EDGE_FLOATS).tobytes()
 
+    def test_blocks_join_into_one_line_per_draw(self, tmp_path):
+        # two whole blocks and one draw more: no line lost, doubled or split
+        ys = default_stream(4).standard_normal(2 * limitlaw._CSV_BLOCK + 1)
+        info = {"draws": ys.size}
+        path = tmp_path / "y.csv"
+        emit_y_csv(path, ys, info)
+        expected = "\n".join(['# {"draws": %d}' % ys.size] + [repr(y) for y in ys.tolist()])
+        assert path.read_text() == expected + "\n"
+
 
 @pytest.mark.slow
 class TestDistributionalInvariants:
