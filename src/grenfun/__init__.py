@@ -28,7 +28,6 @@ from .inference import (
     uniform_clt_statistic,
 )
 from .limitlaw import draw_y_samples
-from .majorant import PiecewiseLinearConcave, lcm
 from .samples import (
     Sample,
     ScenarioSpec,

@@ -5,6 +5,10 @@ malformed input/configuration versus a computation that cannot proceed
 numerically (degenerate data, divergent integrals).
 """
 
+import math
+
+import numpy as np
+
 
 class GrenfunError(Exception):
     """Base class for all errors raised by this package."""
@@ -17,3 +21,20 @@ class InputError(GrenfunError, ValueError):
 class NumericError(GrenfunError, ArithmeticError):
     """Well-formed input on which the computation is degenerate or
     divergent (CLI exit code 3)."""
+
+
+def _finite(compute, what: str, why: str) -> float:
+    """``compute()`` as a float that must be finite: the package's one
+    rule for floating-point overflow.
+
+    ``compute`` runs with numpy's floating-point warnings off, because
+    its result is checked here: a value that is not finite raises
+    :class:`NumericError` "<what> is <value>: <why>", the one line the
+    CLI prints for it.  A result that nothing checks does not come
+    through here, and keeps numpy's warnings.
+    """
+    with np.errstate(all="ignore"):
+        value = float(compute())
+    if not math.isfinite(value):
+        raise NumericError(f"{what} is {value!r}: {why}")
+    return value

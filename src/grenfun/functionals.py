@@ -33,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InputError, NumericError
+from .errors import InputError, NumericError, _finite
 from .grenander import StepDensity, evaluate
 from .samples import Sample, default_stream
 
@@ -144,17 +144,17 @@ def _step_integral(phi, d: StepDensity, x_free: bool, vanishes_at_zero: bool,
             "to vanish) at density 0 on an unbounded domain; declare a compact "
             "domain [0, T]"
         )
-    if x_free:
-        hv = _evaluate(phi, d.levels, 0.0)
-        total = float(np.dot(hv, d.piece_widths)) + at_zero * (end - d.support_end)
-    else:
+
+    def integral():
+        if x_free:
+            hv = _evaluate(phi, d.levels, 0.0)
+            return float(np.dot(hv, d.piece_widths)) + at_zero * (end - d.support_end)
         edges = np.concatenate(([0.0], d.breakpoints))
         tail = None if vanishes_at_zero or end == d.support_end else (d.support_end, end)
-        total = _quadrature(phi, d.levels, edges[:-1], edges[1:], _QUAD_ORDER, tail)
-    if not np.isfinite(total):
-        raise NumericError(f"the integral is {total!r}: the integrand overflows at the "
-                           f"density's levels, which reach {float(d.levels[0])!r}")
-    return total
+        return _quadrature(phi, d.levels, edges[:-1], edges[1:], _QUAD_ORDER, tail)
+
+    return _finite(integral, "the integral", "the integrand overflows at the density's "
+                   f"levels, which reach {float(d.levels[0])!r}")
 
 
 def tau_plugin(G: SmoothFunctional, d: StepDensity, domain=None) -> float:
@@ -245,7 +245,9 @@ def _quadrature(g, levels, a, b, order: int, tail=None) -> float:
     all the halves; after the last round the halves are summed back up,
     deepest first, left half plus right half, the arithmetic of a
     bisection that recurses one piece at a time.  A piece still
-    unresolved after 10 rounds raises :class:`NumericError` naming it."""
+    unresolved after 10 rounds raises :class:`NumericError` naming it.
+    Callers run it through :func:`grenfun.errors._finite`, since an
+    integrand that overflows makes arithmetic on inf that numpy warns of."""
     z, lo, hi = levels, a, b  # the rows of the current round
     if tail is not None:
         z, lo, hi = np.append(z, 0.0), np.append(lo, tail[0]), np.append(hi, tail[1])

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericError
+from .errors import InputError, NumericError, _finite
 from .majorant import _hull_indices
 from .samples import Sample, ecdf
 
@@ -102,13 +102,9 @@ def fit(s: Sample) -> StepDensity:
     idx = _hull_indices(xs, ys)
     # the first level is the largest; past the float range it is inf
     # (a subnormal smallest observation), which no density can carry
-    with np.errstate(over="ignore"):
-        top = ys[idx[1]] / xs[idx[1]]
-    if np.isinf(top):
-        raise NumericError(
-            f"first density level {float(ys[idx[1]])!r}/{float(xs[idx[1]])!r} overflows: "
-            "the smallest positive observation is too close to 0"
-        )
+    _finite(lambda: ys[idx[1]] / xs[idx[1]], "the first density level",
+            f"{float(ys[idx[1]])!r}/{float(xs[idx[1]])!r} overflows; "
+            "the smallest positive observation is too close to 0")
     while True:
         knots = xs[idx]
         levels = np.diff(ys[idx]) / np.diff(knots)

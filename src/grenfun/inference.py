@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericError
+from .errors import InputError, NumericError, _finite
 from .functionals import (_QUAD_ORDER, SmoothFunctional, _evaluate, _quadrature,
                           _require_x_free, _step_integral, tau_plugin)
 from .grenander import StepDensity, evaluate, fit
@@ -97,10 +97,16 @@ def _true_integral(spec: ScenarioSpec, phi, x_free: bool) -> float:
     which leave out the mass 2^-64."""
     if spec.kind != "exponential":
         return _step_integral(phi, spec.true_density(), x_free, True)
-    edges = np.arange(_EXP_CELLS + 1) * (math.log(2.0) / spec.params["rate"])
-    # the levels are placeholders: f is evaluated at the nodes
-    return _quadrature(lambda _, x: phi(spec.density(x), x), np.zeros(_EXP_CELLS),
-                       edges[:-1], edges[1:], _QUAD_ORDER)
+    rate = spec.params["rate"]
+    edges = np.arange(_EXP_CELLS + 1) * (math.log(2.0) / rate)
+
+    def integral():
+        # the levels are placeholders: f is evaluated at the nodes
+        return _quadrature(lambda _, x: phi(spec.density(x), x), np.zeros(_EXP_CELLS),
+                           edges[:-1], edges[1:], _QUAD_ORDER)
+
+    return _finite(integral, "the integral",
+                   f"the integrand overflows at the density, which reaches {rate!r}")
 
 
 def _true_variance(spec: ScenarioSpec, G: SmoothFunctional) -> float:
@@ -130,15 +136,15 @@ def sigma_eff_tau(G: SmoothFunctional, s: Sample, d: StepDensity) -> float:
     """
     if G.x_free:
         return _efficient_variance(lambda phi, _: _step_integral(phi, d, True, True), G)
-    with np.errstate(over="ignore", invalid="ignore"):
+
+    def variance():
         vals = _evaluate(G.gdot, evaluate(d, s.values), s.values)
         m = float(np.mean(vals))
-        var = float(np.mean(vals * vals)) - m * m
-    if not math.isfinite(var):
-        raise NumericError(
-            f"the efficient variance is {var!r}: gdot(fhat(x), x) or its square overflows; "
-            f"the fit's top level is {float(d.levels[0])!r} and the largest observation "
-            f"{float(s.values[-1])!r}")
+        return float(np.mean(vals * vals)) - m * m
+
+    var = _finite(variance, "the efficient variance",
+                  "gdot(fhat(x), x) or its square overflows; the fit's top level is "
+                  f"{float(d.levels[0])!r} and the largest observation {float(s.values[-1])!r}")
     return max(var, 0.0)
 
 

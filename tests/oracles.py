@@ -2,9 +2,10 @@
 algorithms so they can arbitrate correctness.
 
 The hull oracle decides vertex membership by checking every chord, which
-is the definition of the upper concave envelope; the row-hull reference
-hulls one row and one interval at a time, and the chord fill turns the
-kernel's vertex indices into hull values; the limit-law oracles draw the
+is the definition of the upper concave envelope, on points whose ties
+:func:`pool_ties` has pooled; the row-hull reference hulls one row and
+one interval at a time, and the chord fill turns the kernel's vertex
+indices into hull values; the limit-law oracles draw the
 limit variable on a grid, by the definition of the LCM derivative, and
 by the linear breakpoint formula, and draw grid-hull areas through the
 cycle law of a random permutation; the isotonic oracle is a
@@ -31,6 +32,15 @@ def brute_force_hull_indices(xs, ys):
     Point i is a vertex iff it lies strictly above every chord spanned by
     points j < i < k (cross-multiplied, no division).  Endpoints are
     always vertices.  O(n^3) comparisons, vectorized per point.
+
+    Exact when every difference, product and sum in the test is a float
+    without rounding, as for dyadic coordinates of a few bits (the
+    ``dyadic`` point sets of the tests).  On other floats each of them
+    rounds, so a point within rounding of a chord can be misjudged: on
+    the ECDF of [0, 1 + 2^-52, 2, 3], anchored at the origin, it drops
+    the true vertex (2, 0.75), which the hull kernel keeps.  There, and
+    on near-collinear ECDFs in general, compare the kernel with
+    :func:`stack_scan_hull_indices`, which shares its arithmetic.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -48,6 +58,15 @@ def brute_force_hull_indices(xs, ys):
             keep.append(i)
     keep.append(n - 1)
     return keep
+
+
+def pool_ties(xs, ys):
+    """The distinct xs, by ``np.unique``, each with the largest of its ys:
+    the points the hull kernel takes."""
+    xs_u, inverse = np.unique(xs, return_inverse=True)
+    ys_u = np.full(xs_u.size, -np.inf)
+    np.maximum.at(ys_u, inverse, ys)
+    return xs_u, ys_u
 
 
 def stack_scan_hull_indices(xs, ys):

@@ -215,6 +215,23 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "study config field 'reference_draws' has an invalid value: 0" in err
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_overflowing_truth_is_one_numeric_failure_line(self, tmp_path, threads):
+        # the truth's level 1e300 squares past the float range; numpy's
+        # warning must not reach stderr ahead of the error line
+        config = tmp_path / "study.json"
+        config.write_text(json.dumps({
+            "scenario": {"kind": "uniform", "params": {"upper": 1e-300}},
+            "functional": "power:2", "n": [50], "replications": 2, "seed": 0,
+        }))
+        proc = _run_python("-m", "grenfun", "--out", str(tmp_path), "--threads", threads,
+                           "simulate", "--config", str(config))
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("numeric failure: the integral is inf")
+
 
 class TestLimitSample:
     def test_emits_csv_with_metadata(self, tmp_path, capsys):
@@ -535,8 +552,9 @@ def _invocations(draw):
 
 class TestAnyInput:
     """Whatever the arguments and files, the CLI ends with an exit code
-    and, on failure, one last line that says what went wrong: never a
-    traceback, and never a non-JSON constant on stdout."""
+    and, on failure, one line that says what went wrong: never a
+    traceback, never a numpy warning, and never a non-JSON constant on
+    stdout."""
 
     @settings(max_examples=500, derandomize=True, deadline=None)
     @given(_invocations())
@@ -550,12 +568,20 @@ class TestAnyInput:
             argv = [str(root / arg) if arg in files else arg for arg in argv]
             stack.enter_context(contextlib.redirect_stdout(out))
             stack.enter_context(contextlib.redirect_stderr(err))
+            caught = stack.enter_context(warnings.catch_warnings(record=True))
+            warnings.simplefilter("always")
             code = main(["--out", str(root / "out"), *argv])
         assert code in (0, 2, 3)
         assert "Traceback" not in err.getvalue()
+        assert [str(w.message) for w in caught] == []
         if code:
-            last = err.getvalue().splitlines()[-1]
-            assert last.startswith(("error:", "numeric failure:"))
+            lines = err.getvalue().splitlines()
+            if lines[0].startswith("usage: "):
+                # a usage error opens with argparse's usage, whose later
+                # lines are indented
+                lines = [line for line in lines[1:] if not line.startswith(" ")]
+            assert len(lines) == 1
+            assert lines[0].startswith(("error:", "numeric failure:"))
         for line in out.getvalue().splitlines():
             json.loads(line, parse_constant=_not_json)
 
@@ -637,11 +663,10 @@ class TestPublicNames:
         names = sorted(name for name, value in vars(grenfun).items()
                        if not name.startswith("_") and not inspect.ismodule(value))
         assert names == [
-            "ConfidenceInterval", "GrenfunError", "InputError", "NumericError",
-            "PiecewiseLinearConcave", "Sample", "ScenarioSpec", "SimulationReport",
-            "SmoothFunctional", "StepDensity", "StudyConfig", "by_name", "default_stream",
-            "derive_seed", "draw", "draw_y_samples", "ecdf", "empirical_average", "evaluate",
-            "fit", "ingest", "ks_distance", "lcm", "normal_cdf",
+            "ConfidenceInterval", "GrenfunError", "InputError", "NumericError", "Sample",
+            "ScenarioSpec", "SimulationReport", "SmoothFunctional", "StepDensity", "StudyConfig",
+            "by_name", "default_stream", "derive_seed", "draw", "draw_y_samples", "ecdf",
+            "empirical_average", "evaluate", "fit", "ingest", "ks_distance", "normal_cdf",
             "normal_quantile", "nu_plugin", "one_step_correction", "read_observations",
             "read_scenario", "run_study", "run_uniform_study", "sigma_eff_tau", "tau_plugin",
             "true_sigma_eff", "true_tau", "uniform_clt_statistic",

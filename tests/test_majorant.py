@@ -1,21 +1,15 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from grenfun import (
-    InputError,
-    PiecewiseLinearConcave,
-    ScenarioSpec,
-    default_stream,
-    draw,
-    ecdf,
-    lcm,
-)
+from grenfun import ScenarioSpec, default_stream, draw, ecdf, fit, ingest
 from grenfun.limitlaw import _bridge_values
 from grenfun.majorant import PRUNE_FLOOR, _hull_indices
 
-from oracles import brute_force_hull_indices, fill_chords, stack_scan_hull_indices
+from oracles import brute_force_hull_indices, fill_chords, pool_ties, stack_scan_hull_indices
 
 
 def random_point_set(rng, max_n=200, dyadic=False):
@@ -29,43 +23,31 @@ def random_point_set(rng, max_n=200, dyadic=False):
     return xs, ys
 
 
+def exact_hull_indices(xs, ys):
+    """Vertex indices by the brute-force oracle's chord domination, in
+    exact rational arithmetic."""
+    x = [Fraction(v) for v in xs.tolist()]
+    y = [Fraction(v) for v in ys.tolist()]
+    n = len(x)
+    return [i for i in range(n) if i in (0, n - 1) or all(
+        y[i] * (x[k] - x[j]) > y[j] * (x[k] - x[i]) + y[k] * (x[i] - x[j])
+        for j in range(i) for k in range(i + 1, n))]
+
+
 class TestLcmBasics:
     def test_already_concave_collinear_dropped(self):
         # equal slopes: the interior point is not a vertex of the
         # canonical minimal knot set, but the hull IS the polyline
-        hull = lcm([0.0, 1.0, 2.0], [0.0, 0.5, 1.0], interval=(0.0, 2.0))
-        assert np.array_equal(hull.knots, [0.0, 2.0])
-        assert np.array_equal(hull.values, [0.0, 1.0])
-        assert hull(1.0) == 0.5
+        xs, ys = np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.5, 1.0])
+        idx = _hull_indices(xs, ys)
+        assert np.array_equal(idx, [0, 2])
+        assert np.interp(1.0, xs[idx], ys[idx]) == 0.5
 
     def test_convexity_violation_pooled(self):
-        hull = lcm([0.0, 2.0, 3.0], [0.0, 0.5, 1.0], interval=(0.0, 3.0))
-        assert np.array_equal(hull.knots, [0.0, 3.0])
-        assert hull.slopes == pytest.approx([1.0 / 3.0])
-
-    def test_single_point(self):
-        hull = lcm([1.0], [2.0])
-        assert hull(0.0) == 2.0 and hull(5.0) == 2.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(InputError):
-            lcm([], [])
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(InputError):
-            lcm([0.0, 1.0], [0.0, float("inf")])
-
-    def test_ties_pooled_to_max(self):
-        hull = lcm([0.0, 0.0, 1.0], [0.3, 0.1, 0.2])
-        assert hull(0.0) == 0.3
-
-    def test_constant_extension_beyond_last_knot(self):
-        hull = lcm([0.0, 1.0], [0.0, 1.0])
-        assert hull(2.5) == 1.0
-
-    def test_interval_filters_points(self):
-        hull = lcm([0.0, 1.0, 2.0, 50.0], [0.0, 0.9, 1.0, 0.0], interval=(0.0, 2.0))
-        assert hull.knots[-1] == 2.0
+        xs, ys = np.array([0.0, 2.0, 3.0]), np.array([0.0, 0.5, 1.0])
+        idx = _hull_indices(xs, ys)
+        assert np.array_equal(idx, [0, 2])
+        assert np.diff(ys[idx]) / np.diff(xs[idx]) == [1.0 / 3.0]
 
 
 class TestOracleAgreement:
@@ -73,14 +55,22 @@ class TestOracleAgreement:
     def test_matches_brute_force(self, dyadic):
         rng = np.random.default_rng(101 if dyadic else 100)
         for _ in range(150):
-            xs, ys = random_point_set(rng, max_n=120, dyadic=dyadic)
-            xs_u, inv = np.unique(xs, return_inverse=True)
-            ys_u = np.full(xs_u.size, -np.inf)
-            np.maximum.at(ys_u, inv, ys)
-            hull = lcm(xs, ys)
-            idx = brute_force_hull_indices(xs_u, ys_u)
-            assert np.array_equal(hull.knots, xs_u[idx])
-            assert np.array_equal(hull.values, ys_u[idx])
+            xs_u, ys_u = pool_ties(*random_point_set(rng, max_n=120, dyadic=dyadic))
+            assert np.array_equal(_hull_indices(xs_u, ys_u), brute_force_hull_indices(xs_u, ys_u))
+
+    def test_vertex_the_brute_force_oracle_rounds_away(self):
+        # the ECDF of [0, 1 + 2^-52, 2, 3], anchored at the origin: point 2
+        # has slopes 0.25 / (1 - 2^-52) before it and 0.25 after, so it is
+        # a vertex, but the oracle's three-term chord sum rounds it onto
+        # the chord of points 1 and 3
+        s = ingest([0.0, 1.0 + 2.0**-52, 2.0, 3.0])
+        xs, ys = ecdf(s)
+        ys[0] = 0.0
+        assert exact_hull_indices(xs, ys) == [0, 1, 2, 3]
+        assert _hull_indices(xs, ys).tolist() == [0, 1, 2, 3]
+        assert stack_scan_hull_indices(xs, ys) == [0, 1, 2, 3]
+        assert np.array_equal(fit(s).breakpoints, xs[1:])
+        assert brute_force_hull_indices(xs, ys) == [0, 1, 3]
 
 
 def _concave_chain(n):
@@ -117,9 +107,7 @@ class TestPrunedKernel:
     @pytest.mark.parametrize("n", [10_000, 100_000])
     def test_ecdf_hulls_match_full_scan(self, spec, n):
         xs, ys = ecdf(draw(spec, n, default_stream(n)))
-        expected = stack_scan_hull_indices(xs, ys)
-        assert np.array_equal(_hull_indices(xs, ys), expected)
-        assert np.array_equal(lcm(xs, ys).knots, xs[expected])
+        assert np.array_equal(_hull_indices(xs, ys), stack_scan_hull_indices(xs, ys))
 
     def test_concave_chain_with_raised_end(self):
         # each prune pass drops one point here; the stop rule hands the
@@ -156,30 +144,26 @@ class TestHullInvariants:
     @given(st.integers(min_value=0, max_value=10_000))
     def test_majorant_idempotent_monotone_slopes(self, seed):
         rng = np.random.default_rng(seed)
-        xs, ys = random_point_set(rng, max_n=80)
-        hull = lcm(xs, ys)
+        xs, ys = pool_ties(*random_point_set(rng, max_n=80))
+        idx = _hull_indices(xs, ys)
+        knots, values = xs[idx], ys[idx]
         # majorant property at every input point (1-ulp slack at chords)
-        at_inputs = hull(xs)
-        assert np.all(at_inputs >= ys - 1e-13 * np.maximum(1.0, np.abs(ys)))
-        # hull touches input values exactly at its knots
-        knot_pos = np.searchsorted(xs, hull.knots)
-        assert np.array_equal(hull(hull.knots), ys[knot_pos])
+        assert np.all(np.interp(xs, knots, values) >= ys - 1e-13 * np.maximum(1.0, np.abs(ys)))
+        # the hull touches the input exactly at its knots
+        assert np.array_equal(np.interp(knots, knots, values), values)
         # slopes strictly decreasing between canonical knots
-        if hull.slopes.size > 1:
-            assert np.all(np.diff(hull.slopes) < 0)
+        assert np.all(np.diff(np.diff(values) / np.diff(knots)) < 0)
         # idempotence on the knot set
-        again = lcm(hull.knots, hull.values)
-        assert np.array_equal(again.knots, hull.knots)
-        assert np.array_equal(again.values, hull.values)
+        assert np.array_equal(_hull_indices(knots, values), np.arange(idx.size))
 
     @given(st.integers(min_value=0, max_value=10_000))
     def test_minimality_at_vertices(self, seed):
         # lowering any interior vertex breaks the majorant property for
         # the point that sat there
         rng = np.random.default_rng(seed)
-        xs, ys = random_point_set(rng, max_n=50)
-        hull = lcm(xs, ys)
-        knots, values = hull.knots, hull.values
+        xs, ys = pool_ties(*random_point_set(rng, max_n=50))
+        idx = _hull_indices(xs, ys)
+        knots, values = xs[idx], ys[idx]
         for i in range(1, knots.size - 1):
             lowered = values.copy()
             lowered[i] -= 1e-9
@@ -187,20 +171,6 @@ class TestHullInvariants:
                               [lowered[i - 1], lowered[i + 1]])
             # the vertex is essential: dropping it cannot stay above
             assert max(lowered[i], chord) < values[i] + 1e-12
-
-
-class TestPiecewiseLinearConcaveType:
-    def test_convex_values_rejected(self):
-        with pytest.raises(InputError, match="concavity"):
-            PiecewiseLinearConcave(np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.1, 1.0]))
-
-    def test_duplicate_knots_rejected(self):
-        with pytest.raises(InputError):
-            PiecewiseLinearConcave(np.array([0.0, 0.0]), np.array([0.0, 1.0]))
-
-    def test_equal_slopes_allowed(self):
-        plc = PiecewiseLinearConcave(np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.5, 1.0]))
-        assert plc.slopes == pytest.approx([0.5, 0.5])
 
 
 class TestRestrictedLcm:

@@ -20,7 +20,6 @@ from grenfun import (
     read_observations,
     read_scenario,
 )
-from grenfun.majorant import _pool_ties
 from grenfun.samples import PWA_KINK, SQRT2
 
 from oracles import read_observations_by_line, support_end
@@ -96,18 +95,6 @@ class TestEcdf:
         assert np.array_equal(xs, vals)
         assert np.array_equal(ys, heights)
         assert ys[-1] == 1.0
-
-    @pytest.mark.parametrize("decimals", [0, 2])
-    def test_pool_ties_matches_unique_reference(self, decimals):
-        stream = default_stream(10 + decimals)
-        xs = np.sort(np.round(stream.random(5_000) * 10.0, decimals))
-        ys = stream.standard_normal(xs.size)
-        ux, inverse = np.unique(xs, return_inverse=True)
-        uy = np.full(ux.size, -np.inf)
-        np.maximum.at(uy, inverse, ys)
-        px, py = _pool_ties(xs, ys)
-        assert np.array_equal(px, ux)
-        assert np.array_equal(py, uy)
 
 
 class TestScenarioSpec:
