@@ -5,9 +5,6 @@ from .errors import GrenfunError, InputError, NumericError
 from .functionals import (
     SmoothFunctional,
     by_name,
-    empirical_average,
-    nu_plugin,
-    one_step_correction,
     tau_plugin,
 )
 from .grenander import StepDensity, evaluate, fit
@@ -17,8 +14,6 @@ from .harness import (
     ks_distance,
     run_study,
     run_uniform_study,
-    true_sigma_eff,
-    true_tau,
 )
 from .inference import (
     ConfidenceInterval,
@@ -37,7 +32,6 @@ from .samples import (
     ecdf,
     ingest,
     read_observations,
-    read_scenario,
 )
 
 __version__ = "0.1.0"

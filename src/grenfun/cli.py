@@ -21,8 +21,8 @@ from pathlib import Path
 from .errors import InputError, NumericError
 from .functionals import by_name, tau_plugin
 from .grenander import fit
-from .harness import (StudyConfig, _file_stem, read_run_config, run_coverage, run_study,
-                      run_uniform_study)
+from .harness import (StudyConfig, _file_stem, _keep_freed_memory, read_run_config, run_coverage,
+                      run_study, run_uniform_study)
 from .inference import efficient_interval
 from .limitlaw import _seeded_y_samples
 from .samples import read_observations
@@ -164,6 +164,10 @@ _COMMANDS = {
     "uniform-clt": _cmd_uniform_clt,
 }
 
+#: commands that replicate, in this process when ``--threads`` is 1; they
+#: keep freed memory mapped, as the pool workers do (see grenfun.harness)
+_REPLICATING = ("simulate", "coverage", "uniform-clt")
+
 
 def main(argv=None) -> int:
     parser = _build_parser()
@@ -171,6 +175,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    if args.command in _REPLICATING:
+        _keep_freed_memory()
     try:
         return _COMMANDS[args.command](args)
     except InputError as exc:

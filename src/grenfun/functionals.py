@@ -34,8 +34,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InputError, NumericError, _finite
-from .grenander import StepDensity, evaluate
-from .samples import Sample, default_stream
+from .grenander import StepDensity
+from .samples import default_stream
 
 _VALIDATION_SEED = 0x5EED5
 _REL_TOL_DERIV = 1e-4
@@ -177,39 +177,6 @@ def tau_plugin(G: SmoothFunctional, d: StepDensity, domain=None) -> float:
     return _step_integral(G.g, d, G.x_free, G.vanishes_at_zero, domain)
 
 
-def nu_plugin(G: SmoothFunctional, d: StepDensity) -> float:
-    """Integral of h(f(x)) f(x) dx, h = g(., 0) of an x-free functional:
-    the plug-in carrier-measure average."""
-    _require_x_free(G, "nu_plugin")
-    hv = _evaluate(G.g, d.levels, 0.0)
-    return float(np.dot(hv * d.levels, d.piece_widths))
-
-
-def empirical_average(G: SmoothFunctional, s: Sample, d: StepDensity) -> float:
-    """(1/n) sum of h(f(X_i)), h = g(., 0) of an x-free functional, with
-    f the fitted density of the sample."""
-    _require_x_free(G, "empirical_average")
-    return float(np.mean(_evaluate(G.g, evaluate(d, s.values), 0.0)))
-
-
-def one_step_correction(G: SmoothFunctional, s: Sample, d: StepDensity) -> float:
-    """Explicit first-order bias-correction term for the carrier average.
-
-    Empirical mean of w(f(X_i)) minus the plug-in integral of w(f) f dx,
-    with w(z) = h(z) + z h'(z) and h = g(., 0) of an x-free functional.
-    For the Grenander fit this is identically zero, so the one-step
-    estimator collapses onto the plug-in.
-    """
-    _require_x_free(G, "one_step_correction")
-
-    def w(z):
-        return _evaluate(G.g, z, 0.0) + z * _evaluate(G.gdot, z, 0.0)
-
-    fitted = evaluate(d, s.values)
-    plug = float(np.dot(w(d.levels) * d.levels, d.piece_widths))
-    return float(np.mean(w(fitted))) - plug
-
-
 @lru_cache(maxsize=32)
 def _gl_nodes(order: int):
     return np.polynomial.legendre.leggauss(order)
@@ -245,17 +212,30 @@ def _quadrature(g, levels, a, b, order: int, tail=None) -> float:
     all the halves; after the last round the halves are summed back up,
     deepest first, left half plus right half, the arithmetic of a
     bisection that recurses one piece at a time.  A piece still
-    unresolved after 10 rounds raises :class:`NumericError` naming it.
+    unresolved after 10 rounds raises :class:`NumericError` naming it;
+    so does, at once, a piece whose integral in any round is not finite,
+    since bisecting cannot resolve an integrand that overflows.
     Callers run it through :func:`grenfun.errors._finite`, since an
     integrand that overflows makes arithmetic on inf that numpy warns of."""
     z, lo, hi = levels, a, b  # the rows of the current round
     if tail is not None:
         z, lo, hi = np.append(z, 0.0), np.append(lo, tail[0]), np.append(hi, tail[1])
     origin = np.arange(z.size)  # the piece each row is a part of
+
+    def where(i):
+        return (f"the tail on [{tail[0]!r}, {tail[1]!r}]" if i == levels.size else
+                f"piece {i} on [{float(a[i])!r}, {float(b[i])!r}]")
+
     rounds = []  # (values, rows halved) of each round before the last
     for depth in range(_MAX_REFINE + 1):
         coarse = _gl_rows(g, z, lo, hi, order)
         fine = _gl_rows(g, z, lo, hi, 2 * order)
+        bad = ~(np.isfinite(coarse) & np.isfinite(fine))
+        if bad.any():
+            row = int(np.argmax(bad))
+            value = fine[row] if not np.isfinite(fine[row]) else coarse[row]
+            raise NumericError(f"the integral on {where(int(origin[row]))} is {float(value)!r}: "
+                               "the integrand overflows there")
         redo = np.flatnonzero(~_converged(coarse, fine))
         if redo.size == 0 or depth == _MAX_REFINE:
             break
@@ -269,11 +249,9 @@ def _quadrature(g, levels, a, b, order: int, tail=None) -> float:
         for i, err in zip(origin[redo].tolist(), abs(fine - coarse)[redo].tolist()):
             errors[i] = errors.get(i, 0.0) + err
         i, err = max(errors.items(), key=lambda item: item[1])
-        where = (f"the tail on [{tail[0]!r}, {tail[1]!r}]" if i == levels.size else
-                 f"piece {i} on [{float(a[i])!r}, {float(b[i])!r}]")
         raise NumericError(
             f"quadrature unresolved on {len(errors)} piece(s) after "
-            f"{_MAX_REFINE} bisections; the worst, {where}, has error {err:.3g} "
+            f"{_MAX_REFINE} bisections; the worst, {where(i)}, has error {err:.3g} "
             f"between orders, above the relative tolerance {_QUAD_REL_TOL:g}"
         )
     for parent, halved in reversed(rounds):

@@ -17,8 +17,12 @@ workers, and adding a sample size leaves the others' unchanged.
 On glibc, pool workers keep freed memory mapped (:func:`_keep_freed_memory`):
 a large-n replication frees arrays of about 800 KB that glibc would
 otherwise give back to the OS, so the next replication would fault them
-in again.  The caller's process, and so every ``threads=1`` run, keeps
-its allocator settings.  No result depends on them.
+in again.  The command line applies the same setting to its own process
+for the commands that replicate (``simulate``, ``coverage`` and
+``uniform-clt``), so a ``threads=1`` run replicates as fast as a pool
+worker.  A library caller's process keeps its own allocator settings,
+since the setting turns glibc's dynamic thresholds off for the rest of
+the process.  No result depends on them.
 """
 
 from __future__ import annotations
@@ -47,18 +51,6 @@ log = logging.getLogger(__name__)
 
 _QQ_PROBS = np.arange(1, 100) / 100.0
 _Y_SEED_SALT = 0x9E3779B9
-
-
-# -- truths: the functional evaluated at the scenario's density ------------
-
-def true_tau(spec: ScenarioSpec, functional_name: str) -> float:
-    """Value of the functional at the scenario truth."""
-    return _truth(spec, by_name(functional_name))[0]
-
-
-def true_sigma_eff(spec: ScenarioSpec, functional_name: str) -> float:
-    """Efficient variance Var(gdot(f(X), X)) at the scenario truth."""
-    return _truth(spec, by_name(functional_name))[1]
 
 
 # -- Kolmogorov-Smirnov distance ------------------------------------------
@@ -271,11 +263,12 @@ def _worker_count(threads: int, jobs: int) -> int:
 
 
 def _keep_freed_memory() -> bool:
-    """Pool-worker initializer: keep the arrays a replication frees mapped,
-    so the next replication reuses them instead of faulting fresh pages
-    in.  Setting either glibc threshold turns off its dynamic thresholds,
-    so both are set.  Returns whether both ``mallopt`` calls succeeded
-    (False, and nothing changed, on a libc without ``mallopt``)."""
+    """Pool-worker initializer, also called by the command line for its
+    own process: keep the arrays a replication frees mapped, so the next
+    replication reuses them instead of faulting fresh pages in.  Setting
+    either glibc threshold turns off its dynamic thresholds, so both are
+    set.  Returns whether both ``mallopt`` calls succeeded (False, and
+    nothing changed, on a libc without ``mallopt``)."""
     import ctypes
 
     try:

@@ -61,7 +61,7 @@ class Sample:
             raise InputError("sample contains non-finite values")
         if vals[0] < 0.0:
             raise InputError("sample contains a negative observation")
-        if np.any(np.diff(vals) < 0.0):
+        if np.any(vals[1:] < vals[:-1]):
             raise InputError("sample values must be sorted nondecreasing")
         object.__setattr__(self, "values", vals)
 
@@ -97,11 +97,22 @@ def ecdf(s: Sample):
 
     Returns the points ``(X_(i), i/n)`` pooled at duplicates (cumulated
     height), prefixed by the origin ``(0, 0)``.  Observations at exactly 0
-    replace the origin with ``(0, j/n)``.
+    replace the origin with ``(0, j/n)``.  A sample with no ties and no
+    zero, as every continuous draw is, takes a shortcut: its points are
+    the origin and every observation, at heights ``arange(n + 1) / n``,
+    the same floats as the pooled path gives.
     """
     # values are sorted: a run of equal values ends where the next differs
     v = s.values
-    ends = np.flatnonzero(np.append(v[1:] != v[:-1], True))
+    distinct = v[1:] != v[:-1]
+    if v[0] > 0.0 and distinct.all():
+        xs = np.empty(s.n + 1)
+        xs[0] = 0.0
+        xs[1:] = v
+        ys = np.arange(s.n + 1, dtype=float)
+        ys /= s.n
+        return xs, ys
+    ends = np.flatnonzero(np.append(distinct, True))
     vals = v[ends]
     heights = (ends + 1) / float(s.n)
     if vals[0] == 0.0:
@@ -253,8 +264,9 @@ def draw(spec: ScenarioSpec, n: int, stream=None) -> Sample:
         if spec.seed is None:
             raise InputError("draw needs a seed: pass a stream or set spec.seed")
         stream = default_stream(spec.seed)
-    u = stream.random(int(n))
-    return Sample(np.sort(spec.quantile(u)))
+    values = spec.quantile(stream.random(int(n)))
+    values.sort()
+    return Sample(values)
 
 
 def _load_column(path) -> np.ndarray:
@@ -400,8 +412,3 @@ def read_json_object(obj, what: str) -> dict:
     if not isinstance(obj, dict):
         raise InputError(f"{what} must be a JSON object")
     return obj
-
-
-def read_scenario(path) -> ScenarioSpec:
-    """Load a scenario spec from a JSON file ``{kind, params, seed}``."""
-    return ScenarioSpec.from_json(read_json_object(path, "scenario"))

@@ -15,8 +15,10 @@ does the reader of limit-law CSVs; the quadrature oracle integrates one
 Grenander piece at a time.  The scenario helpers give the support end
 and the affine pieces of a truth, which only the tests ask for;
 ``unchecked_density`` builds a step density that skips the checks, for
-perturbations that break them; and ``EDGE_FLOATS`` are the values that
-pin the bytes of the CSV writers.
+perturbations that break them; the truths by name, the carrier-measure
+averages, the one-step correction and the scenario-file reader are
+helpers that only the tests call; and ``EDGE_FLOATS`` are the values
+that pin the bytes of the CSV writers.
 """
 
 import json
@@ -367,6 +369,75 @@ def load_y_csv(path):
         raise ValueError(f"{path}: missing JSON metadata header line")
     return np.array([float(row) for row in rows], dtype=float), json.loads(header[1:])
 
+
+
+# The helpers below compute through grenfun and import it when called:
+# perfbench/checks.py loads this module where grenfun is not importable.
+
+def true_tau(spec, functional_name):
+    """Value of the named functional at the scenario truth."""
+    from grenfun.functionals import by_name
+    from grenfun.inference import _truth
+
+    return _truth(spec, by_name(functional_name))[0]
+
+
+def true_sigma_eff(spec, functional_name):
+    """Efficient variance Var(gdot(f(X), X)) of the named functional at
+    the scenario truth."""
+    from grenfun.functionals import by_name
+    from grenfun.inference import _truth
+
+    return _truth(spec, by_name(functional_name))[1]
+
+
+def nu_plugin(G, d):
+    """Integral of h(f(x)) f(x) dx, h = g(., 0) of an x-free functional:
+    the plug-in carrier-measure average."""
+    from grenfun.functionals import _evaluate, _require_x_free
+
+    _require_x_free(G, "nu_plugin")
+    hv = _evaluate(G.g, d.levels, 0.0)
+    return float(np.dot(hv * d.levels, d.piece_widths))
+
+
+def empirical_average(G, s, d):
+    """(1/n) sum of h(f(X_i)), h = g(., 0) of an x-free functional, with
+    f the fitted density of the sample."""
+    from grenfun import evaluate
+    from grenfun.functionals import _evaluate, _require_x_free
+
+    _require_x_free(G, "empirical_average")
+    return float(np.mean(_evaluate(G.g, evaluate(d, s.values), 0.0)))
+
+
+def one_step_correction(G, s, d):
+    """Explicit first-order bias-correction term for the carrier average.
+
+    Empirical mean of w(f(X_i)) minus the plug-in integral of w(f) f dx,
+    with w(z) = h(z) + z h'(z) and h = g(., 0) of an x-free functional.
+    For the Grenander fit this is identically zero, so the one-step
+    estimator collapses onto the plug-in.
+    """
+    from grenfun import evaluate
+    from grenfun.functionals import _evaluate, _require_x_free
+
+    _require_x_free(G, "one_step_correction")
+
+    def w(z):
+        return _evaluate(G.g, z, 0.0) + z * _evaluate(G.gdot, z, 0.0)
+
+    fitted = evaluate(d, s.values)
+    plug = float(np.dot(w(d.levels) * d.levels, d.piece_widths))
+    return float(np.mean(w(fitted))) - plug
+
+
+def read_scenario(path):
+    """Load a scenario spec from a JSON file ``{kind, params, seed}``."""
+    from grenfun import ScenarioSpec
+    from grenfun.samples import read_json_object
+
+    return ScenarioSpec.from_json(read_json_object(path, "scenario"))
 
 #: signed zeros, the least subnormal and normal, both sides of repr's
 #: switch to exponent form (1e-05, 1e16), a repeating binary fraction,

@@ -24,24 +24,20 @@ from grenfun import (
     derive_seed,
     draw,
     draw_y_samples,
-    empirical_average,
     evaluate,
     fit,
     ks_distance,
     normal_quantile,
-    nu_plugin,
-    one_step_correction,
     run_study,
     run_uniform_study,
     tau_plugin,
-    true_sigma_eff,
-    true_tau,
 )
 from grenfun.limitlaw import _bridge_values
 from grenfun.majorant import _hull_indices
 
 from oracles import (affine_intervals, brute_force_hull_indices, cycle_law_hull_areas,
-                     grenander_levels_by_pava, grid_y_samples, pool_ties)
+                     empirical_average, grenander_levels_by_pava, grid_y_samples, nu_plugin,
+                     one_step_correction, pool_ties, true_sigma_eff, true_tau)
 
 ACCEPTANCE_SEED = 0
 Z2 = by_name("power:2")

@@ -22,8 +22,10 @@ import grenfun.inference
 from grenfun import (InputError, ScenarioSpec, StudyConfig, by_name, default_stream, derive_seed,
                      draw, ingest, uniform_clt_statistic)
 from grenfun.cli import _COMMANDS, _build_parser, main
-from grenfun.harness import read_run_config, true_tau
+from grenfun.harness import read_run_config
 from grenfun.inference import efficient_interval
+
+from oracles import true_tau
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
@@ -217,20 +219,27 @@ class TestSimulate:
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_overflowing_truth_is_one_numeric_failure_line(self, tmp_path, threads):
-        # the truth's level 1e300 squares past the float range; numpy's
-        # warning must not reach stderr ahead of the error line
-        config = tmp_path / "study.json"
-        config.write_text(json.dumps({
-            "scenario": {"kind": "uniform", "params": {"upper": 1e-300}},
-            "functional": "power:2", "n": [50], "replications": 2, "seed": 0,
-        }))
-        proc = _run_python("-m", "grenfun", "--out", str(tmp_path), "--threads", threads,
-                           "simulate", "--config", str(config))
-        assert proc.returncode == 3
-        assert proc.stdout == ""
-        lines = proc.stderr.splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith("numeric failure: the integral is inf")
+        # the truth's level 1e300 squares past the float range, in the
+        # step sum of a uniform truth and in the quadrature of an
+        # exponential one, which must not bisect inf; numpy's warning must
+        # not reach stderr ahead of the error line
+        for scenario, start in (
+                ({"kind": "uniform", "params": {"upper": 1e-300}},
+                 "numeric failure: the integral is inf"),
+                ({"kind": "exponential", "params": {"rate": 1e300}},
+                 "numeric failure: the integral on piece 0 on [0.0, ")):
+            config = tmp_path / "study.json"
+            config.write_text(json.dumps({
+                "scenario": scenario, "functional": "power:2", "n": [50], "replications": 2,
+                "seed": 0,
+            }))
+            proc = _run_python("-m", "grenfun", "--out", str(tmp_path), "--threads", threads,
+                               "simulate", "--config", str(config))
+            assert proc.returncode == 3
+            assert proc.stdout == ""
+            lines = proc.stderr.splitlines()
+            assert len(lines) == 1
+            assert lines[0].startswith(start) and "overflows" in lines[0]
 
 
 class TestLimitSample:
@@ -407,6 +416,33 @@ class TestUniformClt:
 
 
 _UNIFORM = ["uniform-clt", "--h", "power:2", "--n", "50", "--reps", "2"]
+
+
+class TestAllocatorSetting:
+    @pytest.mark.parametrize("command, applied", [
+        ("simulate", 1), ("coverage", 1), ("uniform-clt", 1), ("estimate", 0),
+        ("limit-sample", 0),
+    ])
+    def test_replicating_commands_keep_freed_memory(self, command, applied, tmp_path,
+                                                    data_file, monkeypatch, capsys):
+        # the commands that replicate apply the pool workers' setting to
+        # this process once; the others leave its allocator alone
+        calls = []
+        monkeypatch.setattr(grenfun.cli, "_keep_freed_memory", lambda: calls.append(1))
+        config = tmp_path / "study.json"
+        config.write_text(json.dumps({
+            "scenario": {"kind": "exponential", "params": {"rate": 1.0}}, "functional": "xz2",
+            "n": [50], "replications": 2, "seed": 0,
+        }))
+        argv = {
+            "simulate": ["simulate", "--config", str(config)],
+            "coverage": ["coverage", "--config", str(config)],
+            "uniform-clt": _UNIFORM,
+            "estimate": ["estimate", "--data", str(data_file), "--functional", "xz2"],
+            "limit-sample": ["limit-sample", "--config", str(config), "--draws", "5"],
+        }[command]
+        assert main(["--threads", "1", "--out", str(tmp_path), *argv]) == 0
+        assert len(calls) == applied
 
 
 class TestParsing:
@@ -666,8 +702,7 @@ class TestPublicNames:
             "ConfidenceInterval", "GrenfunError", "InputError", "NumericError", "Sample",
             "ScenarioSpec", "SimulationReport", "SmoothFunctional", "StepDensity", "StudyConfig",
             "by_name", "default_stream", "derive_seed", "draw", "draw_y_samples", "ecdf",
-            "empirical_average", "evaluate", "fit", "ingest", "ks_distance", "normal_cdf",
-            "normal_quantile", "nu_plugin", "one_step_correction", "read_observations",
-            "read_scenario", "run_study", "run_uniform_study", "sigma_eff_tau", "tau_plugin",
-            "true_sigma_eff", "true_tau", "uniform_clt_statistic",
+            "evaluate", "fit", "ingest", "ks_distance", "normal_cdf", "normal_quantile",
+            "read_observations", "run_study", "run_uniform_study", "sigma_eff_tau", "tau_plugin",
+            "uniform_clt_statistic",
         ]

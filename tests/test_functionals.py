@@ -16,17 +16,15 @@ from grenfun import (
     default_stream,
     derive_seed,
     draw,
-    empirical_average,
     evaluate,
     fit,
     ingest,
-    nu_plugin,
-    one_step_correction,
     tau_plugin,
 )
 from grenfun.functionals import _QUAD_ORDER, _quadrature
 
-from oracles import tau_plugin_by_piece, unchecked_density
+from oracles import (empirical_average, nu_plugin, one_step_correction, tau_plugin_by_piece,
+                     unchecked_density)
 
 Z2 = by_name("power:2")
 Z1 = by_name("identity")

@@ -25,15 +25,13 @@ from grenfun import (
     ks_distance,
     run_study,
     run_uniform_study,
-    true_sigma_eff,
-    true_tau,
     uniform_clt_statistic,
 )
 from grenfun.harness import (_centered, _map_replications, _replicate, _replications, _truth,
                              _worker_count)
 from grenfun.limitlaw import _limit_is_normal
 
-from oracles import EDGE_FLOATS, affine_intervals, load_y_csv
+from oracles import EDGE_FLOATS, affine_intervals, load_y_csv, true_sigma_eff, true_tau
 
 
 class TestTruthOracles:

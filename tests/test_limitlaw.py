@@ -19,7 +19,6 @@ from grenfun import (
     default_stream,
     draw_y_samples,
     ks_distance,
-    true_sigma_eff,
 )
 from grenfun import limitlaw
 from grenfun.limitlaw import (STICKS, _bridge_values, _face_means, _majorant_sums, _psi_at,
@@ -27,7 +26,7 @@ from grenfun.limitlaw import (STICKS, _bridge_values, _face_means, _majorant_sum
 
 from oracles import (EDGE_FLOATS, affine_intervals, brute_force_hull_indices,
                      cycle_law_hull_areas, grid_lcm_derivative, grid_y_samples,
-                     linear_y_samples, load_y_csv)
+                     linear_y_samples, load_y_csv, true_sigma_eff)
 
 Z2 = by_name("power:2")
 XZ2 = by_name("xz2")

@@ -18,11 +18,10 @@ from grenfun import (
     ecdf,
     ingest,
     read_observations,
-    read_scenario,
 )
 from grenfun.samples import PWA_KINK, SQRT2
 
-from oracles import read_observations_by_line, support_end
+from oracles import read_observations_by_line, read_scenario, support_end
 
 
 class TestIngest:
@@ -80,12 +79,21 @@ class TestEcdf:
         assert np.all(np.diff(ys) > 0)
         assert ys[-1] == 1.0
 
-    @pytest.mark.parametrize("decimals", [0, 1, 2])
-    def test_heavy_ties_match_unique_reference(self, decimals):
-        # the runs of equal values found on the sorted sample must give
+    @pytest.mark.parametrize("decimals, zero", [
+        (0, False), (1, False), (2, False), (None, False), (None, True),
+    ], ids=["0", "1", "2", "unrounded", "unrounded-zero"])
+    def test_heavy_ties_match_unique_reference(self, decimals, zero):
+        # the runs of equal values found on the sorted sample, and the
+        # shortcut taken by a sample with no tie and no zero, must give
         # what a re-sort with np.unique gives, bit for bit
-        raw = np.round(default_stream(decimals).exponential(1.0, 20_000), decimals)
+        raw = default_stream(3 if decimals is None else decimals).exponential(1.0, 20_000)
+        if decimals is not None:
+            raw = np.round(raw, decimals)
+        if zero:
+            raw = np.append(raw, 0.0)
         s = ingest(raw)
+        if decimals is None:
+            assert np.all(s.values[1:] > s.values[:-1])
         vals, counts = np.unique(s.values, return_counts=True)
         heights = np.cumsum(counts) / float(s.n)
         if vals[0] != 0.0:
@@ -197,6 +205,20 @@ class TestDraw:
         # by the spec itself, so draw never hands it to numpy
         with pytest.raises(InputError, match="field 'seed' has an invalid value: -4"):
             draw(ScenarioSpec("paper_pwa", {}, -4), 10)
+
+    @pytest.mark.parametrize("spec", [
+        ScenarioSpec.exponential(2.0),
+        ScenarioSpec.uniform(2.0),
+        ScenarioSpec.piecewise([0.5, 2.0], [1.5, 1.0 / 6.0]),
+        ScenarioSpec.paper_pwa(),
+    ], ids=lambda spec: spec.kind)
+    @pytest.mark.parametrize("n", [1, 10_000])
+    def test_sorts_the_quantiles_of_its_stream(self, spec, n):
+        # draw sorts the quantile array in place: the values are those of
+        # a sorted copy, bit for bit
+        u = default_stream(11).random(n)
+        s = draw(spec, n, default_stream(11))
+        assert np.array_equal(s.values, np.sort(spec.quantile(u)))
 
     def test_derive_seed_decorrelates_studies(self):
         kits = [derive_seed(seed, rep) for seed in (0, 1) for rep in range(100)]
