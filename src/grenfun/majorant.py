@@ -19,6 +19,13 @@ bounds the cost: on a concave chain whose last point is raised, each
 pass drops a single point, and pruning to the end would take quadratic
 time.  A pass that drops nothing leaves only strictly concave turns, so
 the survivors are then the hull and the scan is skipped.
+
+A pass judges ``PRUNE_BLOCK`` points at a time (:func:`_strict_turns`),
+and the first pass's survivors are their own indices, so a pass
+allocates its mask and its survivors and no float array the size of its
+input: a large fit faults in fewer fresh pages and keeps its differences
+and products in cache.  Each point's test is the same products and
+comparison as on the whole arrays, so the vertices are the same.
 """
 
 from __future__ import annotations
@@ -30,6 +37,8 @@ import numpy as np
 PRUNE_FLOOR = 64
 #: ... or once a pass drops fewer than 1/PRUNE_MIN_DROP of its points
 PRUNE_MIN_DROP = 8
+#: points a prune pass judges at a time: 512 KB per difference array
+PRUNE_BLOCK = 1 << 16
 
 
 def _hull_indices(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -41,22 +50,35 @@ def _hull_indices(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     package's one hull kernel: :func:`grenfun.grenander.fit` calls it on
     the ECDF points.
     """
-    idx = np.arange(xs.size)
+    idx = None  # where x, y sit in xs, ys; None while they are all of them
     x, y = xs, ys
-    while idx.size > PRUNE_FLOOR:
-        dx = x[1:] - x[:-1]
-        dy = y[1:] - y[:-1]
-        keep = np.empty(idx.size, dtype=bool)
-        np.greater(dy[:-1] * dx[1:], dy[1:] * dx[:-1], out=keep[1:-1])
-        keep[0] = keep[-1] = True
-        sel = np.flatnonzero(keep)
-        dropped = idx.size - sel.size
+    while x.size > PRUNE_FLOOR:
+        sel = np.flatnonzero(_strict_turns(x, y))
+        dropped = x.size - sel.size
         if dropped == 0:
-            return idx
-        idx, x, y = idx[sel], x[sel], y[sel]
-        if dropped * PRUNE_MIN_DROP < idx.size + dropped:
+            return np.arange(xs.size) if idx is None else idx
+        idx = sel if idx is None else idx[sel]
+        x, y = x[sel], y[sel]
+        if dropped * PRUNE_MIN_DROP < x.size + dropped:
             break
-    return idx[_stack_scan(x, y)]
+    scan = _stack_scan(x, y)
+    return np.array(scan) if idx is None else idx[scan]
+
+
+def _strict_turns(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Mask of the points whose turn with their neighbours is strictly
+    concave, dy[i-1] dx[i] > dy[i] dx[i-1]; the end points are kept.
+    Judged ``PRUNE_BLOCK`` points at a time, from differences of the
+    block's points and one on either side."""
+    keep = np.empty(x.size, dtype=bool)
+    keep[0] = keep[-1] = True
+    last = x.size - 2  # the last interior point
+    for lo in range(0, last, PRUNE_BLOCK):
+        hi = min(lo + PRUNE_BLOCK, last)  # this block judges points lo+1 .. hi
+        dx = x[lo + 1:hi + 2] - x[lo:hi + 1]
+        dy = y[lo + 1:hi + 2] - y[lo:hi + 1]
+        np.greater(dy[:-1] * dx[1:], dy[1:] * dx[:-1], out=keep[lo + 1:hi + 1])
+    return keep
 
 
 def _stack_scan(x: np.ndarray, y: np.ndarray) -> list:

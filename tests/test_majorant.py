@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from grenfun import ScenarioSpec, default_stream, draw, ecdf, fit, ingest
 from grenfun.limitlaw import _bridge_values
-from grenfun.majorant import PRUNE_FLOOR, _hull_indices
+from grenfun import majorant
+from grenfun.majorant import PRUNE_FLOOR, _hull_indices, _strict_turns
 
 from oracles import brute_force_hull_indices, fill_chords, pool_ties, stack_scan_hull_indices
 
@@ -107,6 +108,22 @@ class TestPrunedKernel:
     @pytest.mark.parametrize("n", [10_000, 100_000])
     def test_ecdf_hulls_match_full_scan(self, spec, n):
         xs, ys = ecdf(draw(spec, n, default_stream(n)))
+        assert np.array_equal(_hull_indices(xs, ys), stack_scan_hull_indices(xs, ys))
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 64, 1 << 16])
+    def test_blocks_judge_points_as_one_pass(self, block, monkeypatch):
+        # the blockwise turn test gives the mask of one pass over the whole
+        # arrays, bit for bit, at and around every block edge
+        monkeypatch.setattr(majorant, "PRUNE_BLOCK", block)
+        rng = np.random.default_rng(300)
+        for n in (2, 3, 4, 5, 65, 66, 67, 130, 1000):
+            xs = np.sort(rng.random(n)) * 10.0
+            ys = rng.random(n)
+            dx, dy = np.diff(xs), np.diff(ys)
+            whole = np.ones(n, dtype=bool)
+            whole[1:-1] = dy[:-1] * dx[1:] > dy[1:] * dx[:-1]
+            assert np.array_equal(_strict_turns(xs, ys), whole)
+        xs, ys = ecdf(draw(ScenarioSpec.exponential(1.0), 5000, default_stream(block)))
         assert np.array_equal(_hull_indices(xs, ys), stack_scan_hull_indices(xs, ys))
 
     def test_concave_chain_with_raised_end(self):
