@@ -164,10 +164,6 @@ _COMMANDS = {
     "uniform-clt": _cmd_uniform_clt,
 }
 
-#: commands that replicate, in this process when ``--threads`` is 1; they
-#: keep freed memory mapped, as the pool workers do (see grenfun.harness)
-_REPLICATING = ("simulate", "coverage", "uniform-clt")
-
 
 def main(argv=None) -> int:
     parser = _build_parser()
@@ -175,8 +171,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if args.command in _REPLICATING:
-        _keep_freed_memory()
+    # every command reuses the memory it frees, as the pool workers do
+    # (see grenfun.harness): replications, limit-law batches, file stages
+    _keep_freed_memory()
     try:
         return _COMMANDS[args.command](args)
     except InputError as exc:

@@ -6,6 +6,7 @@ numerically (degenerate data, divergent integrals).
 """
 
 import math
+import sys
 
 import numpy as np
 
@@ -37,4 +38,20 @@ def _finite(compute, what: str, why: str) -> float:
         value = float(compute())
     if not math.isfinite(value):
         raise NumericError(f"{what} is {value!r}: {why}")
+    return value
+
+
+def _significant(value: float, top: float, what: str) -> float:
+    """``value``, the integral of g(f(x), x) over a density f whose top
+    level is ``top``: the package's one rule for floating-point underflow.
+
+    A result of 0 or a subnormal while ``top`` is positive has no
+    significant digits left, since g of every level underflowed, and
+    raises :class:`NumericError` "<what> is <value>: ...", naming the
+    underflow.  Small terms that underflow beside others that do not
+    leave a normal result, and pass.
+    """
+    if top > 0.0 and abs(value) < sys.float_info.min:
+        raise NumericError(f"{what} is {value!r}: the integrand underflows at the density's "
+                           f"levels, which reach {top!r}")
     return value

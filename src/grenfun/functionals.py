@@ -33,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InputError, NumericError, _finite
+from .errors import InputError, NumericError, _finite, _significant
 from .grenander import StepDensity
 from .samples import default_stream
 
@@ -172,9 +172,11 @@ def tau_plugin(G: SmoothFunctional, d: StepDensity, domain=None) -> float:
     Without a compact ``domain`` [0, T], g(0, .) must vanish (checked at
     0 when x-free, declared by ``vanishes_at_zero`` otherwise), since the
     tail beyond the support diverges; with one, the tail [t_k, T] counts
-    at density 0.
+    at density 0.  A result that underflows to 0 or a subnormal raises
+    :class:`NumericError` (:func:`grenfun.errors._significant`).
     """
-    return _step_integral(G.g, d, G.x_free, G.vanishes_at_zero, domain)
+    return _significant(_step_integral(G.g, d, G.x_free, G.vanishes_at_zero, domain),
+                        float(d.levels[0]), "the plug-in estimate")
 
 
 @lru_cache(maxsize=32)

@@ -14,15 +14,15 @@ replication r: a SeedSequence hash of the study seed and r alone, so
 statistics are byte-identical however replications are spread over
 workers, and adding a sample size leaves the others' unchanged.
 
-On glibc, pool workers keep freed memory mapped (:func:`_keep_freed_memory`):
-a large-n replication frees arrays of about 800 KB that glibc would
-otherwise give back to the OS, so the next replication would fault them
-in again.  The command line applies the same setting to its own process
-for the commands that replicate (``simulate``, ``coverage`` and
-``uniform-clt``), so a ``threads=1`` run replicates as fast as a pool
-worker.  A library caller's process keeps its own allocator settings,
-since the setting turns glibc's dynamic thresholds off for the rest of
-the process.  No result depends on them.
+On glibc, the command line keeps freed memory mapped
+(:func:`_keep_freed_memory`), once per process and for every command: a
+large-n replication frees arrays of about 800 KB, and a limit-law batch
+or a stage of ``estimate`` arrays of 128 KiB and more, which glibc would
+otherwise give back to the OS, so the next one would fault them in
+again.  Forked pool workers inherit the setting; their initializer
+applies it for a library caller, whose own process keeps its allocator
+settings, since the setting turns glibc's dynamic thresholds off for the
+rest of the process.  No result depends on them.
 """
 
 from __future__ import annotations
@@ -263,12 +263,14 @@ def _worker_count(threads: int, jobs: int) -> int:
 
 
 def _keep_freed_memory() -> bool:
-    """Pool-worker initializer, also called by the command line for its
-    own process: keep the arrays a replication frees mapped, so the next
-    replication reuses them instead of faulting fresh pages in.  Setting
-    either glibc threshold turns off its dynamic thresholds, so both are
-    set.  Returns whether both ``mallopt`` calls succeeded (False, and
-    nothing changed, on a libc without ``mallopt``)."""
+    """Keep the arrays a replication, a limit-law batch or a stage of a
+    fit frees mapped, so the next one reuses them instead of faulting
+    fresh pages in.  The command line calls it once for its own process,
+    whatever the command; forked workers inherit that, so as a pool-worker
+    initializer it matters only to a library caller.  Setting either glibc
+    threshold turns off its dynamic thresholds, so both are set.  Returns
+    whether both ``mallopt`` calls succeeded (False, and nothing changed,
+    on a libc without ``mallopt``)."""
     import ctypes
 
     try:

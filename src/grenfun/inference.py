@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericError, _finite
+from .errors import InputError, NumericError, _finite, _significant
 from .functionals import (_QUAD_ORDER, SmoothFunctional, _evaluate, _quadrature,
                           _require_x_free, _step_integral, tau_plugin)
 from .grenander import StepDensity, evaluate, fit
@@ -118,10 +118,12 @@ def _true_variance(spec: ScenarioSpec, G: SmoothFunctional) -> float:
 def _truth(spec: ScenarioSpec, G: SmoothFunctional) -> tuple:
     """(tau, sigma^2) of a functional at the scenario's density f:
     tau = integral of g(f(x), x) dx, and sigma^2 of
-    :func:`_true_variance`."""
+    :func:`_true_variance`.  A tau that underflows to 0 or a subnormal
+    raises :class:`NumericError` (:func:`grenfun.errors._significant`)."""
     if not G.vanishes_at_zero:
         raise NumericError("divergent tail: g(0, .) not declared zero beyond the support")
-    return _true_integral(spec, G.g, G.x_free), _true_variance(spec, G)
+    tau = _significant(_true_integral(spec, G.g, G.x_free), float(spec.density(0.0)), "the truth")
+    return tau, _true_variance(spec, G)
 
 
 def sigma_eff_tau(G: SmoothFunctional, s: Sample, d: StepDensity) -> float:

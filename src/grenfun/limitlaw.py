@@ -85,9 +85,13 @@ _TABLE_CELLS = 16
 _TABLE_DOUBLINGS = 8
 #: Gauss-Legendre orders of the table's cell integrals: this and twice it
 _TABLE_ORDER = 16
-#: faces (draws x pieces x (STICKS + 1)) laid out per batch of draws: each
-#: array of a batch stays under 128 KiB, glibc's default mmap threshold,
-#: so batches reuse heap memory instead of faulting fresh pages in
+#: faces (draws x pieces x (STICKS + 1)) laid out per batch of draws, so
+#: an array of a batch is at most 128 KiB.  That alone does not keep its
+#: memory: under glibc's default thresholds a batch's frees leave the heap
+#: top past the trim threshold, which gives it back to the OS for the
+#: next batch to fault in again (about 6 000 faults in 2000 paper_pwa
+#: draws).  The command line's allocator setting keeps it mapped
+#: (grenfun.harness._keep_freed_memory).
 _BATCH_FACES = 1 << 14
 #: draws turned into text per write of a limit-law CSV, so the text held
 #: at once stays a few MB whatever the number of draws

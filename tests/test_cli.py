@@ -104,6 +104,17 @@ class TestEstimate:
                          "--functional", "power:2"]) == 3
         assert "overflows" in capsys.readouterr().err
 
+    def test_underflowing_estimate_is_numeric_failure(self, tmp_path, capsys):
+        # levels near 1e-300 square to 0 in every piece; xz2's x z z
+        # scales back up before it underflows, and passes
+        scaled = tmp_path / "scaled.txt"
+        np.savetxt(scaled, np.random.default_rng(0).exponential(1e300, 200))
+        assert main(["estimate", "--data", str(scaled), "--functional", "power:2"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: the plug-in estimate is 0.0: the integrand "
+                              "underflows") and err.count("\n") == 1
+        assert main(["estimate", "--data", str(scaled), "--functional", "xz2"]) == 0
+
     def test_overflowing_variance_is_numeric_failure(self, tmp_path):
         # xz2's gdot, 2 x z, overflows at x = 1e308 before the level
         # 1e-308 scales it back; numpy's warning must not reach stderr
@@ -240,6 +251,24 @@ class TestSimulate:
             lines = proc.stderr.splitlines()
             assert len(lines) == 1
             assert lines[0].startswith(start) and "overflows" in lines[0]
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("command", ["simulate", "coverage"])
+    def test_underflowing_truth_is_one_numeric_failure_line(self, tmp_path, command, threads):
+        # the truth's level 1e-300 squares to 0, so the exact truth
+        # rate / 2 = 5e-301 would be reported as 0.0 with a KS of 0.0 and
+        # coverage 1.0
+        config = tmp_path / "study.json"
+        config.write_text(json.dumps({
+            "scenario": {"kind": "exponential", "params": {"rate": 1e-300}},
+            "functional": "power:2", "n": [50], "replications": 2, "seed": 0,
+        }))
+        proc = _run_python("-m", "grenfun", "--out", str(tmp_path), "--threads", threads,
+                           command, "--config", str(config))
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == ("numeric failure: the truth is 0.0: the integrand underflows "
+                               "at the density's levels, which reach 1e-300\n")
 
 
 class TestLimitSample:
@@ -420,13 +449,13 @@ _UNIFORM = ["uniform-clt", "--h", "power:2", "--n", "50", "--reps", "2"]
 
 class TestAllocatorSetting:
     @pytest.mark.parametrize("command, applied", [
-        ("simulate", 1), ("coverage", 1), ("uniform-clt", 1), ("estimate", 0),
-        ("limit-sample", 0),
+        ("simulate", 1), ("coverage", 1), ("uniform-clt", 1), ("estimate", 1),
+        ("limit-sample", 1),
     ])
     def test_replicating_commands_keep_freed_memory(self, command, applied, tmp_path,
                                                     data_file, monkeypatch, capsys):
-        # the commands that replicate apply the pool workers' setting to
-        # this process once; the others leave its allocator alone
+        # every command, not only those that replicate, applies the pool
+        # workers' setting to this process once
         calls = []
         monkeypatch.setattr(grenfun.cli, "_keep_freed_memory", lambda: calls.append(1))
         config = tmp_path / "study.json"
@@ -443,6 +472,38 @@ class TestAllocatorSetting:
         }[command]
         assert main(["--threads", "1", "--out", str(tmp_path), *argv]) == 0
         assert len(calls) == applied
+
+    @pytest.mark.parametrize("argv, code", [
+        (["--help"], 0), (["limit-sample", "--help"], 0), ([], 2),
+        (["--threads", "0", *_UNIFORM], 2), (["estimate", "--functional", "xz2"], 2),
+    ])
+    def test_help_and_usage_errors_leave_the_allocator_alone(self, argv, code, monkeypatch,
+                                                              capsys):
+        calls = []
+        monkeypatch.setattr(grenfun.cli, "_keep_freed_memory", lambda: calls.append(1))
+        assert main(argv) == code
+        assert calls == []
+
+    def test_setting_leaves_limit_draws_unchanged(self, tmp_path):
+        # 600 stick-breaking draws, in 4 batches: once by the command
+        # line, which applies the setting, and once in an interpreter
+        # that never does; the two CSVs must hold the same bytes
+        config = CONFIGS / "limit_paper_pwa_xz2.json"
+        cli_dir, lib_dir = tmp_path / "cli", tmp_path / "lib"
+        proc = _run_python("-m", "grenfun", "--out", str(cli_dir), "limit-sample",
+                           "--config", str(config), "--draws", "600")
+        assert proc.returncode == 0, proc.stderr
+        script = ("import sys\n"
+                  "from grenfun import by_name\n"
+                  "from grenfun.harness import read_run_config\n"
+                  "from grenfun.limitlaw import _seeded_y_samples\n"
+                  "spec, name, seed = read_run_config(sys.argv[1])\n"
+                  "_seeded_y_samples(by_name(name), spec, 600, seed, sys.argv[2])\n")
+        proc = _run_python("-c", script, str(config), str(lib_dir / "paper_pwa_xz2_y.csv"))
+        assert proc.returncode == 0, proc.stderr
+        written = (cli_dir / "paper_pwa_xz2_y.csv").read_bytes()
+        assert written.count(b"\n") == 601
+        assert written == (lib_dir / "paper_pwa_xz2_y.csv").read_bytes()
 
 
 class TestParsing:

@@ -97,6 +97,18 @@ class TestMuPlugin:
         with np.errstate(over="ignore"), pytest.raises(NumericError, match="integral is inf"):
             tau_plugin(Z2, fit(ingest([x])))
 
+    def test_underflowing_integral_raises(self):
+        # every level's square underflows to 0: the estimate has no digits
+        for level in (1e-300, 1e-170):
+            with pytest.raises(NumericError, match="is 0.0: the integrand underflows"):
+                tau_plugin(Z2, flat(level, 1.0 / level))
+
+    def test_small_terms_may_underflow(self):
+        # z^200 underflows on the second piece only, which adds nothing
+        two_steps = StepDensity(np.array([0.25, 0.25 + 1e6]), np.array([2.0, 5e-7]))
+        z200 = by_name("power:200")
+        assert tau_plugin(z200, two_steps) == 0.25 * 2.0 ** 200
+
     def test_split_step_invariance(self):
         # splitting a piece into two equal-level halves cannot change the sum
         d = StepDensity(np.array([1.0, 3.0]), np.array([0.5, 0.25]))
