@@ -57,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "of a nonincreasing density",
     )
     parser.add_argument("--seed", type=_int_from(0), default=None,
-                        help="override the seed of any config or scenario")
+                        help="override the seed of any config")
     parser.add_argument("--out", type=Path, default=Path("."),
                         help="directory for output files")
     parser.add_argument("--threads", type=_int_from(1), default=1,

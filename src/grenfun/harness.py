@@ -129,13 +129,12 @@ def _sizes(value) -> tuple:
 
 def read_run_config(obj, what: str = "limit-sample config") -> tuple:
     """(scenario, functional name, seed) of a config, the fields a study
-    config shares with a limit-sample config; ``seed`` defaults to the
-    scenario's, else 0."""
+    config shares with a limit-sample config; ``seed`` defaults to 0."""
     obj = read_json_object(obj, what)
     scenario = ScenarioSpec.from_json(config_field(what, obj, "scenario", dict))
     functional = config_field(what, obj, "functional", str)
     by_name(functional)
-    return scenario, functional, config_field(what, obj, "seed", _seed, scenario.seed or 0)
+    return scenario, functional, config_field(what, obj, "seed", _seed, 0)
 
 
 @dataclass

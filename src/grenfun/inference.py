@@ -9,6 +9,7 @@ quadrature (:func:`_truth`); no functional has a closed form of its own.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,14 +76,20 @@ class ConfidenceInterval:
         }
 
 
-def _efficient_variance(integral, G: SmoothFunctional) -> float:
+def _efficient_variance(integral, G: SmoothFunctional, top: float) -> float:
     """Var psi(X) with psi(x) = gdot(f(x), x) and X ~ f, where
     ``integral(phi, x_free)`` integrates phi(f(x), x) dx: the centered
     second moment, each moment divided by the integral of f, so that a
-    constant psi gets exactly 0."""
+    constant psi gets exactly 0.  A variance of 0 or a subnormal whose
+    uncentered moment underflows too, while f's top level ``top`` does
+    not, raises :class:`NumericError` (:func:`grenfun.errors._significant`)."""
     mass = integral(lambda z, x: z, True)
     mean = integral(lambda z, x: G.gdot(z, x) * z, G.x_free) / mass
-    return integral(lambda z, x: (G.gdot(z, x) - mean) ** 2 * z, G.x_free) / mass
+    var = integral(lambda z, x: (G.gdot(z, x) - mean) ** 2 * z, G.x_free) / mass
+    if var < sys.float_info.min:
+        _significant(integral(lambda z, x: G.gdot(z, x) ** 2 * z, G.x_free) / mass, top,
+                     "the second moment of gdot(f(X), X)")
+    return var
 
 
 #: cells of an exponential truth, cut at the quantiles 1 - 2^-k
@@ -112,7 +119,8 @@ def _true_integral(spec: ScenarioSpec, phi, x_free: bool) -> float:
 def _true_variance(spec: ScenarioSpec, G: SmoothFunctional) -> float:
     """sigma^2 = Var psi(X) with psi(x) = gdot(f(x), x) and X ~ f at the
     scenario's density f, by the arithmetic of the plug-in estimate."""
-    return _efficient_variance(lambda phi, x_free: _true_integral(spec, phi, x_free), G)
+    return _efficient_variance(lambda phi, x_free: _true_integral(spec, phi, x_free), G,
+                               float(spec.density(0.0)))
 
 
 def _truth(spec: ScenarioSpec, G: SmoothFunctional) -> tuple:
@@ -137,7 +145,8 @@ def sigma_eff_tau(G: SmoothFunctional, s: Sample, d: StepDensity) -> float:
     A variance that is not finite raises :class:`NumericError`.
     """
     if G.x_free:
-        return _efficient_variance(lambda phi, _: _step_integral(phi, d, True, True), G)
+        return _efficient_variance(lambda phi, _: _step_integral(phi, d, True, True), G,
+                                   float(d.levels[0]))
 
     def variance():
         vals = _evaluate(G.gdot, evaluate(d, s.values), s.values)

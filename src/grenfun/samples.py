@@ -132,11 +132,8 @@ class ScenarioSpec:
 
     kind: str
     params: dict = field(default_factory=dict)
-    seed: int | None = None
 
     def __post_init__(self):
-        if self.seed is not None:
-            object.__setattr__(self, "seed", config_field("scenario", vars(self), "seed", _seed))
         if self.kind not in SCENARIO_KINDS:
             raise InputError(
                 f"unknown scenario kind {self.kind!r}; valid kinds: "
@@ -160,25 +157,24 @@ class ScenarioSpec:
     # -- constructors ---------------------------------------------------
 
     @staticmethod
-    def exponential(rate: float = 1.0, seed: int | None = None) -> "ScenarioSpec":
-        return ScenarioSpec("exponential", {"rate": float(rate)}, seed)
+    def exponential(rate: float = 1.0) -> "ScenarioSpec":
+        return ScenarioSpec("exponential", {"rate": float(rate)})
 
     @staticmethod
-    def uniform(upper: float = 1.0, seed: int | None = None) -> "ScenarioSpec":
-        return ScenarioSpec("uniform", {"upper": float(upper)}, seed)
+    def uniform(upper: float = 1.0) -> "ScenarioSpec":
+        return ScenarioSpec("uniform", {"upper": float(upper)})
 
     @staticmethod
-    def piecewise(breakpoints, levels, seed: int | None = None) -> "ScenarioSpec":
+    def piecewise(breakpoints, levels) -> "ScenarioSpec":
         return ScenarioSpec(
             "piecewise_constant",
             {"breakpoints": [float(t) for t in breakpoints],
              "levels": [float(v) for v in levels]},
-            seed,
         )
 
     @staticmethod
-    def paper_pwa(seed: int | None = None) -> "ScenarioSpec":
-        return ScenarioSpec("paper_pwa", {}, seed)
+    def paper_pwa() -> "ScenarioSpec":
+        return ScenarioSpec("paper_pwa", {})
 
     # -- distribution functions -----------------------------------------
 
@@ -237,33 +233,23 @@ class ScenarioSpec:
     # -- serialization ---------------------------------------------------
 
     def to_json(self) -> dict:
-        out = {"kind": self.kind, "params": dict(self.params)}
-        if self.seed is not None:
-            out["seed"] = self.seed
-        return out
+        return {"kind": self.kind, "params": dict(self.params)}
 
     @staticmethod
     def from_json(obj: dict) -> "ScenarioSpec":
         if not isinstance(obj, dict) or "kind" not in obj:
             raise InputError("scenario JSON must be an object with a 'kind' field")
-        return ScenarioSpec(obj["kind"], config_field("scenario", obj, "params", dict, {}),
-                            obj.get("seed"))
+        if "seed" in obj:  # refused: ignored, it would change the draws without a word
+            raise InputError("a scenario has no 'seed': set the config's top-level 'seed' instead")
+        return ScenarioSpec(obj["kind"], config_field("scenario", obj, "params", dict, {}))
 
 
-def draw(spec: ScenarioSpec, n: int, stream=None) -> Sample:
-    """Draw ``n`` i.i.d. observations from ``spec`` by inversion.
-
-    Deterministic given the seed and the stream position; uses
-    ``spec.seed`` when no stream is injected.  With neither, raises
-    :class:`InputError` rather than draw from OS entropy, which no seed
-    could reproduce.
-    """
+def draw(spec: ScenarioSpec, n: int, stream) -> Sample:
+    """Draw ``n`` i.i.d. observations from ``spec`` by inversion of the
+    required ``stream`` (:func:`default_stream`), so the draws are a
+    function of its seed and position."""
     if n < 1:
         raise InputError("need n >= 1 draws")
-    if stream is None:
-        if spec.seed is None:
-            raise InputError("draw needs a seed: pass a stream or set spec.seed")
-        stream = default_stream(spec.seed)
     values = spec.quantile(stream.random(int(n)))
     values.sort()
     return Sample(values)

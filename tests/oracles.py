@@ -433,7 +433,7 @@ def one_step_correction(G, s, d):
 
 
 def read_scenario(path):
-    """Load a scenario spec from a JSON file ``{kind, params, seed}``."""
+    """Load a scenario spec from a JSON file ``{kind, params}``."""
     from grenfun import ScenarioSpec
     from grenfun.samples import read_json_object
 

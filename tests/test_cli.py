@@ -115,6 +115,21 @@ class TestEstimate:
                               "underflows") and err.count("\n") == 1
         assert main(["estimate", "--data", str(scaled), "--functional", "xz2"]) == 0
 
+    def test_underflowing_variance_is_numeric_failure(self, tmp_path, capsys):
+        # levels near 1e-120 leave a normal estimate, 5e-121, but gdot^2 f
+        # underflows; identity's constant gdot keeps its true variance 0
+        scaled = tmp_path / "scaled.txt"
+        np.savetxt(scaled, np.random.default_rng(0).exponential(1e120, 500))
+        argv = ["estimate", "--data", str(scaled), "--ci", "0.95", "--functional"]
+        assert main([*argv, "power:2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("numeric failure: the second moment of gdot(f(X), X) "
+                                       "is 0.0: the integrand underflows")
+        assert main([*argv, "identity"]) == 0
+        ci = json.loads(capsys.readouterr().out)["ci"]
+        assert (ci["sigma_hat"], ci["degenerate"]) == (0.0, True)
+
     def test_overflowing_variance_is_numeric_failure(self, tmp_path):
         # xz2's gdot, 2 x z, overflows at x = 1e308 before the level
         # 1e-308 scales it back; numpy's warning must not reach stderr
@@ -202,7 +217,6 @@ class TestSimulate:
         ("rate", {"scenario": {"kind": "exponential", "params": {"rate": "fast"}}}),
         # numpy's generators take no negative seed
         ("seed", {"seed": -3}),
-        ("seed", {"scenario": {"kind": "exponential", "params": {"rate": 1.0}, "seed": -3}}),
         # JSON's Infinity token, named before the truth's quadrature meets it
         ("rate", {"scenario": {"kind": "exponential", "params": {"rate": math.inf}}}),
     ])
@@ -216,6 +230,22 @@ class TestSimulate:
         assert main(["simulate", "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert f"field {field!r}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["simulate", "coverage", "limit-sample"])
+    @pytest.mark.parametrize("seed", [1, -3, 2.5])
+    def test_scenario_seed_is_config_error(self, tmp_path, capsys, command, seed):
+        # a scenario has no seed; ignoring one would change the run's draws
+        config = tmp_path / "study.json"
+        config.write_text(json.dumps({
+            "scenario": {"kind": "exponential", "params": {"rate": 1.0}, "seed": seed},
+            "functional": "power:2", "n": [100], "replications": 4,
+        }))
+        extra = ["--draws", "10"] if command == "limit-sample" else []
+        assert main(["--out", str(tmp_path), command, "--config", str(config), *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: a scenario has no 'seed': "
+                                "set the config's top-level 'seed' instead\n")
 
     def test_no_reference_draws_is_config_error(self, tmp_path, capsys):
         # named as a field, not as a draw count deep in the sampler
@@ -269,6 +299,24 @@ class TestSimulate:
         assert proc.stdout == ""
         assert proc.stderr == ("numeric failure: the truth is 0.0: the integrand underflows "
                                "at the density's levels, which reach 1e-300\n")
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("command", ["simulate", "coverage"])
+    def test_underflowing_variance_is_one_numeric_failure_line(self, tmp_path, command, threads):
+        # the truth 5e-121 is normal, but gdot^2 f reaches 4e-360: the
+        # variance read 0.0, with a KS of 1.0 and coverage 0.0
+        config = tmp_path / "study.json"
+        config.write_text(json.dumps({
+            "scenario": {"kind": "exponential", "params": {"rate": 1e-120}},
+            "functional": "power:2", "n": [50], "replications": 2, "seed": 0,
+        }))
+        proc = _run_python("-m", "grenfun", "--out", str(tmp_path), "--threads", threads,
+                           command, "--config", str(config))
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == ("numeric failure: the second moment of gdot(f(X), X) is 0.0: "
+                               "the integrand underflows at the density's levels, which "
+                               "reach 1e-120\n")
 
 
 class TestLimitSample:
