@@ -13,7 +13,6 @@ Exit codes: 0 success, 2 configuration/input error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -115,30 +114,23 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-def _study_config(args) -> StudyConfig:
-    config = StudyConfig.from_json(args.config)
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
-    return config
-
-
 def _cmd_simulate(args) -> int:
-    reports = run_study(_study_config(args), threads=args.threads, out_dir=args.out)
+    config = StudyConfig.from_json(args.config, args.seed)
+    reports = run_study(config, threads=args.threads, out_dir=args.out)
     for report in reports:
         print(json.dumps(report.to_json(), sort_keys=True))
     return 0
 
 
 def _cmd_coverage(args) -> int:
-    for record in run_coverage(_study_config(args), args.level, threads=args.threads):
+    config = StudyConfig.from_json(args.config, args.seed)
+    for record in run_coverage(config, args.level, threads=args.threads):
         print(json.dumps(record, sort_keys=True))
     return 0
 
 
 def _cmd_limit_sample(args) -> int:
-    spec, name, seed = read_run_config(args.config)
-    if args.seed is not None:
-        seed = args.seed
+    spec, name, seed = read_run_config(args.config, seed=args.seed)
     path = args.out / f"{_file_stem(spec.kind, name)}_y.csv"
     ys, info = _seeded_y_samples(by_name(name), spec, args.draws, seed, path)
     variance = float(ys.var(ddof=1)) if ys.size > 1 else None

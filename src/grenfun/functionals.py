@@ -5,7 +5,8 @@ integral of g(f(x), x) dx.  Its ``x_free`` case g(z, x) = h(z), a
 functional of the density alone, reduces to exact finite sums over the
 density pieces; only the x-dependent case needs quadrature.  Both go
 through one step-density integral (:func:`_step_integral`), which the
-plug-in value, the truths and the efficient variance share.
+plug-in value, the truths and the efficient variance share.  Every
+integral runs over [0, inf), with :func:`_require_vanishing` its tail rule.
 
 The quadrature is adaptive Gauss-Legendre, batched: for each of two
 orders, g is evaluated once on a (pieces x order) node matrix, and each
@@ -81,11 +82,11 @@ class SmoothFunctional:
 
     ``x_free`` declares that g ignores x entirely, so that g(z, x) = h(z)
     is a functional of the density alone (integrals then reduce to exact
-    sums).  ``vanishes_at_zero`` declares g(0, x) = 0 for all x, which
-    makes the tail beyond the density's support drop out; without it,
-    integrals over an unbounded domain are rejected.  The derivatives
-    are checked against central finite differences at 32 deterministic
-    probe points in (0, z_max] on construction.
+    sums).  Integrals run over [0, inf), so g(0, x) = 0 must hold past the
+    density's support: an x-free g is checked at 0, and only an
+    x-dependent g needs ``vanishes_at_zero`` to declare it.  The
+    derivatives are checked against central finite differences at 32
+    deterministic probe points in (0, z_max] on construction.
     """
 
     g: callable
@@ -116,49 +117,35 @@ def _require_x_free(G: SmoothFunctional, what: str) -> None:
         raise InputError(f"{what} needs a functional of the density alone (x_free)")
 
 
-def _step_integral(phi, d: StepDensity, x_free: bool, vanishes_at_zero: bool,
-                   domain=None) -> float:
-    """Integral of phi(f(x), x) dx for the step density f = ``d``, over a
-    compact ``domain`` [0, T] or else over [0, inf).
+def _require_vanishing(G: SmoothFunctional) -> None:
+    """The one tail rule: g(0, .) = 0, checked at 0 when x-free and declared
+    otherwise, or the integral over [0, inf) diverges (:class:`NumericError`)."""
+    if not (float(G.g(0.0, 0.0)) == 0.0 if G.x_free else G.vanishes_at_zero):
+        raise NumericError("divergent tail: g(0, .) is not 0 (x-free) or not declared to "
+                           "vanish (vanishes_at_zero) past the density's support")
+
+
+def _step_integral(phi, d: StepDensity, x_free: bool) -> float:
+    """Integral of phi(f(x), x) dx for the step density f = ``d`` over its
+    support, which is the integral over [0, inf) when phi(0, .) = 0.
 
     An x-free phi, read as phi(z, 0), needs no quadrature: the integral is
-    the exact step sum of phi(f, 0) against the piece widths, plus the
-    tail phi(0, 0) (T - t_k) beyond the support.  Otherwise it is the
-    :func:`_quadrature` of phi over the pieces at ``_QUAD_ORDER`` and
-    twice as many nodes, with the tail [t_k, T] as one more piece at level
-    0 unless ``vanishes_at_zero`` declares phi(0, x) = 0.  Without a
-    domain the tail must vanish (numerically when x-free, by declaration
-    otherwise), or it diverges.  A result that is not finite raises
-    :class:`NumericError`."""
-    end = d.support_end if domain is None else float(domain[1])
-    if not np.isfinite(end) or end < d.support_end or (
-            domain is not None and float(domain[0]) != 0.0):
-        raise InputError(f"declared domain {domain!r} must start at 0 and end at a finite "
-                         f"T not inside the density's support [0, {d.support_end!r}]")
-    if x_free:
-        at_zero = float(phi(0.0, 0.0))
-        vanishes_at_zero = at_zero == 0.0
-    if domain is None and not vanishes_at_zero:
-        raise NumericError(
-            "divergent tail: the integrand does not vanish (or is not declared "
-            "to vanish) at density 0 on an unbounded domain; declare a compact "
-            "domain [0, T]"
-        )
-
+    the exact step sum of phi(f, 0) against the piece widths.  Otherwise
+    it is the :func:`_quadrature` of phi over the pieces at
+    ``_QUAD_ORDER`` and twice as many nodes.  A result that is not finite
+    raises :class:`NumericError`."""
     def integral():
         if x_free:
-            hv = _evaluate(phi, d.levels, 0.0)
-            return float(np.dot(hv, d.piece_widths)) + at_zero * (end - d.support_end)
+            return float(np.dot(_evaluate(phi, d.levels, 0.0), d.piece_widths))
         edges = np.concatenate(([0.0], d.breakpoints))
-        tail = None if vanishes_at_zero or end == d.support_end else (d.support_end, end)
-        return _quadrature(phi, d.levels, edges[:-1], edges[1:], _QUAD_ORDER, tail)
+        return _quadrature(phi, d.levels, edges[:-1], edges[1:], _QUAD_ORDER)
 
     return _finite(integral, "the integral", "the integrand overflows at the density's "
                    f"levels, which reach {float(d.levels[0])!r}")
 
 
-def tau_plugin(G: SmoothFunctional, d: StepDensity, domain=None) -> float:
-    """Integral of g(f(x), x) dx for a step density f, the plug-in value.
+def tau_plugin(G: SmoothFunctional, d: StepDensity) -> float:
+    """Integral of g(f(x), x) dx over [0, inf) for a step density f.
 
     An x-free g is integrated exactly, as a step sum of g(f, 0) against
     the piece widths.  Otherwise g is integrated per piece (it is smooth
@@ -169,14 +156,13 @@ def tau_plugin(G: SmoothFunctional, d: StepDensity, domain=None) -> float:
     module docstring for the proviso on g).  A piece still unresolved
     after 10 bisections raises :class:`NumericError` naming it.
 
-    Without a compact ``domain`` [0, T], g(0, .) must vanish (checked at
-    0 when x-free, declared by ``vanishes_at_zero`` otherwise), since the
-    tail beyond the support diverges; with one, the tail [t_k, T] counts
-    at density 0.  A result that underflows to 0 or a subnormal raises
-    :class:`NumericError` (:func:`grenfun.errors._significant`).
+    g(0, .) must vanish (:func:`_require_vanishing`).  A result that
+    underflows to 0 or a subnormal raises :class:`NumericError`
+    (:func:`grenfun.errors._significant`).
     """
-    return _significant(_step_integral(G.g, d, G.x_free, G.vanishes_at_zero, domain),
-                        float(d.levels[0]), "the plug-in estimate")
+    _require_vanishing(G)
+    return _significant(_step_integral(G.g, d, G.x_free), float(d.levels[0]),
+                        "the plug-in estimate")
 
 
 @lru_cache(maxsize=32)
@@ -203,10 +189,9 @@ def _converged(coarse, fine):
     return abs(fine - coarse) <= _QUAD_REL_TOL * np.maximum(1.0, abs(fine))
 
 
-def _quadrature(g, levels, a, b, order: int, tail=None) -> float:
+def _quadrature(g, levels, a, b, order: int) -> float:
     """Sum over pieces i, left to right, of the integral of g(levels[i], x)
-    dx on [a[i], b[i]], plus that of g(0, x) dx on the ``tail`` interval
-    if one is given (one more row, at level 0).
+    dx on [a[i], b[i]].
 
     Adaptive Gauss-Legendre: a piece is accepted when ``order`` and
     ``2 * order`` nodes agree to 1e-10 relative.  Each round halves every
@@ -220,13 +205,10 @@ def _quadrature(g, levels, a, b, order: int, tail=None) -> float:
     Callers run it through :func:`grenfun.errors._finite`, since an
     integrand that overflows makes arithmetic on inf that numpy warns of."""
     z, lo, hi = levels, a, b  # the rows of the current round
-    if tail is not None:
-        z, lo, hi = np.append(z, 0.0), np.append(lo, tail[0]), np.append(hi, tail[1])
     origin = np.arange(z.size)  # the piece each row is a part of
 
     def where(i):
-        return (f"the tail on [{tail[0]!r}, {tail[1]!r}]" if i == levels.size else
-                f"piece {i} on [{float(a[i])!r}, {float(b[i])!r}]")
+        return f"piece {i} on [{float(a[i])!r}, {float(b[i])!r}]"
 
     rounds = []  # (values, rows halved) of each round before the last
     for depth in range(_MAX_REFINE + 1):

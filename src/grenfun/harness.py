@@ -109,10 +109,11 @@ class StudyConfig:
                              "with at least one sample size")
 
     @staticmethod
-    def from_json(obj) -> "StudyConfig":
+    def from_json(obj, seed=None) -> "StudyConfig":
+        """The config in ``obj``, its seed overridden by ``seed`` as in :func:`read_run_config`."""
         what = "study config"
         obj = read_json_object(obj, what)
-        scenario, functional, seed = read_run_config(obj, what)
+        scenario, functional, seed = read_run_config(obj, what, seed)
         # the constructor converts the fields that keep their JSON names
         return StudyConfig(scenario, functional, config_field(what, obj, "n", _sizes),
                            obj.get("replications", 1000), seed, obj.get("reference_draws", 10000))
@@ -127,14 +128,16 @@ def _sizes(value) -> tuple:
     return tuple(map(_integer, value if isinstance(value, (list, tuple)) else [value]))
 
 
-def read_run_config(obj, what: str = "limit-sample config") -> tuple:
+def read_run_config(obj, what: str = "limit-sample config", seed=None) -> tuple:
     """(scenario, functional name, seed) of a config, the fields a study
-    config shares with a limit-sample config; ``seed`` defaults to 0."""
+    config shares with a limit-sample config.  Its ``seed`` defaults to 0,
+    and is checked even when a ``seed`` given here overrides it."""
     obj = read_json_object(obj, what)
     scenario = ScenarioSpec.from_json(config_field(what, obj, "scenario", dict))
     functional = config_field(what, obj, "functional", str)
     by_name(functional)
-    return scenario, functional, config_field(what, obj, "seed", _seed, 0)
+    own = config_field(what, obj, "seed", _seed, 0)
+    return scenario, functional, own if seed is None else seed
 
 
 @dataclass

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericError, _finite, _significant
-from .functionals import (_QUAD_ORDER, SmoothFunctional, _evaluate, _quadrature,
-                          _require_x_free, _step_integral, tau_plugin)
+from .functionals import (_QUAD_ORDER, SmoothFunctional, _converged, _evaluate, _quadrature,
+                          _require_vanishing, _require_x_free, _step_integral, tau_plugin)
 from .grenander import StepDensity, evaluate, fit
 from .samples import Sample, ScenarioSpec
 
@@ -101,19 +101,28 @@ def _true_integral(spec: ScenarioSpec, phi, x_free: bool) -> float:
     phi(0, .) = 0: the step-density integral of :func:`tau_plugin` for a
     piecewise truth, or its quadrature over the cells
     [(k-1) ln2 / rate, k ln2 / rate], k <= 64, of an exponential truth,
-    which leave out the mass 2^-64."""
+    which leave out the mass 2^-64.  The cut is safe only when phi decays
+    with f: a last cell that moves the total by more than the quadrature's
+    tolerance raises :class:`NumericError`."""
     if spec.kind != "exponential":
-        return _step_integral(phi, spec.true_density(), x_free, True)
+        return _step_integral(phi, spec.true_density(), x_free)
     rate = spec.params["rate"]
     edges = np.arange(_EXP_CELLS + 1) * (math.log(2.0) / rate)
 
-    def integral():
+    def integral(a, b):
         # the levels are placeholders: f is evaluated at the nodes
-        return _quadrature(lambda _, x: phi(spec.density(x), x), np.zeros(_EXP_CELLS),
-                           edges[:-1], edges[1:], _QUAD_ORDER)
+        return _finite(lambda: _quadrature(lambda _, x: phi(spec.density(x), x),
+                                           np.zeros(a.size), a, b, _QUAD_ORDER),
+                       "the integral",
+                       f"the integrand overflows at the density, which reaches {rate!r}")
 
-    return _finite(integral, "the integral",
-                   f"the integrand overflows at the density, which reaches {rate!r}")
+    total = integral(edges[:-1], edges[1:])
+    last = integral(edges[-2:-1], edges[-1:])
+    if not _converged(total - last, total):
+        raise NumericError(f"truncated tail: the last cell [{float(edges[-2])!r}, "
+                           f"{float(edges[-1])!r}] holds {last!r} of the integral {total!r}: "
+                           "the integrand does not decay with the density")
+    return total
 
 
 def _true_variance(spec: ScenarioSpec, G: SmoothFunctional) -> float:
@@ -128,8 +137,7 @@ def _truth(spec: ScenarioSpec, G: SmoothFunctional) -> tuple:
     tau = integral of g(f(x), x) dx, and sigma^2 of
     :func:`_true_variance`.  A tau that underflows to 0 or a subnormal
     raises :class:`NumericError` (:func:`grenfun.errors._significant`)."""
-    if not G.vanishes_at_zero:
-        raise NumericError("divergent tail: g(0, .) not declared zero beyond the support")
+    _require_vanishing(G)
     tau = _significant(_true_integral(spec, G.g, G.x_free), float(spec.density(0.0)), "the truth")
     return tau, _true_variance(spec, G)
 
@@ -145,7 +153,7 @@ def sigma_eff_tau(G: SmoothFunctional, s: Sample, d: StepDensity) -> float:
     A variance that is not finite raises :class:`NumericError`.
     """
     if G.x_free:
-        return _efficient_variance(lambda phi, _: _step_integral(phi, d, True, True), G,
+        return _efficient_variance(lambda phi, _: _step_integral(phi, d, True), G,
                                    float(d.levels[0]))
 
     def variance():
@@ -216,7 +224,9 @@ def uniform_clt_statistic(G: SmoothFunctional, s: Sample) -> float:
     d = fit(s)
     if d.support_end > 1.0:
         raise InputError("observations exceed 1; truth must be Uniform[0, 1]")
-    mu_hat = tau_plugin(G, d, domain=(0.0, 1.0))
+    # over [0, 1]: the tail past X_(n) at density 0 adds h(0) (1 - X_(n))
+    h0 = float(G.g(0.0, 0.0))
+    mu_hat = _step_integral(lambda z, x: G.g(z, x) - h0, d, True) + h0
     n = s.n
     logn = math.log(n)
     return (n * (mu_hat - float(G.g(1.0, 0.0))) - b * logn) / math.sqrt(3.0 * b * b * logn)

@@ -295,13 +295,12 @@ def read_observations_by_line(path):
     return np.sort(np.array(values, dtype=float))
 
 
-def tau_plugin_by_piece(G, d, domain=None, order=16):
+def tau_plugin_by_piece(G, d, order=16):
     """Integral of g(f(x), x) dx for a step density f, one piece at a
     time: adaptive Gauss-Legendre on each piece, accepted when orders
     ``order`` and ``2 * order`` agree to 1e-10 relative, else bisected
     at most 10 levels deep (returning the finer value there), the pieces
-    summed left to right, plus the g(0, .) tail over a compact domain
-    unless g vanishes at 0."""
+    summed left to right."""
     rules = {k: np.polynomial.legendre.leggauss(k) for k in (order, 2 * order)}
 
     def gl(fn, a, b, k):
@@ -329,8 +328,6 @@ def tau_plugin_by_piece(G, d, domain=None, order=16):
     total = 0.0
     for i, v in enumerate(d.levels):
         total += piece(lambda x, v=v: G.g(v, x), edges[i], edges[i + 1])
-    if domain is not None and domain[1] > d.support_end and not G.vanishes_at_zero:
-        total += piece(lambda x: G.g(0.0, x), d.support_end, float(domain[1]))
     return float(total)
 
 

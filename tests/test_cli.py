@@ -247,6 +247,20 @@ class TestSimulate:
         assert captured.err == ("error: a scenario has no 'seed': "
                                 "set the config's top-level 'seed' instead\n")
 
+    @pytest.mark.parametrize("command", ["simulate", "coverage", "limit-sample"])
+    def test_overridden_seed_is_still_checked(self, tmp_path, capsys, command):
+        # --seed replaces the config's seed, which must still be valid
+        config = tmp_path / "study.json"
+        config.write_text(json.dumps({
+            "scenario": {"kind": "exponential", "params": {"rate": 1.0}},
+            "functional": "power:2", "n": [100], "replications": 4, "seed": -3,
+        }))
+        extra = ["--draws", "10"] if command == "limit-sample" else []
+        argv = ["--seed", "5", "--out", str(tmp_path), command, "--config", str(config), *extra]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "field 'seed' has an invalid value: -3" in captured.err
+
     def test_no_reference_draws_is_config_error(self, tmp_path, capsys):
         # named as a field, not as a draw count deep in the sampler
         config = tmp_path / "study.json"

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from grenfun import (
     tau_plugin,
     uniform_clt_statistic,
 )
-from grenfun.inference import efficient_interval
+from grenfun.inference import _truth, efficient_interval
 
 from oracles import EDGE_FLOATS, unchecked_density
 from test_functionals import SCALAR_ONLY
@@ -118,6 +120,15 @@ class TestSigmaEffMu:
 EXP_MINUS_1 = SmoothFunctional(
     g=lambda z, x: np.expm1(z), gdot=lambda z, x: np.exp(z), gddot=lambda z, x: np.exp(z),
     x_free=True, vanishes_at_zero=True, name="expm1")
+#: h(z) = sqrt(z): gdot(0) is inf, and the efficient variance under an
+#: exponential truth, the integral of gdot^2 f = 1/4 over [0, inf), diverges
+SQRT = SmoothFunctional(
+    g=lambda z, x: np.sqrt(z), gdot=lambda z, x: 0.5 / np.sqrt(z),
+    gddot=lambda z, x: -0.25 / np.sqrt(z) ** 3, x_free=True, name="sqrt")
+#: h(z) = z^2 + 1: h(0) = 1, so its integral over [0, inf) diverges
+Z2_PLUS_1 = SmoothFunctional(
+    g=lambda z, x: np.asarray(z, dtype=float) ** 2 + 1.0, gdot=lambda z, x: 2.0 * z,
+    gddot=lambda z, x: 2.0 + 0.0 * np.asarray(z, dtype=float), x_free=True, name="z2+1")
 
 
 class TestSigmaEffTau:
@@ -178,6 +189,36 @@ class TestSigmaEffTau:
         assert sigma_eff_tau(SCALAR_ONLY, s, d) == float(np.mean(vals * vals)) - m * m
 
 
+class TestTailRule:
+    """The plug-in and the truths share one rule for the tail past the
+    support: g(0, 0) == 0 for an x-free g, the declaration otherwise."""
+
+    @pytest.mark.parametrize("G,accepted", [
+        (dataclasses.replace(EXP_MINUS_1, vanishes_at_zero=False), True),
+        (Z2_PLUS_1, False),
+        (dataclasses.replace(XZ2, vanishes_at_zero=False), False),
+    ], ids=["undeclared-expm1", "z2+1", "undeclared-xz2"])
+    def test_plugin_and_truth_agree(self, G, accepted):
+        d = PWA.true_density()
+        if accepted:
+            assert _truth(PWA, G)[0] == tau_plugin(G, d)
+        else:
+            for call in (lambda: tau_plugin(G, d), lambda: _truth(PWA, G)):
+                with pytest.raises(NumericError, match="divergent tail"):
+                    call()
+
+    def test_truncated_tail_refused(self):
+        # sqrt(f) decays with f, but gdot^2 f = 1/4 does not: each of the
+        # 64 cells adds (ln 2)/4, and the tail left out is infinite
+        with pytest.raises(NumericError, match=r"truncated tail: the last cell \[43\.6"):
+            _truth(EXP1, SQRT)
+        # a compact support cuts nothing: tau = sum sqrt(v) w, and
+        # sigma^2 = 1/4 - (tau / 2)^2 with mass 1 on [0, 1]
+        d = PWA.true_density()
+        tau = float(np.dot(np.sqrt(d.levels), d.piece_widths))
+        assert _truth(PWA, SQRT) == pytest.approx((tau, 0.25 * (1.0 - tau * tau)), rel=1e-12)
+
+
 class TestConfidenceIntervals:
     def test_degenerate_flagged(self):
         s = ingest([1.0, 1.0, 1.0, 2.0])
@@ -215,6 +256,16 @@ class TestConfidenceIntervals:
         assert ci.sigma_hat == math.sqrt(sigma_eff_tau(SCALAR_ONLY, s, d))
         assert ci.lower < ci.estimate < ci.upper
 
+    def test_infinite_gdot_at_zero_density(self):
+        # gdot(0) f at f = 0 is inf * 0 = nan: no integral evaluates it,
+        # since each is a step sum over the levels of the fit
+        s = draw(EXP1, 1000, default_stream(4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ci = efficient_interval(SQRT, s, 0.95)
+        assert ci.estimate == tau_plugin(SQRT, fit(s))
+        assert ci.lower < ci.estimate < ci.upper
+
     def test_bad_level_rejected(self):
         s = draw(EXP1, 100, default_stream(0))
         with pytest.raises(InputError):
@@ -248,7 +299,7 @@ class TestUniformCltStatistic:
         s = draw(ScenarioSpec.uniform(1.0), 5000, default_stream(5))
         d = fit(s)
         n = s.n
-        raw = n * (tau_plugin(Z2, d, domain=(0.0, 1.0)) - 1.0)
+        raw = n * (tau_plugin(Z2, d) - 1.0)
         expected = (raw - math.log(n)) / math.sqrt(3.0 * math.log(n))
         assert uniform_clt_statistic(Z2, s) == pytest.approx(expected, rel=1e-12)
 
@@ -257,9 +308,17 @@ class TestUniformCltStatistic:
         d = fit(s)
         n = s.n
         b = 3.0  # h''(1)/2 for z^3
-        raw = n * (tau_plugin(Z3, d, domain=(0.0, 1.0)) - 1.0)
+        raw = n * (tau_plugin(Z3, d) - 1.0)
         expected = (raw - b * math.log(n)) / math.sqrt(3.0 * b * b * math.log(n))
         assert uniform_clt_statistic(Z3, s) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_constant_shift_is_the_statistic_of_its_root(self, seed):
+        # the shift of h(z) = z^2 + 1 adds 1 over [0, 1], past X_(n) at
+        # density 0 included; h(1) takes it out again, and b is unchanged
+        s = draw(ScenarioSpec.uniform(1.0), 5000, default_stream(seed))
+        assert uniform_clt_statistic(Z2_PLUS_1, s) == pytest.approx(
+            uniform_clt_statistic(Z2, s), rel=1e-9)
 
     def test_linear_rejected(self):
         s = draw(ScenarioSpec.uniform(1.0), 100, default_stream(7))
