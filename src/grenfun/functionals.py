@@ -9,14 +9,19 @@ plug-in value, the truths and the efficient variance share.  Every
 integral runs over [0, inf), with :func:`_require_vanishing` its tail rule.
 
 The quadrature is adaptive Gauss-Legendre, batched: for each of two
-orders, g is evaluated once on a (pieces x order) node matrix, and each
-row is reduced by its own ``np.dot`` (never one matrix-vector product,
-which sums in another order).  Pieces whose two orders disagree are
-halved, all of them in one batch per round, and the halves summed back
-up left plus right, so every piece gets the same float as when
-integrated alone, provided g computes the same on arrays as on scalars
-(numpy's scalar ``**`` can differ from its array ``**`` in the last
-bit; ``*`` and ``+`` do not).  Every evaluation of g on arrays goes
+orders, g is evaluated once on a (pieces x order) node matrix, and all
+rows are reduced by one stacked product of 1 x order rows by the
+order x 1 weights, on a C-contiguous matrix.  numpy takes each such
+1 x 1 product by its vector dot, the ``ddot`` that ``np.dot`` of one row
+calls, so a row sums exactly as it would alone.  A matrix-vector
+product (``vals @ weights``, a ``gemv``) or ``einsum`` sums in another
+order and changes the last bits of some rows, so neither may replace
+it.  Pieces whose two orders disagree are halved, all of them in one
+batch per round, and the halves summed back up left plus right, so
+every piece gets the same float as when integrated alone, provided g
+computes the same on arrays as on scalars (numpy's scalar ``**`` can
+differ from its array ``**`` in the last bit; ``*`` and ``+`` do
+not).  Every evaluation of g on arrays goes
 through :func:`_evaluate`, which calls a g that takes only scalars (one
 written with ``math``, say) once per element.  A piece still unresolved
 after 10 bisections raises :class:`NumericError` instead of returning a
@@ -29,6 +34,7 @@ is asserted as a test invariant, not enforced here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -117,12 +123,35 @@ def _require_x_free(G: SmoothFunctional, what: str) -> None:
         raise InputError(f"{what} needs a functional of the density alone (x_free)")
 
 
+_DIVERGENT = ("divergent tail: g(0, .) is not 0 (x-free) or not declared to vanish "
+              "(vanishes_at_zero) past the density's support")
+
+
+def _g_at_zero(G: SmoothFunctional, what: str) -> float:
+    """g(0, 0) as a finite float, with numpy's warnings off.  A value that
+    is not finite, or a ValueError or ArithmeticError raised by g there
+    (``math.log(0.0)``, say), raises :class:`NumericError` "<what>: g(0, 0)
+    ..." naming it."""
+    try:
+        with np.errstate(all="ignore"):
+            value = float(G.g(0.0, 0.0))
+    except (ValueError, ArithmeticError) as exc:
+        raise NumericError(f"{what}: g(0, 0) raises {type(exc).__name__}: {exc}") from None
+    if not math.isfinite(value):
+        raise NumericError(f"{what}: g(0, 0) is {value!r}")
+    return value
+
+
 def _require_vanishing(G: SmoothFunctional) -> None:
-    """The one tail rule: g(0, .) = 0, checked at 0 when x-free and declared
-    otherwise, or the integral over [0, inf) diverges (:class:`NumericError`)."""
-    if not (float(G.g(0.0, 0.0)) == 0.0 if G.x_free else G.vanishes_at_zero):
-        raise NumericError("divergent tail: g(0, .) is not 0 (x-free) or not declared to "
-                           "vanish (vanishes_at_zero) past the density's support")
+    """The one tail rule: g(0, .) = 0, checked at 0 when x-free
+    (:func:`_g_at_zero`) and declared otherwise, or the integral over
+    [0, inf) diverges (:class:`NumericError`)."""
+    if G.x_free:
+        value = _g_at_zero(G, _DIVERGENT)
+        if value != 0.0:
+            raise NumericError(f"{_DIVERGENT}: g(0, 0) is {value!r}")
+    elif not G.vanishes_at_zero:
+        raise NumericError(_DIVERGENT)
 
 
 def _step_integral(phi, d: StepDensity, x_free: bool) -> float:
@@ -174,15 +203,19 @@ def _gl_rows(g, levels, a, b, order):
     """One Gauss-Legendre pass over every piece at once: row i holds the
     nodes of [a[i], b[i]] and g is evaluated at (levels[i], node) by
     :func:`_evaluate`: one call on the whole node matrix with a column of
-    levels, or one call per node when g takes only scalars.  Each row is
-    reduced by its own ``np.dot``, so a piece gets the same float
-    whichever batch it is in."""
+    levels, or one call per node when g takes only scalars.  The rows are
+    reduced at once, as a stack of 1 x order by order x 1 products on a
+    C-contiguous copy of the values: numpy takes each by the vector dot
+    of ``np.dot``, so a row gives the float of ``np.dot(weights, row)``
+    and a piece gets it whichever batch it is in.  ``vals @ weights``
+    would not: a matrix-vector product sums in blocks of rows and
+    columns of its own."""
     nodes, weights = _gl_nodes(order)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     x = mid[:, None] + half[:, None] * nodes
-    vals = _evaluate(g, levels[:, None], x)
-    return half * np.fromiter(map(weights.dot, vals), float, len(vals))
+    vals = np.ascontiguousarray(_evaluate(g, levels[:, None], x))
+    return half * np.matmul(vals[:, None, :], weights[:, None])[:, 0, 0]
 
 
 def _converged(coarse, fine):

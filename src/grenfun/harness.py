@@ -32,7 +32,6 @@ import logging
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -300,6 +299,9 @@ def _map_replications(worker, args, threads: int, jobs: int | None = None) -> np
     workers = _worker_count(threads, len(args) if jobs is None else jobs)
     if workers <= 1:
         return np.array([worker(a) for a in args])
+    # imported here: concurrent.futures and the multiprocessing it loads
+    # are milliseconds of every start, and only a pool needs them
+    from concurrent.futures import ProcessPoolExecutor
     from itertools import islice
 
     args, results = iter(args), []

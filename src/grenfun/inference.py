@@ -15,9 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericError, _finite, _significant
-from .functionals import (_QUAD_ORDER, SmoothFunctional, _converged, _evaluate, _quadrature,
-                          _require_vanishing, _require_x_free, _step_integral, tau_plugin)
-from .grenander import StepDensity, evaluate, fit
+from .functionals import (_QUAD_ORDER, SmoothFunctional, _converged, _evaluate, _g_at_zero,
+                          _quadrature, _require_vanishing, _require_x_free, _step_integral,
+                          tau_plugin)
+from .grenander import StepDensity, fit
 from .samples import Sample, ScenarioSpec
 
 
@@ -157,7 +158,12 @@ def sigma_eff_tau(G: SmoothFunctional, s: Sample, d: StepDensity) -> float:
                                    float(d.levels[0]))
 
     def variance():
-        vals = _evaluate(G.gdot, evaluate(d, s.values), s.values)
+        # the fit at the sorted sample, piece by piece: the observations up
+        # to each breakpoint take its level, those past the last take 0
+        # (the values of grenfun.grenander.evaluate, by counts)
+        ends = np.searchsorted(s.values, d.breakpoints, side="right")
+        fhat = np.repeat(np.append(d.levels, 0.0), np.diff(ends, prepend=0, append=s.n))
+        vals = _evaluate(G.gdot, fhat, s.values)
         m = float(np.mean(vals))
         return float(np.mean(vals * vals)) - m * m
 
@@ -225,7 +231,7 @@ def uniform_clt_statistic(G: SmoothFunctional, s: Sample) -> float:
     if d.support_end > 1.0:
         raise InputError("observations exceed 1; truth must be Uniform[0, 1]")
     # over [0, 1]: the tail past X_(n) at density 0 adds h(0) (1 - X_(n))
-    h0 = float(G.g(0.0, 0.0))
+    h0 = _g_at_zero(G, "the uniform CLT statistic needs h(0)")
     mu_hat = _step_integral(lambda z, x: G.g(z, x) - h0, d, True) + h0
     n = s.n
     logn = math.log(n)

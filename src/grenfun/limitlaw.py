@@ -200,9 +200,13 @@ def _face_means(table: _PsiTable, ends: np.ndarray, widths: np.ndarray):
     across = np.empty(j.shape, dtype=bool)
     np.not_equal(j[..., 1:], j[..., :-1], out=across[..., 1:])
     np.not_equal(j[..., 0], table.first, out=across[..., 0])
-    means = c1 + c2 * (t0 + t) + c3 * (t0 * (t0 + t) + t * t)
+    both = t0 + t
+    means = c1 + c2 * both + c3 * (t0 * both + t * t)
     means *= table.cells[:, None]
-    np.divide(np.diff(psi, axis=-1, prepend=0.0), widths, out=means, where=across)
+    rise = np.empty_like(psi)  # of Psi_k over each face, from Psi_k(0) = 0
+    rise[..., 0] = psi[..., 0]
+    np.subtract(psi[..., 1:], psi[..., :-1], out=rise[..., 1:])
+    np.divide(rise, widths, out=means, where=across)
     return means, psi[..., -1]
 
 
@@ -228,9 +232,12 @@ def _majorant_sums(table: _PsiTable, rows: int, uniforms, normals):
     # (U = 0, probability 2^-53) gets a finite slope, and adds no width
     # and no rise wherever it falls
     order = np.argsort(z / np.sqrt(np.maximum(sticks, np.finfo(float).tiny)), axis=2)[..., ::-1]
-    widths = np.take_along_axis(sticks, order, 2)
+    # one flat index into the C-ordered (rows, pieces, STICKS + 1) arrays
+    # serves both gathers
+    flat = order + (STICKS + 1) * np.arange(rows * pieces).reshape(rows, pieces, 1)
+    widths = sticks.take(flat)
     means, psi_end = _face_means(table, np.cumsum(widths, axis=2), widths)
-    sums = np.einsum("rpi,rpi->rp", np.take_along_axis(xi, order, 2), means)
+    sums = np.einsum("rpi,rpi->rp", xi.take(flat), means)
     return sums - xi.sum(axis=2) * psi_end, sticks[..., -1]
 
 

@@ -24,7 +24,9 @@ A pass judges ``PRUNE_BLOCK`` points at a time (:func:`_strict_turns`),
 and the first pass's survivors are their own indices, so a pass
 allocates its mask and its survivors and no float array the size of its
 input: a large fit faults in fewer fresh pages and keeps its differences
-and products in cache.  Each point's test is the same products and
+and products in cache.  A block's second product is written in place
+over its dx, which the comparison no longer reads, so a block holds
+three arrays, not four.  Each point's test is the same products and
 comparison as on the whole arrays, so the vertices are the same.
 """
 
@@ -57,8 +59,8 @@ def _hull_indices(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         dropped = x.size - sel.size
         if dropped == 0:
             return np.arange(xs.size) if idx is None else idx
-        idx = sel if idx is None else idx[sel]
-        x, y = x[sel], y[sel]
+        idx = sel if idx is None else idx.take(sel)
+        x, y = x.take(sel), y.take(sel)
         if dropped * PRUNE_MIN_DROP < x.size + dropped:
             break
     scan = _stack_scan(x, y)
@@ -69,7 +71,8 @@ def _strict_turns(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Mask of the points whose turn with their neighbours is strictly
     concave, dy[i-1] dx[i] > dy[i] dx[i-1]; the end points are kept.
     Judged ``PRUNE_BLOCK`` points at a time, from differences of the
-    block's points and one on either side."""
+    block's points and one on either side; the right-hand product is
+    written over the dx it no longer needs."""
     keep = np.empty(x.size, dtype=bool)
     keep[0] = keep[-1] = True
     last = x.size - 2  # the last interior point
@@ -77,7 +80,9 @@ def _strict_turns(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         hi = min(lo + PRUNE_BLOCK, last)  # this block judges points lo+1 .. hi
         dx = x[lo + 1:hi + 2] - x[lo:hi + 1]
         dy = y[lo + 1:hi + 2] - y[lo:hi + 1]
-        np.greater(dy[:-1] * dx[1:], dy[1:] * dx[:-1], out=keep[lo + 1:hi + 1])
+        left = dy[:-1] * dx[1:]
+        right = np.multiply(dy[1:], dx[:-1], out=dx[:-1])
+        np.greater(left, right, out=keep[lo + 1:hi + 1])
     return keep
 
 

@@ -611,9 +611,11 @@ class TestParsing:
 
     def test_import_leaves_statistics_unloaded(self):
         # statistics, with the fractions and decimal it imports, costs
-        # milliseconds of every start; only normal_quantile loads it
+        # milliseconds of every start; only normal_quantile loads it.  So
+        # do concurrent.futures and multiprocessing, which only a pool needs
         proc = _run_python("-c", "import sys, grenfun.cli; "
-                           "print(sorted({'statistics', 'fractions', 'decimal'} & set(sys.modules)))")
+                           "print(sorted({'statistics', 'fractions', 'decimal', 'concurrent', "
+                           "'multiprocessing'} & set(sys.modules)))")
         assert proc.returncode == 0 and proc.stdout == "[]\n"
 
 

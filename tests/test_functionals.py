@@ -21,7 +21,7 @@ from grenfun import (
     ingest,
     tau_plugin,
 )
-from grenfun.functionals import _QUAD_ORDER, _quadrature
+from grenfun.functionals import _QUAD_ORDER, _gl_rows, _quadrature
 
 from oracles import (empirical_average, nu_plugin, one_step_correction, tau_plugin_by_piece,
                      unchecked_density)
@@ -240,6 +240,30 @@ class TestBatchedQuadrature:
         # node at a time, with no call on a row in between
         k = d.levels.size
         assert calls == [(k, 16)] + [()] * (16 * k) + [(k, 32)] + [()] * (32 * k)
+
+    @pytest.mark.parametrize("order", [16, 32])
+    @pytest.mark.parametrize("rows", [1, 7, 400])
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_rows_reduce_as_one_dot_each(self, layout, rows, order):
+        # _gl_rows reduces all rows in one stacked product, and each row
+        # must sum as np.dot of that row alone, whatever layout g returns
+        # it in: a matrix-vector product would sum in another order
+        rng = default_stream(derive_seed(707, rows * order))
+        levels = 10.0 ** rng.uniform(-8.0, 8.0, rows)
+        a = rng.uniform(0.0, 5.0, rows)
+        b = a + rng.uniform(1e-3, 2.0, rows)
+
+        def values(z, x):
+            return z * np.cos(7.0 * x) * (1.0 + x)
+
+        def g(z, x):
+            return values(z, x) if layout == "C" else np.asfortranarray(values(z, x))
+
+        nodes, weights = np.polynomial.legendre.leggauss(order)
+        half = 0.5 * (b - a)
+        x = (0.5 * (a + b))[:, None] + half[:, None] * nodes
+        alone = [float(np.dot(weights, row)) for row in values(levels[:, None], x)]
+        assert _gl_rows(g, levels, a, b, order).tolist() == (half * np.array(alone)).tolist()
 
     def test_unresolved_piece_raises(self):
         # the jump at x = 0.3 leaves an error of about 3e-7 at the depth cap

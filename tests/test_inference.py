@@ -129,6 +129,13 @@ SQRT = SmoothFunctional(
 Z2_PLUS_1 = SmoothFunctional(
     g=lambda z, x: np.asarray(z, dtype=float) ** 2 + 1.0, gdot=lambda z, x: 2.0 * z,
     gddot=lambda z, x: 2.0 + 0.0 * np.asarray(z, dtype=float), x_free=True, name="z2+1")
+#: h(z) = z log z, the entropy integrand: its limit at 0 is 0, but not its value
+XLOGX = SmoothFunctional(
+    g=lambda z, x: z * np.log(z), gdot=lambda z, x: np.log(z) + 1.0,
+    gddot=lambda z, x: 1.0 / z, x_free=True, name="xlogx")
+XLOGX_MATH = SmoothFunctional(
+    g=lambda z, x: z * math.log(z), gdot=lambda z, x: math.log(z) + 1.0,
+    gddot=lambda z, x: 1.0 / z, x_free=True, name="xlogx-math")
 
 
 class TestSigmaEffTau:
@@ -179,6 +186,17 @@ class TestSigmaEffTau:
             with pytest.raises(NumericError, match="efficient variance"):
                 sigma_eff_tau(XZ2, s, d)
 
+    @pytest.mark.parametrize("fitted", ["all", "first half"])
+    def test_fit_read_by_counts_equals_evaluate(self, fitted):
+        # data rounded to 0.01 tie on the knots; a fit of the first half
+        # of the sample ends below its last observations, which take 0
+        s = ingest(np.round(draw(PWA, 4000, default_stream(47)).values, 2))
+        d = fit(s if fitted == "all" else ingest(s.values[:2000]))
+        assert np.isin(s.values, d.breakpoints).sum() > d.breakpoints.size
+        vals = XZ2.gdot(evaluate(d, s.values), s.values)
+        m = float(np.mean(vals))
+        assert sigma_eff_tau(XZ2, s, d) == max(float(np.mean(vals * vals)) - m * m, 0.0)
+
     def test_scalar_only_functional(self):
         # g written with math takes no arrays: gdot is taken one
         # observation at a time, with the arithmetic of the array case
@@ -206,6 +224,21 @@ class TestTailRule:
             for call in (lambda: tau_plugin(G, d), lambda: _truth(PWA, G)):
                 with pytest.raises(NumericError, match="divergent tail"):
                     call()
+
+    @pytest.mark.parametrize("G,found", [(XLOGX, "is nan"), (XLOGX_MATH, "raises ValueError")],
+                             ids=["numpy", "math"])
+    @pytest.mark.filterwarnings("error")
+    def test_undefined_at_zero_is_one_numeric_failure(self, G, found):
+        # z log z tends to 0 at 0 but is undefined there: numpy gives nan
+        # (with warnings, here errors), math raises
+        d = PWA.true_density()
+        for call in (lambda: tau_plugin(G, d), lambda: _truth(PWA, G)):
+            with pytest.raises(NumericError, match=rf"^divergent tail: .*: g\(0, 0\) {found}"):
+                call()
+        s = draw(ScenarioSpec.uniform(1.0), 200, default_stream(7))
+        with pytest.raises(NumericError,
+                           match=rf"^the uniform CLT statistic needs h\(0\): g\(0, 0\) {found}"):
+            uniform_clt_statistic(G, s)
 
     def test_truncated_tail_refused(self):
         # sqrt(f) decays with f, but gdot^2 f = 1/4 does not: each of the
