@@ -301,7 +301,7 @@ def _power(p: int) -> SmoothFunctional:
 def _xz2() -> SmoothFunctional:
     return SmoothFunctional(
         g=lambda z, x: np.asarray(x, dtype=float) * z * z,
-        gdot=lambda z, x: 2.0 * np.asarray(x, dtype=float) * z,
+        gdot=lambda z, x: 2.0 * (np.asarray(x, dtype=float) * z),
         gddot=lambda z, x: 2.0 * np.asarray(x, dtype=float),
         z_max=1e9,
         vanishes_at_zero=True,

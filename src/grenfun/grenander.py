@@ -60,21 +60,25 @@ class StepDensity:
         return edges, np.concatenate(([0.0], np.cumsum(self.levels * self.piece_widths)))
 
     def cdf(self, x):
-        """Integral of the density from 0 to x."""
+        """Integral of the density from 0 to x: exactly 1.0 from the end of
+        the support, where the sum of the piece masses may be 1 +- 1 ulp."""
         x = np.asarray(x, dtype=float)
         edges, cum = self._cumulative()
         xc = np.clip(x, 0.0, self.support_end)
         i = np.searchsorted(self.breakpoints, xc, side="left")
         out = cum[i] + self.levels[np.minimum(i, self.levels.size - 1)] * (xc - edges[i])
-        out = np.where(x >= self.support_end, cum[-1], out)
+        out = np.where(x >= self.support_end, 1.0, out)
         return out if out.ndim else float(out)
 
     def quantile(self, u):
-        """Inverse of :meth:`cdf` on [0, 1)."""
+        """Inverse of :meth:`cdf` on [0, 1); u * support_end on one piece."""
         u = np.asarray(u, dtype=float)
-        edges, cum = self._cumulative()
-        i = np.clip(np.searchsorted(cum, u, side="right") - 1, 0, self.levels.size - 1)
-        out = edges[i] + (u - cum[i]) / self.levels[i]
+        if self.levels.size == 1:
+            out = u * self.support_end
+        else:
+            edges, cum = self._cumulative()
+            i = np.clip(np.searchsorted(cum, u, side="right") - 1, 0, self.levels.size - 1)
+            out = edges[i] + (u - cum[i]) / self.levels[i]
         return out if out.ndim else float(out)
 
 

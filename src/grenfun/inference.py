@@ -104,11 +104,16 @@ def _true_integral(spec: ScenarioSpec, phi, x_free: bool) -> float:
     [(k-1) ln2 / rate, k ln2 / rate], k <= 64, of an exponential truth,
     which leave out the mass 2^-64.  The cut is safe only when phi decays
     with f: a last cell that moves the total by more than the quadrature's
-    tolerance raises :class:`NumericError`."""
-    if spec.kind != "exponential":
+    tolerance raises :class:`NumericError`, and so does a rate so small
+    that the cells' last edge overflows."""
+    if not spec.is_strictly_concave:
         return _step_integral(phi, spec.true_density(), x_free)
     rate = spec.params["rate"]
-    edges = np.arange(_EXP_CELLS + 1) * (math.log(2.0) / rate)
+    width = math.log(2.0) / rate
+    _finite(lambda: _EXP_CELLS * width,
+            f"the end of the truth's {_EXP_CELLS} cells of width ln 2 / rate = {width!r}",
+            f"it overflows at the rate {rate!r}, which is too small")
+    edges = np.arange(_EXP_CELLS + 1) * width
 
     def integral(a, b):
         # the levels are placeholders: f is evaluated at the nodes

@@ -20,8 +20,6 @@ SQRT2 = math.sqrt(2.0)
 #: kink location of the two-slope piecewise-affine benchmark CDF
 PWA_KINK = 1.0 - 1.0 / SQRT2
 
-SCENARIO_KINDS = ("exponential", "uniform", "piecewise_constant", "paper_pwa")
-
 
 def default_stream(seed):
     """Seeded random source used everywhere in the package.
@@ -132,27 +130,49 @@ class ScenarioSpec:
 
     kind: str
     params: dict = field(default_factory=dict)
+    #: the truth's StepDensity, built and checked once; None for the exponential
+    _density: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in SCENARIO_KINDS:
-            raise InputError(
-                f"unknown scenario kind {self.kind!r}; valid kinds: "
-                + ", ".join(SCENARIO_KINDS)
-            )
+        from .grenander import StepDensity
+
         if self.kind == "exponential":
+            self._accept_params("rate")
             if not config_field("scenario params", self.params, "rate", _real, 0.0) > 0.0:
                 raise InputError("exponential scenario needs rate > 0")
+            density = None
         elif self.kind == "uniform":
-            if not config_field("scenario params", self.params, "upper", _real, 0.0) > 0.0:
+            self._accept_params("upper")
+            upper = config_field("scenario params", self.params, "upper", _real, 0.0)
+            if not upper > 0.0:
                 raise InputError("uniform scenario needs upper > 0")
+            if math.isinf(1.0 / upper):
+                raise InputError(f"uniform scenario field 'upper' is too small: {upper!r}, "
+                                 "whose density 1/upper overflows")
+            density = StepDensity([upper], [1.0 / upper])
         elif self.kind == "piecewise_constant":
+            self._accept_params("breakpoints", "levels")
             # a value numpy cannot read is reported by its field name
-            for key in ("breakpoints", "levels"):
-                config_field("scenario params", self.params, key,
-                             lambda v: np.asarray(v, dtype=float))
-            mass = self.true_density().mass
-            if abs(mass - 1.0) > 1e-12:
-                raise InputError(f"piecewise density mass {mass!r} differs from 1 by more than 1e-12")
+            density = StepDensity(*(config_field("scenario params", self.params, key,
+                                                 lambda v: np.asarray(v, dtype=float))
+                                    for key in ("breakpoints", "levels")))
+            if abs(density.mass - 1.0) > 1e-12:
+                raise InputError(f"piecewise density mass {density.mass!r} differs from 1 "
+                                 "by more than 1e-12")
+        elif self.kind == "paper_pwa":
+            self._accept_params()
+            density = StepDensity([PWA_KINK, 1.0], [SQRT2 + 1.0, SQRT2 - 1.0])
+        else:
+            raise InputError(f"unknown scenario kind {self.kind!r}; valid kinds: "
+                             "exponential, uniform, piecewise_constant, paper_pwa")
+        object.__setattr__(self, "_density", density)
+
+    def _accept_params(self, *keys):
+        """Refuse a param outside ``keys``, the params of this kind."""
+        for key in self.params:
+            if key not in keys:
+                raise InputError(f"unknown {self.kind} scenario param {key!r}; valid params: "
+                                 + (", ".join(keys) or "none"))
 
     # -- constructors ---------------------------------------------------
 
@@ -180,55 +200,35 @@ class ScenarioSpec:
 
     @property
     def is_strictly_concave(self) -> bool:
-        return self.kind == "exponential"
+        return self._density is None
 
     def cdf(self, x):
-        """The CDF; for a piecewise kind exactly 1.0 at and past the end
-        of the support, where the float sum of the piece masses may round
-        to 1 +- 1 ulp."""
+        if self._density is not None:
+            return self._density.cdf(x)
         x = np.asarray(x, dtype=float)
-        if self.kind == "exponential":
-            rate = self.params["rate"]
-            out = -np.expm1(-rate * np.maximum(x, 0.0))
-        else:
-            d = self.true_density()
-            out = np.where(x >= d.support_end, 1.0, d.cdf(x))
+        out = -np.expm1(-self.params["rate"] * np.maximum(x, 0.0))
         return out if out.ndim else float(out)
 
     def quantile(self, u):
         """Inverse CDF, defined on [0, 1)."""
-        if self.kind not in ("exponential", "uniform"):
-            return self.true_density().quantile(u)
-        u = np.asarray(u, dtype=float)
-        if self.kind == "exponential":
-            rate = self.params["rate"]
-            out = -np.log1p(-u) / rate
-        else:
-            out = u * self.params["upper"]
+        if self._density is not None:
+            return self._density.quantile(u)
+        out = -np.log1p(-np.asarray(u, dtype=float)) / self.params["rate"]
         return out if out.ndim else float(out)
 
     def density(self, x):
-        if self.kind != "exponential":
+        if self._density is not None:
             from .grenander import evaluate
 
-            return evaluate(self.true_density(), x)
+            return evaluate(self._density, x)
         rate = self.params["rate"]
         out = rate * np.exp(-rate * np.asarray(x, dtype=float))
         return out if out.ndim else float(out)
 
     def true_density(self):
-        """The scenario's density as a :class:`grenfun.grenander.StepDensity`
-        (piecewise kinds only)."""
-        from .grenander import StepDensity
-
-        if self.kind == "paper_pwa":
-            return StepDensity([PWA_KINK, 1.0], [SQRT2 + 1.0, SQRT2 - 1.0])
-        if self.kind == "uniform":
-            c = float(self.params["upper"])
-            return StepDensity([c], [1.0 / c])
-        if self.kind == "piecewise_constant":
-            return StepDensity(self.params["breakpoints"], self.params["levels"])
-        raise InputError(f"scenario kind {self.kind!r} has no piecewise form")
+        """The scenario's :class:`grenfun.grenander.StepDensity` (None for
+        the exponential)."""
+        return self._density
 
     # -- serialization ---------------------------------------------------
 

@@ -334,7 +334,7 @@ def tau_plugin_by_piece(G, d, order=16):
 def support_end(spec):
     """Right end of the support of the scenario ``spec`` (inf for an
     exponential truth)."""
-    return math.inf if spec.kind == "exponential" else spec.true_density().support_end
+    return math.inf if spec.is_strictly_concave else spec.true_density().support_end
 
 
 def affine_intervals(spec):

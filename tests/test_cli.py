@@ -130,19 +130,19 @@ class TestEstimate:
         ci = json.loads(capsys.readouterr().out)["ci"]
         assert (ci["sigma_hat"], ci["degenerate"]) == (0.0, True)
 
-    def test_overflowing_variance_is_numeric_failure(self, tmp_path):
-        # xz2's gdot, 2 x z, overflows at x = 1e308 before the level
-        # 1e-308 scales it back; numpy's warning must not reach stderr
-        huge = tmp_path / "huge.txt"
-        huge.write_text("1e308\n")
-        proc = _run_python("-m", "grenfun", "estimate", "--data", str(huge),
-                           "--functional", "xz2", "--ci", "0.95")
-        assert proc.returncode == 3
-        assert proc.stdout == ""
-        lines = proc.stderr.splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith("numeric failure: the efficient variance is nan")
-        assert "1e-308" in lines[0] and "1e+308" in lines[0]
+    def test_xz2_variance_at_huge_observations_is_finite(self, tmp_path):
+        # xz2's gdot is 2 (x z): x z is about 1 at x = 1e308, where 2 x
+        # would overflow before the level 1e-308 scales it back
+        for lines, estimate, sigma_hat in ((["1e308"], 0.49999999999999944, 0.0),
+                                           (["1e308", "1.5e308"], 0.5000000000000004,
+                                            0.3333333333333341)):
+            huge = tmp_path / "huge.txt"
+            huge.write_text("\n".join(lines) + "\n")
+            proc = _run_python("-m", "grenfun", "estimate", "--data", str(huge),
+                               "--functional", "xz2", "--ci", "0.9")
+            assert (proc.returncode, proc.stderr) == (0, "")
+            ci = json.loads(proc.stdout)["ci"]
+            assert (ci["estimate"], ci["sigma_hat"]) == (estimate, sigma_hat)
 
     def test_missing_file_is_config_error(self, tmp_path):
         assert main(["estimate", "--data", str(tmp_path / "nope.txt"),
@@ -219,6 +219,8 @@ class TestSimulate:
         ("seed", {"seed": -3}),
         # JSON's Infinity token, named before the truth's quadrature meets it
         ("rate", {"scenario": {"kind": "exponential", "params": {"rate": math.inf}}}),
+        # the density 1/upper is past the float range
+        ("upper", {"scenario": {"kind": "uniform", "params": {"upper": 1e-310}}}),
     ])
     def test_malformed_value_is_config_error(self, tmp_path, capsys, field, change):
         config = tmp_path / "study.json"
@@ -230,6 +232,24 @@ class TestSimulate:
         assert main(["simulate", "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert f"field {field!r}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("scenario, message", [
+        ({"kind": "paper_pwa", "params": {"x": 1}},
+         "unknown paper_pwa scenario param 'x'; valid params: none"),
+        ({"kind": "exponential", "params": {"rate": 1, "scale": 2}},
+         "unknown exponential scenario param 'scale'; valid params: rate"),
+        ({"kind": "piecewise_constant",
+          "params": {"breakpoints": [1.0], "levels": [1.0], "upper": 1.0}},
+         "unknown piecewise_constant scenario param 'upper'; valid params: breakpoints, levels"),
+    ], ids=["paper_pwa", "exponential", "piecewise_constant"])
+    def test_unknown_scenario_param_is_config_error(self, tmp_path, capsys, scenario, message):
+        config = tmp_path / "study.json"
+        config.write_text(json.dumps({"scenario": scenario, "functional": "power:2",
+                                      "n": [100], "replications": 4, "seed": 0}))
+        assert main(["--out", str(tmp_path), "simulate", "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     @pytest.mark.parametrize("command", ["simulate", "coverage", "limit-sample"])
     @pytest.mark.parametrize("seed", [1, -3, 2.5])
@@ -276,13 +296,19 @@ class TestSimulate:
     def test_overflowing_truth_is_one_numeric_failure_line(self, tmp_path, threads):
         # the truth's level 1e300 squares past the float range, in the
         # step sum of a uniform truth and in the quadrature of an
-        # exponential one, which must not bisect inf; numpy's warning must
-        # not reach stderr ahead of the error line
+        # exponential one, which must not bisect inf; the 64 quadrature
+        # cells of an exponential truth at a rate below 64 ln 2 / DBL_MAX
+        # end past it; numpy's warning must not reach stderr ahead of the
+        # error line
+        cells = "numeric failure: the end of the truth's 64 cells of width ln 2 / rate = "
         for scenario, start in (
                 ({"kind": "uniform", "params": {"upper": 1e-300}},
                  "numeric failure: the integral is inf"),
                 ({"kind": "exponential", "params": {"rate": 1e300}},
-                 "numeric failure: the integral on piece 0 on [0.0, ")):
+                 "numeric failure: the integral on piece 0 on [0.0, "),
+                ({"kind": "exponential", "params": {"rate": 1e-320}}, cells + "inf is inf"),
+                ({"kind": "exponential", "params": {"rate": 1e-307}},
+                 cells + "6.931471805599453e+306 is inf")):
             config = tmp_path / "study.json"
             config.write_text(json.dumps({
                 "scenario": scenario, "functional": "power:2", "n": [50], "replications": 2,

@@ -106,7 +106,7 @@ def _quad_integral(spec, phi):
     call per piece of the support."""
     from scipy.integrate import quad
 
-    pieces = [(0.0, math.inf)] if spec.kind == "exponential" else affine_intervals(spec)
+    pieces = [(0.0, math.inf)] if spec.is_strictly_concave else affine_intervals(spec)
     return math.fsum(
         quad(lambda x: phi(float(spec.density(x)), x), a, b,
              epsabs=0.0, epsrel=1e-13, limit=200)[0]

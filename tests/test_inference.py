@@ -179,12 +179,18 @@ class TestSigmaEffTau:
         assert sigma_eff_tau(XZ2, s, d) == pytest.approx(analytic, abs=0.05)
 
     def test_overflowing_gdot_is_a_numeric_failure(self):
-        # xz2's gdot 2 x z overflows at x = 1e308, before z = 1e-308 scales it
+        # g = (x z)^2 is about 1 at x = 1e308 and z = 1e-308, but its
+        # gdot 2 x^2 z is about 2e308, past the float range
+        x2z2 = SmoothFunctional(
+            g=lambda z, x: (np.asarray(x, dtype=float) * z) ** 2,
+            gdot=lambda z, x: 2.0 * np.asarray(x, dtype=float) ** 2 * z,
+            gddot=lambda z, x: 2.0 * np.asarray(x, dtype=float) ** 2,
+            vanishes_at_zero=True, name="x2z2")
         s = ingest([1e308])
         d = fit(s)
         with np.errstate(over="raise", invalid="raise"):
             with pytest.raises(NumericError, match="efficient variance"):
-                sigma_eff_tau(XZ2, s, d)
+                sigma_eff_tau(x2z2, s, d)
 
     @pytest.mark.parametrize("fitted", ["all", "first half"])
     def test_fit_read_by_counts_equals_evaluate(self, fitted):

@@ -16,6 +16,7 @@ from grenfun import (
     derive_seed,
     draw,
     ecdf,
+    fit,
     ingest,
     read_observations,
 )
@@ -143,14 +144,34 @@ class TestScenarioSpec:
         # piece masses that sum to 0.9999999999999999 in floats
         ScenarioSpec.piecewise([0.345, 0.674, 2.666],
                                [0.5584537074625977, 0.5492598720095778, 0.31457177361157257]),
-    ], ids=["paper_pwa", "uniform", "three", "mass_below_one"])
+        # a Grenander fit whose 15 piece masses sum to 0.9999999999999999
+        fit(draw(ScenarioSpec.paper_pwa(), 3000, default_stream(17))),
+    ], ids=["paper_pwa", "uniform", "three", "mass_below_one", "fitted"])
     def test_cdf_is_exactly_one_from_the_end_of_support(self, spec):
         # the piece masses sum to 1 only up to rounding (paper_pwa's to
         # 1.0000000000000002); the limit-law grid extends when cdf < 1
-        end = support_end(spec)
+        end = support_end(spec) if isinstance(spec, ScenarioSpec) else spec.support_end
         xs = [end, np.nextafter(end, np.inf), end + 1.0, 1e300, np.inf]
         assert all(spec.cdf(x) == 1.0 for x in xs)
         assert np.all(spec.cdf(np.array(xs)) == 1.0)
+
+    def test_one_piece_quantile_is_u_times_end(self):
+        # rounded once: u / (1/3) differs from u * 3 on about 21% of uniforms
+        u = default_stream(8).random(10_000)
+        assert ScenarioSpec.uniform(3.0).quantile(u).tobytes() == (u * 3.0).tobytes()
+        assert ScenarioSpec.uniform(3.0).quantile(float(u[0])) == float(u[0]) * 3.0
+
+    def test_one_piece_piecewise_draws_like_uniform(self):
+        one_piece = draw(ScenarioSpec.piecewise([3.0], [1.0 / 3.0]), 10_000, default_stream(9))
+        uniform = draw(ScenarioSpec.uniform(3.0), 10_000, default_stream(9))
+        assert one_piece.values.tobytes() == uniform.values.tobytes()
+
+    @pytest.mark.parametrize("spec", [
+        ScenarioSpec.paper_pwa(), ScenarioSpec.uniform(2.0),
+        ScenarioSpec.piecewise([0.5, 2.0], [1.5, 1.0 / 6.0]),
+    ], ids=lambda spec: spec.kind)
+    def test_truth_is_built_once(self, spec):
+        assert spec.true_density() is spec.true_density()
 
     def test_quantile_inverts_cdf(self):
         for spec in (ScenarioSpec.exponential(2.0), ScenarioSpec.uniform(3.0),
